@@ -20,6 +20,7 @@ from stagedml.rng import Rng
 from stagedml.timing import Deadline
 
 _PREDICT_CHUNK = 512
+_SPLIT_BLOCK = 1 << 16
 
 
 def _check_columns(model_columns: int, rows: np.ndarray) -> np.ndarray:
@@ -49,20 +50,29 @@ class KnnModel:
         return self.x.shape[1]
 
     def predict(self, rows: np.ndarray, deadline: Deadline | None = None) -> np.ndarray:
+        """Majority vote of the k nearest train rows; distance ties at
+        the k-th place go to the earlier train row, class ties to the
+        smaller class index."""
         rows = _check_columns(self.n_columns, rows)
         out = np.empty(rows.shape[0], dtype=np.int64)
         train_sq = np.einsum("ij,ij->i", self.x, self.x)
+        k, n_classes = self.k, self.n_classes
         for start in range(0, rows.shape[0], _PREDICT_CHUNK):
             if deadline is not None:
                 deadline.check()
             chunk = rows[start : start + _PREDICT_CHUNK]
             d2 = train_sq[None, :] - 2.0 * chunk @ self.x.T
-            # stable sort: distance ties break toward the earlier train row
-            order = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
-            votes = self.y[order]
-            for i in range(votes.shape[0]):
-                counts = np.bincount(votes[i], minlength=self.n_classes)
-                out[start + i] = int(np.argmax(counts))
+            kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
+            near = d2 <= kth
+            # rows tied at the k-th distance select more than k train rows;
+            # keep the earliest tied ones, as a stable sort would
+            selected = np.count_nonzero(near, axis=1)
+            for i in np.flatnonzero(selected > k):
+                tied = np.flatnonzero(d2[i] == kth[i, 0])
+                near[i, tied[tied.size - (selected[i] - k) :]] = False
+            q, t = np.divmod(np.flatnonzero(near), near.shape[1])
+            votes = np.bincount(q * n_classes + self.y[t], minlength=chunk.shape[0] * n_classes)
+            out[start : start + chunk.shape[0]] = np.argmax(votes.reshape(-1, n_classes), axis=1)
         return out
 
 
@@ -172,7 +182,8 @@ def _best_split(X, y, idx, n_classes, feature_ids) -> tuple[int, float, float]:
 
     Gain is the Gini impurity reduction; ties keep the first candidate
     (lowest feature id, then lowest threshold). Returns gain -inf when
-    no feature admits a valid split.
+    no feature admits a valid split. Features are scored in blocks of
+    at most ``_SPLIT_BLOCK`` (feature, row, class) cells at a time.
     """
     y_node = y[idx]
     n = idx.size
@@ -183,28 +194,31 @@ def _best_split(X, y, idx, n_classes, feature_ids) -> tuple[int, float, float]:
     best_threshold = 0.0
     onehot = np.zeros((n, n_classes))
     onehot[np.arange(n), y_node] = 1.0
-    for j in feature_ids:
-        col = X[idx, j]
-        order = np.argsort(col, kind="stable")
-        vs = col[order]
-        cum = np.cumsum(onehot[order], axis=0)
-        boundaries = np.flatnonzero(vs[1:] != vs[:-1]) + 1
-        if boundaries.size == 0:
-            continue
-        left_n = boundaries.astype(np.float64)
-        right_n = n - left_n
-        left_counts = cum[boundaries - 1]
-        right_counts = counts[None, :] - left_counts
-        gini_left = 1.0 - np.sum((left_counts / left_n[:, None]) ** 2, axis=1)
-        gini_right = 1.0 - np.sum((right_counts / right_n[:, None]) ** 2, axis=1)
-        weighted = (left_n * gini_left + right_n * gini_right) / n
-        gains = gini_node - weighted
-        pos = int(np.argmax(gains))
-        if gains[pos] > best_gain:
-            best_gain = float(gains[pos])
-            best_feature = int(j)
-            b = boundaries[pos]
-            best_threshold = float((vs[b - 1] + vs[b]) / 2.0)
+    # the split after sorted position b - 1 has b rows on the left
+    left_n = np.arange(1.0, n)
+    right_n = n - left_n
+    features = np.fromiter(feature_ids, dtype=np.int64)
+    step = max(1, _SPLIT_BLOCK // (n * n_classes))
+    for lo in range(0, features.size, step):
+        block = features[lo : lo + step]
+        cols = X[idx[None, :], block[:, None]]
+        order = np.argsort(cols, axis=1, kind="stable")
+        vs = cols[np.arange(block.size)[:, None], order]
+        left_counts = np.cumsum(onehot[order], axis=1)[:, :-1]
+        right_counts = counts - left_counts
+        gini_left = 1.0 - np.sum((left_counts / left_n[:, None]) ** 2, axis=2)
+        gini_right = 1.0 - np.sum((right_counts / right_n[:, None]) ** 2, axis=2)
+        gains = gini_node - (left_n * gini_left + right_n * gini_right) / n
+        # only a change of value is a threshold
+        gains[vs[:, 1:] == vs[:, :-1]] = -np.inf
+        pos = np.argmax(gains, axis=1)
+        top = gains[np.arange(block.size), pos]
+        f = int(np.argmax(top))
+        if top[f] > best_gain:
+            best_gain = float(top[f])
+            best_feature = int(block[f])
+            b = pos[f] + 1
+            best_threshold = float((vs[f, b - 1] + vs[f, b]) / 2.0)
     return best_feature, best_threshold, best_gain
 
 

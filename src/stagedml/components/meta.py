@@ -38,7 +38,9 @@ class VotingModel:
             raise ValueError("prediction input column mismatch")
         scores = np.zeros((rows.shape[0], self.n_classes))
         for model, w in zip(self.models, self.weights):
-            preds = model.predict(rows)
+            if deadline is not None:
+                deadline.check()
+            preds = model.predict(rows, deadline=deadline)
             scores[np.arange(rows.shape[0]), preds] += w
         return np.argmax(scores, axis=1).astype(np.int64)
 
@@ -87,7 +89,7 @@ def fit_adaboost(base_fit: BaseFit, base_params, X, y, n_classes, params, seed=0
             deadline.check()
         idx = _weighted_resample(w, n, rng)
         model = base_fit(X[idx], y[idx], n_classes, base_params, seed=rng.next_u64(), deadline=deadline)
-        preds = model.predict(X)
+        preds = model.predict(X, deadline=deadline)
         incorrect = preds != y
         err = float(np.sum(w[incorrect]))
         if err <= 0.0:

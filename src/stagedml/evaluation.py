@@ -8,8 +8,11 @@ Scoring runs ``repeats`` stratified splits of the optimization data.
 The split seeds derive from (seed, repeat index) only, so every
 candidate in a run is scored on the *same* folds (paired comparisons);
 fit seeds additionally mix in the candidate key, so stochastic learners
-stay decorrelated without depending on evaluation order. Scores are
-cached by (candidate key, dataset hash, config); lower is better.
+stay decorrelated without depending on evaluation order. An
+``Evaluator`` builds the fold datasets once per (seed, repeats,
+train_fraction) and shares them, read-only, across all its candidates.
+Scores are cached by (candidate key, dataset hash, config); lower is
+better.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -177,7 +180,7 @@ class FittedPipeline:
             rows = self.scaler.transform(rows)
         if self.features is not None:
             rows = rows[:, list(self.features.indices)]
-        return self.model.predict(rows)
+        return self.model.predict(rows, deadline=deadline)
 
 
 @dataclass
@@ -265,31 +268,44 @@ def mccv_splits(dataset: Dataset, cfg: EvalConfig) -> list[tuple[np.ndarray, np.
     return out
 
 
+def _fold_pairs(dataset: Dataset, cfg: EvalConfig) -> list[tuple[Dataset, Dataset]]:
+    return [(dataset.subset_rows(tr), dataset.subset_rows(va)) for tr, va in mccv_splits(dataset, cfg)]
+
+
 def mccv_score(
     candidate: Candidate,
     dataset: Dataset,
     cfg: EvalConfig,
     registry: Registry,
     deadline: Deadline | None = None,
+    folds: Sequence[tuple[Dataset, Dataset]] | None = None,
+    fold_listener: Callable | None = None,
 ) -> Score:
     """Average validation error over `repeats` stratified splits.
 
+    ``folds`` are the (train, validation) datasets of ``mccv_splits``
+    when the caller already holds them; by default they are built here.
+    ``fold_listener(key, r, train, val)``, if given, sees every fold
+    before it is fitted.
+
     Failures are statuses, not exceptions: a lapsed deadline yields
-    ``failed_timeout`` (partial folds discarded), a learner error yields
-    ``failed_error``. Single-class data scores 0 trivially.
+    ``failed_timeout`` (partial folds discarded), a learner error or
+    labels that cannot be split yield ``failed_error``. Single-class
+    data scores 0 trivially.
     """
     if len(np.unique(dataset.labels)) < 2:
-        folds = tuple(0.0 for _ in range(cfg.repeats))
-        return Score(mean=0.0, std=0.0, per_fold=folds, status=STATUS_OK)
+        return Score(mean=0.0, std=0.0, per_fold=(0.0,) * cfg.repeats, status=STATUS_OK)
     key = candidate_key(candidate)
     effective = Deadline.earliest(deadline, Deadline(cfg.per_eval_timeout))
     per_fold: list[float] = []
     try:
         pipeline = materialize(candidate, registry)
-        for r, (train_rows, val_rows) in enumerate(mccv_splits(dataset, cfg)):
+        if folds is None:
+            folds = _fold_pairs(dataset, cfg)
+        for r, (train, val) in enumerate(folds):
             effective.check()
-            train = dataset.subset_rows(train_rows)
-            val = dataset.subset_rows(val_rows)
+            if fold_listener is not None:
+                fold_listener(key, r, train, val)
             fit_seed = derive_seed(cfg.seed, "fit", key, r)
             fitted = pipeline.fit(train, seed=fit_seed, deadline=effective)
             preds = fitted.predict(val.instances, deadline=effective)
@@ -298,11 +314,11 @@ def mccv_score(
         return Score(mean=None, std=None, per_fold=(), status=STATUS_TIMEOUT)
     except Exception:
         return Score(mean=None, std=None, per_fold=(), status=STATUS_ERROR)
-    folds = np.array(per_fold)
+    scores = np.array(per_fold)
     return Score(
-        mean=float(folds.mean()),
-        std=float(folds.std()),
-        per_fold=tuple(float(v) for v in folds),
+        mean=float(scores.mean()),
+        std=float(scores.std()),
+        per_fold=tuple(float(v) for v in scores),
         status=STATUS_OK,
     )
 
@@ -341,19 +357,25 @@ class JournalRecord:
 class Evaluator:
     """Scores candidates on one optimization dataset, with caching.
 
-    ``evaluate`` is safe to call concurrently: the cache and journal are
-    lock-protected and seeds derive from candidate keys, never from
-    arrival order. ``fold_listener`` (if set) observes every fitted
-    fold; tests use it for leakage bookkeeping.
+    The fold datasets of each (seed, repeats, train_fraction) are built
+    once, on first use, and reused for every later candidate; their
+    arrays are write-protected and ``dataset`` never changes, so sharing
+    them cannot leak state between candidates.
+
+    ``evaluate`` is safe to call concurrently: the cache, fold cache and
+    journal are lock-protected and seeds derive from candidate keys,
+    never from arrival order. ``fold_listener`` (if set) observes every
+    fitted fold; tests use it for leakage bookkeeping.
     """
 
     registry: Registry
     dataset: Dataset
     cfg: EvalConfig
-    fold_listener: object | None = None
+    fold_listener: Callable | None = None
     _cache: dict = field(default_factory=dict)
     _journal: list = field(default_factory=list)
     _by_key: dict = field(default_factory=dict)
+    _fold_cache: dict = field(default_factory=dict)
     _lock: threading.Lock = field(default_factory=threading.Lock)
 
     def __post_init__(self) -> None:
@@ -394,32 +416,28 @@ class Evaluator:
         return score
 
     def _score(self, candidate: Candidate, cfg: EvalConfig, deadline: Deadline | None) -> Score:
-        if self.fold_listener is None:
-            return mccv_score(candidate, self.dataset, cfg, self.registry, deadline=deadline)
-        return self._score_with_listener(candidate, cfg, deadline)
+        return mccv_score(
+            candidate,
+            self.dataset,
+            cfg,
+            self.registry,
+            deadline=deadline,
+            folds=self._folds(cfg),
+            fold_listener=self.fold_listener,
+        )
 
-    def _score_with_listener(self, candidate: Candidate, cfg: EvalConfig, deadline) -> Score:
-        # mirrors mccv_score, additionally reporting each fold to the listener
-        if len(np.unique(self.dataset.labels)) < 2:
-            return Score(0.0, 0.0, tuple(0.0 for _ in range(cfg.repeats)), STATUS_OK)
-        key = candidate_key(candidate)
-        effective = Deadline.earliest(deadline, Deadline(cfg.per_eval_timeout))
-        per_fold: list[float] = []
-        try:
-            pipeline = materialize(candidate, self.registry)
-            for r, (train_rows, val_rows) in enumerate(mccv_splits(self.dataset, cfg)):
-                effective.check()
-                train = self.dataset.subset_rows(train_rows)
-                val = self.dataset.subset_rows(val_rows)
-                self.fold_listener(key, r, train, val)
-                fitted = pipeline.fit(train, seed=derive_seed(cfg.seed, "fit", key, r), deadline=effective)
-                per_fold.append(error_rate(val.labels, fitted.predict(val.instances, deadline=effective)))
-        except DeadlineExceeded:
-            return Score(None, None, (), STATUS_TIMEOUT)
-        except Exception:
-            return Score(None, None, (), STATUS_ERROR)
-        folds = np.array(per_fold)
-        return Score(float(folds.mean()), float(folds.std()), tuple(map(float, folds)), STATUS_OK)
+    def _folds(self, cfg: EvalConfig) -> list[tuple[Dataset, Dataset]] | None:
+        """The fold datasets of ``cfg``, built on first use. None when the
+        labels cannot be split; ``mccv_score`` then reports that for each
+        candidate."""
+        fold_key = (cfg.seed, cfg.repeats, cfg.train_fraction)
+        with self._lock:
+            if fold_key not in self._fold_cache:
+                try:
+                    self._fold_cache[fold_key] = _fold_pairs(self.dataset, cfg)
+                except ValueError:
+                    self._fold_cache[fold_key] = None
+            return self._fold_cache[fold_key]
 
     # -- journal and bookkeeping ---------------------------------------
 

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stagedml.components import registry_default
+from stagedml.components import learners, registry_default
 from stagedml.components.domains import (
     enumerate_grid,
     space_grid_size,
     space_is_enumerable,
 )
 from stagedml.components.registry import UnknownComponentError, predict
+from stagedml.evaluation import Candidate, fit_pipeline
 from stagedml.rng import Rng
+from stagedml.timing import Deadline, DeadlineExceeded
 
 from conftest import make_numeric_dataset
 
@@ -171,6 +173,108 @@ class TestFitPredict:
         d = make_numeric_dataset(x, y)
         model = reg.fit("logistic_regression", None, d)
         assert float(np.mean(predict(model, d.instances) != y)) <= 0.05
+
+    def test_knn_expired_deadline_in_pipeline(self, reg):
+        d = make_numeric_dataset(np.arange(20.0), [0, 1] * 10)
+        fitted = fit_pipeline(Candidate(learner="knn"), d, reg)
+        with pytest.raises(DeadlineExceeded):
+            fitted.predict(d.instances, deadline=Deadline(0.0))
+
+    def test_voting_predict_honours_deadline(self, reg):
+        d = make_numeric_dataset(np.arange(20.0), [0, 1] * 10)
+        model = reg.wrap_meta("bagging", None, "decision_tree", None).fit(d.instances, d.labels, 2)
+        with pytest.raises(DeadlineExceeded):
+            model.predict(d.instances, deadline=Deadline(0.0))
+
+
+def _knn_reference(x, y, k, n_classes, rows):
+    """knn as a full stable sort of each row's distances, then one
+    bincount per row; distances are computed chunk by chunk as in
+    ``KnnModel.predict``."""
+    train_sq = np.einsum("ij,ij->i", x, x)
+    out = []
+    for start in range(0, rows.shape[0], learners._PREDICT_CHUNK):
+        d2 = train_sq[None, :] - 2.0 * rows[start : start + learners._PREDICT_CHUNK] @ x.T
+        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        for votes in y[order]:
+            out.append(int(np.argmax(np.bincount(votes, minlength=n_classes))))
+    return np.array(out, dtype=np.int64)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=40),
+    d_cols=st.integers(min_value=1, max_value=3),
+    present=st.integers(min_value=1, max_value=3),
+    absent=st.integers(min_value=0, max_value=2),
+    n_rows=st.integers(min_value=513, max_value=1100),
+    data=st.data(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_knn_matches_stable_sort_reference(n, d_cols, present, absent, n_rows, data, seed):
+    k = data.draw(st.integers(min_value=1, max_value=n), label="k")
+    rng = np.random.default_rng(seed)
+    # a small integer grid forces many exact distance ties
+    x = rng.integers(-2, 3, size=(n, d_cols)).astype(np.float64)
+    y = rng.integers(0, present, size=n)
+    rows = rng.integers(-3, 4, size=(n_rows, d_cols)).astype(np.float64)
+    n_classes = present + absent
+    model = learners.KnnModel(x=x, y=y, k=k, n_classes=n_classes)
+    assert np.array_equal(model.predict(rows), _knn_reference(x, y, k, n_classes, rows))
+
+
+def _best_split_reference(X, y, idx, n_classes, feature_ids):
+    """The split search one feature at a time, over value boundaries only."""
+    y_node = y[idx]
+    n = idx.size
+    counts = np.bincount(y_node, minlength=n_classes).astype(np.float64)
+    gini_node = 1.0 - np.sum((counts / n) ** 2)
+    best = (-1, 0.0, -np.inf)
+    onehot = np.zeros((n, n_classes))
+    onehot[np.arange(n), y_node] = 1.0
+    for j in feature_ids:
+        col = X[idx, j]
+        order = np.argsort(col, kind="stable")
+        vs = col[order]
+        cum = np.cumsum(onehot[order], axis=0)
+        boundaries = np.flatnonzero(vs[1:] != vs[:-1]) + 1
+        if boundaries.size == 0:
+            continue
+        left_n = boundaries.astype(np.float64)
+        right_n = n - left_n
+        left_counts = cum[boundaries - 1]
+        right_counts = counts[None, :] - left_counts
+        gini_left = 1.0 - np.sum((left_counts / left_n[:, None]) ** 2, axis=1)
+        gini_right = 1.0 - np.sum((right_counts / right_n[:, None]) ** 2, axis=1)
+        gains = gini_node - (left_n * gini_left + right_n * gini_right) / n
+        pos = int(np.argmax(gains))
+        if gains[pos] > best[2]:
+            b = boundaries[pos]
+            best = (int(j), float((vs[b - 1] + vs[b]) / 2.0), float(gains[pos]))
+    return best
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=60),
+    d_cols=st.integers(min_value=1, max_value=6),
+    n_classes=st.integers(min_value=1, max_value=12),
+    grid=st.booleans(),
+    block=st.sampled_from([None, 1, 7]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_best_split_matches_per_feature_reference(n, d_cols, n_classes, grid, block, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-2, 3, size=(n, d_cols)).astype(np.float64) if grid else rng.normal(size=(n, d_cols))
+    y = rng.integers(0, n_classes, size=n)
+    idx = np.sort(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=bool(rng.integers(2))))
+    features = sorted(rng.choice(d_cols, size=int(rng.integers(1, d_cols + 1)), replace=False).tolist())
+    expected = _best_split_reference(x, y, idx, n_classes, features)
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            # a small budget scores the features a few at a time
+            mp.setattr(learners, "_SPLIT_BLOCK", block * idx.size * n_classes)
+        assert learners._best_split(x, y, idx, n_classes, features) == expected
 
 
 class TestMetaLearners:

@@ -1,7 +1,12 @@
+import sys
+import threading
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stagedml import evaluation
 from stagedml.data import FeatureSet
 from stagedml.evaluation import (
     Candidate,
@@ -255,6 +260,105 @@ class TestEvaluator:
         assert not s.ok
         assert ev.best_ok() is None
         assert ev.journal_records()[0].status == "failed_error"
+
+
+class TestFoldCache:
+    CANDIDATES = [
+        Candidate(learner="knn"),
+        Candidate(learner="gaussian_nb", scaler="standardize"),
+        Candidate(learner="decision_tree", features=FeatureSet([0, 2])),
+        Candidate(learner="knn", params={"k": 2}),  # outside knn's domain: failed_error
+    ]
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The config keys of every ``mccv_splits`` call, in order."""
+        keys = []
+        real = evaluation.mccv_splits
+
+        def counting(dataset, cfg):
+            keys.append(cfg.key())
+            return real(dataset, cfg)
+
+        monkeypatch.setattr(evaluation, "mccv_splits", counting)
+        return keys
+
+    def _journal(self, ev):
+        return [{k: v for k, v in r.to_dict().items() if k != "wall_ms"} for r in ev.journal_records()]
+
+    def test_splits_built_once_per_config(self, registry, built):
+        d = make_dataset("separable", 60, 3, 5)
+        cfg = EvalConfig(seed=11)
+        cheap = replace(cfg, repeats=3)
+        ev = Evaluator(registry=registry, dataset=d, cfg=cfg)
+        for c in self.CANDIDATES:
+            ev.evaluate(c, stage="probing")
+            ev.evaluate(c, stage="filtering", cfg=cheap)
+        assert built == [cfg.key(), cheap.key()]
+        assert ev.evaluation_count == 2 * len(self.CANDIDATES)
+
+    def test_concurrent_first_use_builds_folds_once(self, registry, built):
+        d = make_dataset("separable", 60, 3, 5)
+        cfg = EvalConfig(seed=11)
+        ev = Evaluator(registry=registry, dataset=d, cfg=cfg)
+        candidates = [Candidate(learner="knn", params={"k": k}) for k in (1, 3, 5, 7, 11, 15)]
+        scores = {}
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=lambda c=c: scores.setdefault(candidate_key(c), ev.evaluate(c, "probing")))
+                for c in candidates
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert built == [cfg.key()]
+        for c in candidates:
+            assert scores[candidate_key(c)] == mccv_score(c, d, cfg, registry)
+
+    def test_cached_folds_score_like_fresh_folds(self, registry):
+        d = make_dataset("madelon_like", 60, 4, 3)
+        cfg = EvalConfig(seed=4)
+        ev = Evaluator(registry=registry, dataset=d, cfg=cfg)
+        for c in self.CANDIDATES:
+            assert ev.evaluate(c, stage="probing") == mccv_score(c, d, cfg, registry)
+
+    def test_listener_leaves_journal_unchanged(self, registry):
+        d = make_dataset("separable", 60, 3, 5)
+        cfg = EvalConfig(seed=11)
+        seen = []
+        plain = Evaluator(registry=registry, dataset=d, cfg=cfg)
+        listened = Evaluator(
+            registry=registry,
+            dataset=d,
+            cfg=cfg,
+            fold_listener=lambda key, r, train, val: seen.append((key, r, train.n_rows, val.n_rows)),
+        )
+        for ev in (plain, listened):
+            for c in self.CANDIDATES:
+                ev.evaluate(c, stage="probing")
+        assert self._journal(plain) == self._journal(listened)
+        # k=2 lies outside knn's domain, so it is rejected before its first fold
+        assert seen == [
+            (candidate_key(c), r, 42, 18) for c in self.CANDIDATES[:-1] for r in range(cfg.repeats)
+        ]
+
+    def test_singleton_class_is_failed_error_not_exception(self, registry):
+        rng = np.random.default_rng(3)
+        y = np.array([0] * 20 + [1] * 20 + [2])
+        d = make_numeric_dataset(rng.normal(size=(41, 2)), y)
+        ev = Evaluator(registry=registry, dataset=d, cfg=EvalConfig(seed=1))
+        for c in self.CANDIDATES:
+            assert ev.evaluate(c, stage="probing").status == "failed_error"
+        assert ev.evaluate(Candidate(learner="knn"), stage="filtering", cfg=EvalConfig(seed=1, repeats=3)).status == (
+            "failed_error"
+        )
+        assert ev.best_ok() is None
 
 
 class TestLeakageCanary:

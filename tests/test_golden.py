@@ -1,0 +1,58 @@
+"""Golden-journal guard: fixed-work runs must keep their exact output.
+
+Two small searches run with every budget switched off, so they do the
+same evaluations however fast the code is. The sha256 of their journals
+(without ``wall_ms``) and best keys is pinned. A change that alters
+search behaviour on purpose re-pins the hash and says why; a change
+meant to be a pure refactor or speed-up must leave it alone.
+"""
+
+import hashlib
+import json
+import math
+from dataclasses import replace
+
+import numpy as np
+
+from stagedml import orchestrator
+from stagedml.evaluation import EvalConfig
+from stagedml.synth import make_dataset
+
+from conftest import make_numeric_dataset
+
+GOLDEN_SHA256 = "4778bc5f397ea40a133de448210bba9e72a9bdcbe7f3109018985a278ec69d7a"
+
+
+def _fixed_work(cfg: orchestrator.SchemeConfig) -> orchestrator.SchemeConfig:
+    stages = [replace(s, time_limit=None) for s in cfg.stages]
+    return replace(
+        cfg,
+        stages=stages,
+        global_timeout=math.inf,
+        eval=replace(cfg.eval, per_eval_timeout=math.inf),
+    )
+
+
+def _run(dataset, preset: str, seed: int) -> dict:
+    presets = orchestrator.scheme_presets(seed=seed, eval_config=EvalConfig(seed=seed))
+    report = orchestrator.run(dataset, _fixed_work(presets[preset]))
+    journal = [{k: v for k, v in rec.items() if k != "wall_ms"} for rec in report.journal]
+    return {"preset": preset, "best_key": report.best_key, "journal": journal}
+
+
+def _grid_dataset():
+    # features on an integer grid, so knn sees many exact distance ties
+    d = make_dataset("scale_sensitive", 160, 4, 5)
+    return make_numeric_dataset(np.round(d.instances), d.labels)
+
+
+def test_fixed_work_journals_unchanged():
+    runs = [
+        _run(_grid_dataset(), "primitive", 3),
+        _run(_grid_dataset(), "monotone-filtering", 4),
+        _run(make_dataset("scale_sensitive", 150, 5, 11), "monotone-filtering", 11),
+    ]
+    for r in runs:
+        assert r["journal"] and r["best_key"] is not None
+    blob = json.dumps(runs, sort_keys=True).encode("utf-8")
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_SHA256
