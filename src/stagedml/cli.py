@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from stagedml import orchestrator, stats, synth, tables
@@ -91,23 +91,8 @@ class RunSpec:
         return replace(cfg, stages=stages)
 
     def to_config_echo(self) -> dict:
-        doc = {
-            "data": self.data,
-            "label": self.label,
-            "format": self.format,
-            "preset": self.preset,
-            "seed": self.seed,
-            "global_timeout": self.global_timeout,
-            "repeats": self.repeats,
-            "train_fraction": self.train_fraction,
-            "per_eval_timeout": self.per_eval_timeout,
-            "n_bar": self.n_bar,
-            "m": self.m,
-            "holdout_fraction": self.holdout_fraction,
-            "tuning_max_evals": self.tuning_max_evals,
-            "tuning_candidate_seconds": self.tuning_candidate_seconds,
-            "stage_time_limits": dict(self.stage_time_limits),
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out"}
+        doc["stage_time_limits"] = dict(self.stage_time_limits)
         return doc
 
     @classmethod
@@ -161,14 +146,10 @@ def _spec_from_args(args, require_data: bool = True) -> RunSpec:
         if not isinstance(file_values, dict):
             raise UsageError("config file must hold a JSON object")
     merged = dict(file_values)
-    for name in (
-        "data", "label", "format", "preset", "out", "seed", "global_timeout",
-        "repeats", "train_fraction", "per_eval_timeout", "n_bar", "m",
-        "holdout_fraction", "tuning_max_evals", "tuning_candidate_seconds",
-    ):
-        flag_value = getattr(args, name, None)
+    for f in fields(RunSpec):  # --stage-time-limit is merged below
+        flag_value = getattr(args, f.name, None)
         if flag_value is not None:
-            merged[name] = flag_value
+            merged[f.name] = flag_value
     limits = dict(merged.get("stage_time_limits") or {})
     for item in args.stage_time_limit or []:
         name, _, seconds = item.partition("=")

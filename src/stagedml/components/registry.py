@@ -3,7 +3,9 @@
 The registry is the swap point for the component catalog: everything
 downstream (evaluation, stages, CLI) addresses components by id only.
 Several ids may share one implementation, so algorithm variants can be
-registered as distinct entries without new code.
+registered as distinct entries without new code. It answers lookups,
+parameter defaults, validation and sampling, and feature rankings;
+fitting a pipeline from these specs is ``evaluation.fit_pipeline``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from stagedml.components.domains import (
 )
 from stagedml.data import Dataset
 from stagedml.rng import Rng
-from stagedml.timing import Deadline
 
 
 class UnknownComponentError(KeyError):
@@ -54,22 +55,6 @@ class ScalerSpec:
 class FilterSpec:
     id: str
     score: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
-@dataclass
-class CompositeLearner:
-    """A meta-learner bound to a concrete base learner, usable like a
-    plain learner handle."""
-
-    meta: LearnerSpec
-    meta_params: dict
-    base: LearnerSpec
-    base_params: dict
-
-    def fit(self, X, y, n_classes, seed=0, deadline: Deadline | None = None):
-        return self.meta.fit(
-            self.base.fit, self.base_params, X, y, n_classes, self.meta_params, seed=seed, deadline=deadline
-        )
 
 
 @dataclass
@@ -129,47 +114,6 @@ class Registry:
     def sample_params(self, learner_id: str, rng: Rng) -> dict:
         return sample_from_space(self.learner(learner_id).param_space, rng)
 
-    def fit(
-        self,
-        learner_id: str,
-        params: Mapping | None,
-        train: Dataset,
-        seed: int = 0,
-        deadline: Deadline | None = None,
-    ):
-        spec = self.learner(learner_id)
-        if spec.is_meta:
-            raise ValueError(f"{learner_id!r} is a meta-learner; bind it with wrap_meta first")
-        if train.n_rows == 0:
-            raise ValueError("cannot fit on an empty dataset")
-        merged = self.effective_params(learner_id, params)
-        return spec.fit(
-            train.instances, train.labels, len(train.class_names), merged, seed=seed, deadline=deadline
-        )
-
-    def wrap_meta(
-        self,
-        meta_id: str,
-        meta_params: Mapping | None,
-        base_learner_id: str,
-        base_params: Mapping | None,
-    ) -> CompositeLearner:
-        meta_spec = self.learner(meta_id)
-        base_spec = self.learner(base_learner_id)
-        if not meta_spec.is_meta:
-            raise ValueError(f"{meta_id!r} is not a meta-learner")
-        if base_spec.is_meta:
-            raise ValueError("meta-of-meta composition is rejected")
-        return CompositeLearner(
-            meta=meta_spec,
-            meta_params=self.effective_params(meta_id, meta_params),
-            base=base_spec,
-            base_params=self.effective_params(base_learner_id, base_params),
-        )
-
-    def apply_scaler(self, scaler_id: str, fit_data: Dataset):
-        return self.scaler(scaler_id).fit(fit_data.instances)
-
     def rank_features(self, filter_id: str, dataset: Dataset) -> list[int]:
         if dataset.n_columns < 1:
             raise ValueError("ranking requires at least one column")
@@ -190,11 +134,6 @@ class Registry:
             "scalers": [{"id": s.id} for s in self.scalers.values()],
             "filters": [{"id": s.id} for s in self.filters.values()],
         }
-
-
-def predict(model, rows: np.ndarray) -> np.ndarray:
-    """One label per input row; rejects column-count mismatches."""
-    return model.predict(np.asarray(rows, dtype=np.float64))
 
 
 def registry_default() -> Registry:

@@ -3,6 +3,10 @@
 A candidate is the tuple (scaler, feature set, learner, params), with an
 optional homogeneous meta-learner wrapped around the learner. Blank
 slots are real absent values (``None``), never sentinel strings.
+``fit_pipeline`` is the one place where a candidate becomes a fitted
+model: it checks the candidate against the registry, fits the scaler on
+the training matrix, takes the feature columns as an array slice and
+calls the learner's (or meta-learner's) fit on ``(X, y, n_classes)``.
 
 Scoring runs ``repeats`` stratified splits of the optimization data.
 The split seeds derive from (seed, repeat index) only, so every
@@ -24,8 +28,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from stagedml.components.registry import Registry
-from stagedml.data import Dataset, FeatureSet, SplitSpec, project, split_indices
+from stagedml.components.registry import LearnerSpec, Registry, ScalerSpec
+from stagedml.data import Dataset, FeatureSet, SplitSpec, split_indices
+from stagedml.data import project  # noqa: F401  (kept importable from this module)
 from stagedml.rng import derive_seed
 from stagedml.timing import Deadline, DeadlineExceeded
 
@@ -162,7 +167,7 @@ def error_rate(y_true: np.ndarray, y_pred: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# pipeline materialization
+# pipeline fitting
 
 
 @dataclass
@@ -183,62 +188,29 @@ class FittedPipeline:
         return self.model.predict(rows, deadline=deadline)
 
 
-@dataclass
-class Pipeline:
-    """Trainable composition: scaler -> projection -> learner."""
+def _resolve_candidate(
+    candidate: Candidate, registry: Registry
+) -> tuple[ScalerSpec | None, LearnerSpec, dict, LearnerSpec | None, dict | None]:
+    """The candidate's scaler and learner specs with merged params.
 
-    candidate: Candidate
-    registry: Registry
-
-    def fit(self, train: Dataset, seed: int = 0, deadline: Deadline | None = None) -> FittedPipeline:
-        c = self.candidate
-        data = train
-        scaler = None
-        if c.scaler is not None:
-            scaler = self.registry.apply_scaler(c.scaler, data)
-            data = Dataset(
-                instances=scaler.transform(data.instances),
-                labels=data.labels,
-                feature_names=list(data.feature_names),
-                source_columns=list(data.source_columns),
-                class_names=list(data.class_names),
-                label_name=data.label_name,
-            )
-        if c.features is not None:
-            data = project(data, c.features)
-        if c.meta is not None:
-            composite = self.registry.wrap_meta(
-                c.meta,
-                c.meta_params,
-                c.learner,
-                c.params,
-            )
-            model = composite.fit(
-                data.instances, data.labels, len(data.class_names), seed=seed, deadline=deadline
-            )
-        else:
-            model = self.registry.fit(c.learner, c.params, data, seed=seed, deadline=deadline)
-        return FittedPipeline(
-            scaler=scaler, features=c.features, model=model, n_columns=train.n_columns
-        )
-
-
-def materialize(candidate: Candidate, registry: Registry) -> Pipeline:
-    """Validate a candidate against the registry and bind it."""
+    Raises ``UnknownComponentError`` for an unknown id and ``ValueError``
+    for a bare meta-learner, a meta-of-meta, a non-meta learner in the
+    meta slot or params outside a declared space.
+    """
     base = registry.learner(candidate.learner)
+    meta = meta_params = None
     if candidate.meta is not None:
         meta = registry.learner(candidate.meta)
         if not meta.is_meta:
             raise ValueError(f"{candidate.meta!r} is not a meta-learner")
         if base.is_meta:
             raise ValueError("meta-of-meta candidates are rejected")
-        registry.effective_params(candidate.meta, candidate.meta_params)
+        meta_params = registry.effective_params(candidate.meta, candidate.meta_params)
     elif base.is_meta:
         raise ValueError(f"{candidate.learner!r} is a meta-learner and needs a base learner")
-    registry.effective_params(candidate.learner, candidate.params)
-    if candidate.scaler is not None:
-        registry.scaler(candidate.scaler)
-    return Pipeline(candidate=candidate, registry=registry)
+    params = registry.effective_params(candidate.learner, candidate.params)
+    scaler = registry.scaler(candidate.scaler) if candidate.scaler is not None else None
+    return scaler, base, params, meta, meta_params
 
 
 def fit_pipeline(
@@ -248,7 +220,35 @@ def fit_pipeline(
     seed: int = 0,
     deadline: Deadline | None = None,
 ) -> FittedPipeline:
-    return materialize(candidate, registry).fit(train, seed=seed, deadline=deadline)
+    """Fit scaler -> feature columns -> (meta-wrapped) learner on ``train``.
+
+    The scaler is fitted on all columns, then the feature columns are
+    taken from its output. Besides the candidate errors of
+    ``_resolve_candidate``, raises ``ValueError`` for empty training data,
+    a feature index out of range or scaled training data that are not
+    finite.
+    """
+    scaler_spec, base, params, meta, meta_params = _resolve_candidate(candidate, registry)
+    if train.n_rows == 0:
+        raise ValueError("cannot fit on an empty dataset")
+    X = train.instances
+    scaler = None
+    if scaler_spec is not None:
+        scaler = scaler_spec.fit(X)
+        X = scaler.transform(X)
+        if not np.all(np.isfinite(X)):
+            raise ValueError(f"scaler {candidate.scaler!r} produced NaN/Inf on the training data")
+    if candidate.features is not None:
+        cols = list(candidate.features.indices)
+        if cols[-1] >= X.shape[1]:
+            raise ValueError(f"feature index {cols[-1]} out of range for {X.shape[1]} columns")
+        X = X[:, cols]
+    n_classes = len(train.class_names)
+    if meta is None:
+        model = base.fit(X, train.labels, n_classes, params, seed=seed, deadline=deadline)
+    else:
+        model = meta.fit(base.fit, params, X, train.labels, n_classes, meta_params, seed=seed, deadline=deadline)
+    return FittedPipeline(scaler=scaler, features=candidate.features, model=model, n_columns=train.n_columns)
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +286,13 @@ def mccv_score(
     ``folds`` are the (train, validation) datasets of ``mccv_splits``
     when the caller already holds them; by default they are built here.
     ``fold_listener(key, r, train, val)``, if given, sees every fold
-    before it is fitted.
+    before it is fitted; an invalid candidate is rejected before the
+    first fold. Each fold is fitted by ``fit_pipeline``.
 
     Failures are statuses, not exceptions: a lapsed deadline yields
-    ``failed_timeout`` (partial folds discarded), a learner error or
-    labels that cannot be split yield ``failed_error``. Single-class
+    ``failed_timeout`` (partial folds discarded), an invalid candidate,
+    a learner error or labels that cannot be split yield
+    ``failed_error``. Single-class
     data scores 0 trivially.
     """
     if len(np.unique(dataset.labels)) < 2:
@@ -299,7 +301,7 @@ def mccv_score(
     effective = Deadline.earliest(deadline, Deadline(cfg.per_eval_timeout))
     per_fold: list[float] = []
     try:
-        pipeline = materialize(candidate, registry)
+        _resolve_candidate(candidate, registry)  # reject before any fold is seen
         if folds is None:
             folds = _fold_pairs(dataset, cfg)
         for r, (train, val) in enumerate(folds):
@@ -307,7 +309,7 @@ def mccv_score(
             if fold_listener is not None:
                 fold_listener(key, r, train, val)
             fit_seed = derive_seed(cfg.seed, "fit", key, r)
-            fitted = pipeline.fit(train, seed=fit_seed, deadline=effective)
+            fitted = fit_pipeline(candidate, train, registry, seed=fit_seed, deadline=effective)
             preds = fitted.predict(val.instances, deadline=effective)
             per_fold.append(error_rate(val.labels, preds))
     except DeadlineExceeded:

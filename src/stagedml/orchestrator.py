@@ -270,20 +270,18 @@ def _registry():
 META_TUNING_STAGE_SECONDS = 300.0  # dedicated stage budget for meta and tuning
 
 
+# the optional stages before validation, in chain order
+_STAGE_MAKERS: dict[str, Callable[[], Stage]] = {
+    "scaling": ScalingStage,
+    "filtering": FilteringStage,
+    "meta": lambda: MetaStage(time_limit=META_TUNING_STAGE_SECONDS),
+    "tuning": lambda: TuningStage(time_limit=META_TUNING_STAGE_SECONDS),
+}
+
+
 def _stage_chain(upto: str) -> list[Stage]:
-    chain: list[Stage] = [ProbingStage()]
-    order = ["scaling", "filtering", "meta", "tuning"]
-    makers = {
-        "scaling": ScalingStage,
-        "filtering": FilteringStage,
-        "meta": lambda: MetaStage(time_limit=META_TUNING_STAGE_SECONDS),
-        "tuning": lambda: TuningStage(time_limit=META_TUNING_STAGE_SECONDS),
-    }
-    for name in order:
-        chain.append(makers[name]())
-        if name == upto:
-            break
-    return chain
+    names = list(_STAGE_MAKERS)
+    return [ProbingStage()] + [_STAGE_MAKERS[name]() for name in names[: names.index(upto) + 1]]
 
 
 def scheme_presets(
@@ -298,8 +296,9 @@ def scheme_presets(
     validation defaults (n_bar=10000, m=10). ``monotone-<stage>`` takes
     every stage up to and including <stage>; ``single-<stage>`` pairs
     probing with exactly one optional stage (the per-stage merit
-    protocol). ``single-validation`` and ``full`` are the only presets
-    that carve off a holdout.
+    protocol). ``monotone-validation`` is ``full`` under another name.
+    ``single-validation``, ``full`` and ``monotone-validation`` are the
+    presets that carve off a holdout.
     """
     ev = eval_config if eval_config is not None else EvalConfig()
     vc = validation_config if validation_config is not None else ValidationConfig()
@@ -318,20 +317,12 @@ def scheme_presets(
         "primitive": cfg("primitive", [ProbingStage()], None),
         "full": cfg("full", _stage_chain("tuning") + [ValidationStage()], vc),
     }
-    for name in ("scaling", "filtering", "meta", "tuning"):
+    for name in _STAGE_MAKERS:
         presets[f"monotone-{name}"] = cfg(f"monotone-{name}", _stage_chain(name), None)
-    single_makers: dict[str, Callable[[], Stage]] = {
-        "scaling": ScalingStage,
-        "filtering": FilteringStage,
-        "meta": lambda: MetaStage(time_limit=META_TUNING_STAGE_SECONDS),
-        "tuning": lambda: TuningStage(time_limit=META_TUNING_STAGE_SECONDS),
-    }
-    for name, maker in single_makers.items():
+    for name, maker in _STAGE_MAKERS.items():
         presets[f"single-{name}"] = cfg(f"single-{name}", [ProbingStage(), maker()], None)
     presets["single-validation"] = cfg("single-validation", [ProbingStage(), ValidationStage()], vc)
-    presets["monotone-validation"] = cfg(
-        "monotone-validation", _stage_chain("tuning") + [ValidationStage()], vc
-    )
+    presets["monotone-validation"] = replace(presets["full"], name="monotone-validation")
     return presets
 
 

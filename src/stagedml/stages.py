@@ -507,7 +507,8 @@ class ValidationStage:
                     seed=derive_seed(ctx.seed, "validate", entry.key),
                     deadline=ctx.deadline,
                 )
-                phi_val = error_rate(ctx.holdout.labels, fitted.predict(ctx.holdout.instances))
+                preds = fitted.predict(ctx.holdout.instances, deadline=ctx.deadline)
+                phi_val = error_rate(ctx.holdout.labels, preds)
             except DeadlineExceeded:
                 ctx.trace["deadline_hit"] = True
                 break

@@ -10,7 +10,7 @@ from stagedml.components.domains import (
     space_grid_size,
     space_is_enumerable,
 )
-from stagedml.components.registry import UnknownComponentError, predict
+from stagedml.components.registry import UnknownComponentError
 from stagedml.evaluation import Candidate, fit_pipeline
 from stagedml.rng import Rng
 from stagedml.timing import Deadline, DeadlineExceeded
@@ -56,9 +56,9 @@ class TestRegistry:
     def test_invalid_params_rejected(self, reg):
         d = make_numeric_dataset(np.arange(8.0), [0, 1] * 4)
         with pytest.raises(ValueError):
-            reg.fit("knn", {"k": 4}, d)  # 4 not in the declared grid
+            fit_pipeline(Candidate("knn", {"k": 4}), d, reg)  # 4 not in the declared grid
         with pytest.raises(ValueError):
-            reg.fit("knn", {"q": 1}, d)
+            fit_pipeline(Candidate("knn", {"q": 1}), d, reg)
 
 
 class TestSampling:
@@ -100,61 +100,62 @@ class TestFitPredict:
         x = np.concatenate([np.linspace(0, 1, 10), np.linspace(10, 11, 10)])
         y = np.array([0] * 10 + [1] * 10)
         d = make_numeric_dataset(x, y)
-        model = reg.fit("gaussian_nb", None, d)
-        assert np.array_equal(predict(model, d.instances), y)
+        model = fit_pipeline(Candidate("gaussian_nb"), d, reg)
+        assert np.array_equal(model.predict(d.instances), y)
 
     def test_tree_zero_training_error_on_consistent_data(self, reg):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(40, 3))
         y = rng.integers(0, 3, 40)
         d = make_numeric_dataset(x, y, class_names=["a", "b", "c"])
-        model = reg.fit("decision_tree", None, d)  # unbounded depth default
-        assert np.array_equal(predict(model, d.instances), y)
+        model = fit_pipeline(Candidate("decision_tree"), d, reg)  # unbounded depth default
+        assert np.array_equal(model.predict(d.instances), y)
 
     def test_tree_solves_xor(self, reg):
         # forced zero-gain first split must not stop growth
         x = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]] * 3)
         y = np.array([0, 1, 1, 0] * 3)
-        model = reg.fit("decision_tree", None, make_numeric_dataset(x, y))
-        assert np.array_equal(predict(model, x), y)
+        model = fit_pipeline(Candidate("decision_tree"), make_numeric_dataset(x, y), reg)
+        assert np.array_equal(model.predict(x), y)
 
     def test_knn_1nn_training_error_zero(self, reg):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(30, 4))
         y = rng.integers(0, 2, 30)
         d = make_numeric_dataset(x, y)
-        model = reg.fit("knn", {"k": 1}, d)
-        assert np.array_equal(predict(model, d.instances), y)
+        model = fit_pipeline(Candidate("knn", {"k": 1}), d, reg)
+        assert np.array_equal(model.predict(d.instances), y)
 
     def test_knn_single_example_majority_fallback(self, reg):
         d = make_numeric_dataset([[1.0]], [0], class_names=["a", "b"])
-        model = reg.fit("knn", {"k": 7}, d)
-        assert list(predict(model, np.array([[0.0], [99.0]]))) == [0, 0]
+        model = fit_pipeline(Candidate("knn", {"k": 7}), d, reg)
+        assert list(model.predict(np.array([[0.0], [99.0]]))) == [0, 0]
 
     def test_predict_empty_matrix(self, reg):
         d = make_numeric_dataset(np.arange(6.0), [0, 1] * 3)
-        model = reg.fit("gaussian_nb", None, d)
-        assert predict(model, np.empty((0, 1))).shape == (0,)
+        model = fit_pipeline(Candidate("gaussian_nb"), d, reg)
+        assert model.predict(np.empty((0, 1))).shape == (0,)
 
     def test_predict_column_mismatch(self, reg):
         d = make_numeric_dataset(np.arange(6.0), [0, 1] * 3)
-        model = reg.fit("knn", None, d)
-        with pytest.raises(ValueError):
-            predict(model, np.zeros((2, 3)))
+        fitted = fit_pipeline(Candidate("knn"), d, reg)
+        for predict in (fitted.predict, fitted.model.predict):
+            with pytest.raises(ValueError):
+                predict(np.zeros((2, 3)))
 
     def test_constant_features_nb_majority(self, reg):
         # posterior reduces to priors; majority class is 1 (4 of 6)
         d = make_numeric_dataset(np.ones(6), [1, 1, 0, 1, 0, 1])
-        model = reg.fit("gaussian_nb", None, d)
-        assert list(predict(model, np.ones((3, 1)))) == [1, 1, 1]
+        model = fit_pipeline(Candidate("gaussian_nb"), d, reg)
+        assert list(model.predict(np.ones((3, 1)))) == [1, 1, 1]
 
     def test_single_class_training_predicts_it_everywhere(self, reg):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(12, 3))
         d = make_numeric_dataset(x, np.full(12, 1), class_names=["a", "b", "c"])
         for lid in reg.base_learner_ids():
-            model = reg.fit(lid, None, d, seed=5)
-            assert set(predict(model, x)) == {1}, lid
+            model = fit_pipeline(Candidate(lid), d, reg, seed=5)
+            assert set(model.predict(x)) == {1}, lid
 
     def test_fit_determinism(self, reg):
         rng = np.random.default_rng(4)
@@ -163,16 +164,16 @@ class TestFitPredict:
         d = make_numeric_dataset(x, y, class_names=["a", "b", "c"])
         probe = rng.normal(size=(20, 5))
         for lid in reg.base_learner_ids():
-            m1 = reg.fit(lid, None, d, seed=11)
-            m2 = reg.fit(lid, None, d, seed=11)
-            assert np.array_equal(predict(m1, probe), predict(m2, probe)), lid
+            m1 = fit_pipeline(Candidate(lid), d, reg, seed=11)
+            m2 = fit_pipeline(Candidate(lid), d, reg, seed=11)
+            assert np.array_equal(m1.predict(probe), m2.predict(probe)), lid
 
     def test_logistic_regression_separable(self, reg):
         x = np.concatenate([np.random.default_rng(5).normal(-3, 1, 40), np.random.default_rng(6).normal(3, 1, 40)])
         y = np.array([0] * 40 + [1] * 40)
         d = make_numeric_dataset(x, y)
-        model = reg.fit("logistic_regression", None, d)
-        assert float(np.mean(predict(model, d.instances) != y)) <= 0.05
+        model = fit_pipeline(Candidate("logistic_regression"), d, reg)
+        assert float(np.mean(model.predict(d.instances) != y)) <= 0.05
 
     def test_knn_expired_deadline_in_pipeline(self, reg):
         d = make_numeric_dataset(np.arange(20.0), [0, 1] * 10)
@@ -182,9 +183,9 @@ class TestFitPredict:
 
     def test_voting_predict_honours_deadline(self, reg):
         d = make_numeric_dataset(np.arange(20.0), [0, 1] * 10)
-        model = reg.wrap_meta("bagging", None, "decision_tree", None).fit(d.instances, d.labels, 2)
+        fitted = fit_pipeline(Candidate("decision_tree", meta="bagging"), d, reg)
         with pytest.raises(DeadlineExceeded):
-            model.predict(d.instances, deadline=Deadline(0.0))
+            fitted.model.predict(d.instances, deadline=Deadline(0.0))
 
 
 def _knn_reference(x, y, k, n_classes, rows):
@@ -286,11 +287,9 @@ class TestMetaLearners:
 
     def test_bagging_single_copy_identity(self, reg):
         d = self._toy()
-        composite = reg.wrap_meta(
-            "bagging", {"n_estimators": 1, "sample_fraction": 1.0, "replace": False}, "decision_tree", None
-        )
-        wrapped = composite.fit(d.instances, d.labels, 2, seed=3)
-        base = reg.fit("decision_tree", None, d, seed=3)
+        single = {"n_estimators": 1, "sample_fraction": 1.0, "replace": False}
+        wrapped = fit_pipeline(Candidate("decision_tree", meta="bagging", meta_params=single), d, reg, seed=3)
+        base = fit_pipeline(Candidate("decision_tree"), d, reg, seed=3)
         probe = np.random.default_rng(8).normal(size=(40, 3))
         assert np.array_equal(wrapped.predict(probe), base.predict(probe))
 
@@ -299,70 +298,64 @@ class TestMetaLearners:
         # the single stump's on a linearly structured set
         d = self._toy()
         stump_params = {"max_depth": 1, "min_split": 2}
-        stump = reg.fit("decision_tree", stump_params, d)
+        stump = fit_pipeline(Candidate("decision_tree", stump_params), d, reg)
         stump_err = float(np.mean(stump.predict(d.instances) != d.labels))
-        boosted = reg.wrap_meta("adaboost", {"n_estimators": 10}, "decision_tree", stump_params).fit(
-            d.instances, d.labels, 2, seed=1
+        boosted = fit_pipeline(
+            Candidate("decision_tree", stump_params, meta="adaboost", meta_params={"n_estimators": 10}), d, reg, seed=1
         )
         boosted_err = float(np.mean(boosted.predict(d.instances) != d.labels))
         assert boosted_err <= stump_err
 
     def test_bagging_deterministic(self, reg):
         d = self._toy()
-        comp = reg.wrap_meta("bagging", {"n_estimators": 25}, "knn", {"k": 1})
+        comp = Candidate("knn", {"k": 1}, meta="bagging", meta_params={"n_estimators": 25})
         probe = np.random.default_rng(9).normal(size=(25, 3))
-        p1 = comp.fit(d.instances, d.labels, 2, seed=42).predict(probe)
-        p2 = comp.fit(d.instances, d.labels, 2, seed=42).predict(probe)
+        p1 = fit_pipeline(comp, d, reg, seed=42).predict(probe)
+        p2 = fit_pipeline(comp, d, reg, seed=42).predict(probe)
         assert np.array_equal(p1, p2)
-
-    def test_meta_of_meta_rejected(self, reg):
-        with pytest.raises(ValueError):
-            reg.wrap_meta("bagging", None, "adaboost", None)
-        with pytest.raises(ValueError):
-            reg.wrap_meta("knn", None, "decision_tree", None)
 
 
 class TestScalers:
     def test_standardize_two_points(self, reg):
         # oracle: mean 3, population std 1 -> [-1, 1]
         d = make_numeric_dataset([[2.0], [4.0]], [0, 1])
-        scaler = reg.apply_scaler("standardize", d)
+        scaler = reg.scaler("standardize").fit(d.instances)
         out = scaler.transform(d.instances)
         assert np.allclose(out[:, 0], [-1.0, 1.0])
 
     def test_standardize_zero_variance_passthrough(self, reg):
         d = make_numeric_dataset([[5.0, 1.0], [5.0, 2.0]], [0, 1])
-        out = reg.apply_scaler("standardize", d).transform(d.instances)
+        out = reg.scaler("standardize").fit(d.instances).transform(d.instances)
         assert np.array_equal(out[:, 0], [5.0, 5.0])
 
     def test_minmax_constant_column(self, reg):
         d = make_numeric_dataset([[5.0], [5.0], [5.0]], [0, 0, 1])
-        scaler = reg.apply_scaler("minmax", d)
+        scaler = reg.scaler("minmax").fit(d.instances)
         assert np.array_equal(scaler.transform(d.instances)[:, 0], [5.0, 5.0, 5.0])
         # unseen values in a degenerate column also map to the constant
         assert np.array_equal(scaler.transform(np.array([[7.0]]))[:, 0], [5.0])
 
     def test_minmax_range(self, reg):
         d = make_numeric_dataset([[1.0], [3.0], [5.0]], [0, 1, 0])
-        out = reg.apply_scaler("minmax", d).transform(d.instances)
+        out = reg.scaler("minmax").fit(d.instances).transform(d.instances)
         assert np.allclose(out[:, 0], [0.0, 0.5, 1.0])
 
     def test_quantile_rank_three_values(self, reg):
         # rank/(n-1) oracle
         d = make_numeric_dataset([[10.0], [20.0], [30.0]], [0, 1, 0])
-        out = reg.apply_scaler("quantile_rank", d).transform(d.instances)
+        out = reg.scaler("quantile_rank").fit(d.instances).transform(d.instances)
         assert np.allclose(out[:, 0], [0.0, 0.5, 1.0])
 
     def test_quantile_rank_unseen_values_clamp(self, reg):
         d = make_numeric_dataset([[10.0], [20.0], [30.0]], [0, 1, 0])
-        scaler = reg.apply_scaler("quantile_rank", d)
+        scaler = reg.scaler("quantile_rank").fit(d.instances)
         out = scaler.transform(np.array([[0.0], [15.0], [99.0]]))
         assert out[0, 0] == 0.0 and out[2, 0] == 1.0
         assert 0.0 < out[1, 0] < 0.5 or out[1, 0] == 0.25
 
     def test_transform_uses_fit_statistics_only(self, reg):
         d = make_numeric_dataset([[0.0], [10.0]], [0, 1])
-        scaler = reg.apply_scaler("standardize", d)
+        scaler = reg.scaler("standardize").fit(d.instances)
         out = scaler.transform(np.array([[20.0]]))
         assert out[0, 0] == pytest.approx((20.0 - 5.0) / 5.0)
 
@@ -370,7 +363,7 @@ class TestScalers:
     @given(values=st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=3, max_size=30, unique=True))
     def test_standardize_roundtrip(self, reg, values):
         d = make_numeric_dataset(values, [i % 2 for i in range(len(values))])
-        scaler = reg.apply_scaler("standardize", d)
+        scaler = reg.scaler("standardize").fit(d.instances)
         back = scaler.inverse_transform(scaler.transform(d.instances))
         assert np.allclose(back, d.instances, rtol=1e-9, atol=1e-9)
 
@@ -381,12 +374,10 @@ class TestScalers:
         x[1] = [1.0, 1.0, 1.0]  # every column spans exactly [0, 1]
         y = rng.integers(0, 2, 40)
         d = make_numeric_dataset(x, y)
-        scaled = reg.apply_scaler("minmax", d).transform(x)
+        scaled = reg.scaler("minmax").fit(d.instances).transform(x)
         for lid in ("knn", "decision_tree"):
-            m_raw = reg.fit(lid, None, d, seed=2)
-            m_scaled = reg.fit(
-                lid, None, make_numeric_dataset(scaled, y), seed=2
-            )
+            m_raw = fit_pipeline(Candidate(lid), d, reg, seed=2)
+            m_scaled = fit_pipeline(Candidate(lid), make_numeric_dataset(scaled, y), reg, seed=2)
             assert np.array_equal(m_raw.predict(x), m_scaled.predict(scaled)), lid
 
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stagedml import evaluation
-from stagedml.data import FeatureSet
+from stagedml.components.registry import UnknownComponentError
+from stagedml.data import Dataset, FeatureSet
 from stagedml.evaluation import (
     Candidate,
     EvalConfig,
@@ -17,7 +18,6 @@ from stagedml.evaluation import (
     candidate_to_dict,
     error_rate,
     fit_pipeline,
-    materialize,
     mccv_score,
     mccv_splits,
 )
@@ -25,6 +25,12 @@ from stagedml.synth import make_dataset
 from stagedml.timing import Deadline
 
 from conftest import make_numeric_dataset
+
+
+def _huge_first_column():
+    """20 rows whose first column (1e308 to 1.5e308) overflows a column mean."""
+    x = np.column_stack([np.linspace(1e308, 1.5e308, 20), np.arange(20.0)])
+    return make_numeric_dataset(x, [0, 1] * 10)
 
 
 class TestCandidateKey:
@@ -88,10 +94,11 @@ class TestErrorRate:
 
 
 class TestMaterialize:
+    TRAIN = make_dataset("separable", 40, 3, 0)
+
     def test_blank_slots_are_identity(self, registry):
         d = make_dataset("separable", 40, 3, 0)
-        pipe = materialize(Candidate(learner="knn"), registry)
-        fitted = pipe.fit(d, seed=1)
+        fitted = fit_pipeline(Candidate(learner="knn"), d, registry, seed=1)
         assert fitted.scaler is None and fitted.features is None
         assert fitted.predict(d.instances).shape == (40,)
 
@@ -105,17 +112,36 @@ class TestMaterialize:
 
     def test_meta_of_meta_rejected(self, registry):
         with pytest.raises(ValueError):
-            materialize(Candidate(learner="adaboost", meta="bagging"), registry)
+            fit_pipeline(Candidate(learner="adaboost", meta="bagging"), self.TRAIN, registry)
+
+    def test_non_meta_in_meta_slot_rejected(self, registry):
+        with pytest.raises(ValueError):
+            fit_pipeline(Candidate(learner="decision_tree", meta="knn"), self.TRAIN, registry)
 
     def test_bare_meta_rejected(self, registry):
         with pytest.raises(ValueError):
-            materialize(Candidate(learner="bagging"), registry)
+            fit_pipeline(Candidate(learner="bagging"), self.TRAIN, registry)
 
     def test_unknown_ids_rejected(self, registry):
-        with pytest.raises(KeyError):
-            materialize(Candidate(learner="svm"), registry)
-        with pytest.raises(KeyError):
-            materialize(Candidate(learner="knn", scaler="robust"), registry)
+        for c in (
+            Candidate(learner="svm"),
+            Candidate(learner="knn", scaler="robust"),
+            Candidate(learner="knn", meta="boosting"),
+        ):
+            with pytest.raises(UnknownComponentError):
+                fit_pipeline(c, self.TRAIN, registry)
+
+    def test_bad_training_data_rejected(self, registry):
+        empty = self.TRAIN.subset_rows([])
+        huge = _huge_first_column()
+        for c, train in (
+            (Candidate(learner="knn"), empty),
+            (Candidate(learner="knn", meta="bagging"), empty),
+            (Candidate(learner="knn", features=FeatureSet([3])), self.TRAIN),
+            (Candidate(learner="knn", scaler="standardize"), huge),  # the column mean overflows
+        ):
+            with pytest.raises(ValueError), np.errstate(over="ignore", invalid="ignore"):
+                fit_pipeline(c, train, registry)
 
     def test_fit_order_scale_then_project(self, registry):
         # scaler sees all columns; projection happens afterwards, so
@@ -196,6 +222,16 @@ class TestMccv:
         s = mccv_score(Candidate(learner="knn", params={"k": 2}), d, EvalConfig(seed=0), registry)
         assert s.status == "failed_error"
         assert s.mean is None
+
+    def test_non_finite_scaler_output_is_failed_error(self, registry):
+        d = _huge_first_column()
+        cfg = EvalConfig(seed=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            statuses = {
+                s: mccv_score(Candidate(learner="knn", scaler=s), d, cfg, registry).status
+                for s in registry.scaler_ids()
+            }
+        assert statuses == {"standardize": "failed_error", "minmax": "ok", "quantile_rank": "ok"}
 
     def test_timeout_status_and_monotonicity(self, registry):
         d = make_dataset("madelon_like", 200, 20, 1)
@@ -347,6 +383,18 @@ class TestFoldCache:
         assert seen == [
             (candidate_key(c), r, 42, 18) for c in self.CANDIDATES[:-1] for r in range(cfg.repeats)
         ]
+
+    def test_no_dataset_built_per_candidate(self, registry, monkeypatch):
+        d = make_dataset("separable", 60, 3, 5)
+        ev = Evaluator(registry=registry, dataset=d, cfg=EvalConfig(seed=11))
+        ev.evaluate(Candidate(learner="knn"), stage="probing")  # builds the folds
+        built = []
+        real = Dataset.__post_init__
+        monkeypatch.setattr(Dataset, "__post_init__", lambda self: built.append(1) or real(self))
+        for c in self.CANDIDATES[1:]:
+            ev.evaluate(c, stage="probing")
+            ev.evaluate(c.with_meta("bagging", {"n_estimators": 1}), stage="meta")
+        assert built == []
 
     def test_singleton_class_is_failed_error_not_exception(self, registry):
         rng = np.random.default_rng(3)

@@ -21,6 +21,8 @@ from stagedml.synth import make_dataset
 from conftest import make_numeric_dataset
 
 GOLDEN_SHA256 = "4778bc5f397ea40a133de448210bba9e72a9bdcbe7f3109018985a278ec69d7a"
+# meta-learner fits and the validation stage's refit and holdout predict
+META_VALIDATION_SHA256 = "67deef98d09aaefc581b062ef030316aadf91921f9e91e4905c43c21d0aa32e2"
 
 
 def _fixed_work(cfg: orchestrator.SchemeConfig) -> orchestrator.SchemeConfig:
@@ -33,11 +35,18 @@ def _fixed_work(cfg: orchestrator.SchemeConfig) -> orchestrator.SchemeConfig:
     )
 
 
-def _run(dataset, preset: str, seed: int) -> dict:
+def _report(dataset, preset: str, seed: int) -> orchestrator.RunReport:
     presets = orchestrator.scheme_presets(seed=seed, eval_config=EvalConfig(seed=seed))
-    report = orchestrator.run(dataset, _fixed_work(presets[preset]))
-    journal = [{k: v for k, v in rec.items() if k != "wall_ms"} for rec in report.journal]
-    return {"preset": preset, "best_key": report.best_key, "journal": journal}
+    return orchestrator.run(dataset, _fixed_work(presets[preset]))
+
+
+def _journal(report: orchestrator.RunReport) -> list[dict]:
+    return [{k: v for k, v in rec.items() if k != "wall_ms"} for rec in report.journal]
+
+
+def _run(dataset, preset: str, seed: int) -> dict:
+    report = _report(dataset, preset, seed)
+    return {"preset": preset, "best_key": report.best_key, "journal": _journal(report)}
 
 
 def _grid_dataset():
@@ -56,3 +65,25 @@ def test_fixed_work_journals_unchanged():
         assert r["journal"] and r["best_key"] is not None
     blob = json.dumps(runs, sort_keys=True).encode("utf-8")
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_SHA256
+
+
+def test_meta_and_validation_journals_unchanged():
+    data = make_dataset("madelon_like", 60, 4, 3)
+    runs = []
+    for preset in ("single-meta", "single-validation"):
+        report = _report(data, preset, 3)
+        finalists = [t["detail"]["finalists"] for t in report.stage_traces if t["stage_id"] == "validation"]
+        runs.append(
+            {
+                "preset": preset,
+                "journal": _journal(report),
+                "best_key": report.best_key,
+                "best_score": report.best_score,
+                "selection_basis": report.selection_basis,
+                "finalists": finalists,
+            }
+        )
+    assert [r["selection_basis"] for r in runs] == ["any-stage-best", "validation-final"]
+    assert runs[1]["finalists"][0]  # the holdout rescored some finalists
+    blob = json.dumps(runs, sort_keys=True).encode("utf-8")
+    assert hashlib.sha256(blob).hexdigest() == META_VALIDATION_SHA256

@@ -1,7 +1,10 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stagedml.components.registry import LearnerSpec, Registry
 from stagedml.data import FeatureSet
 from stagedml.evaluation import Candidate, EvalConfig, Evaluator, Score, candidate_key
 from stagedml.stages import (
@@ -516,6 +519,30 @@ class TestValidationStage:
             assert e.final_score == pytest.approx(
                 final_score(e.score.mean, e.phi_validate, w), abs=1e-12
             )
+
+    def test_deadline_lapsing_in_holdout_predict_stops_quietly(self):
+        data = make_dataset("separable", 60, 3, 2)
+        holdout = make_dataset("separable", 30, 3, 3)
+        stage_deadline = Deadline(0.2)
+
+        class SlowModel:
+            """Predicts only once the stage deadline has lapsed."""
+
+            def predict(self, rows, deadline=None):
+                while not stage_deadline.expired():
+                    time.sleep(0.01)
+                if deadline is not None:
+                    deadline.check()
+                return np.zeros(rows.shape[0], dtype=np.int64)
+
+        slow = Registry(learners={"slow": LearnerSpec("slow", {}, {}, False, lambda *a, **kw: SlowModel())})
+        pool = CandidatePool([entry(0.1, learner="slow")])
+        ctx = ctx_for(
+            StubEvaluator(), data, slow, holdout=holdout, validation=ValidationConfig(m=1), deadline=stage_deadline
+        )
+        out = stage_run(ValidationStage(), pool, ctx)
+        assert ctx.trace.get("deadline_hit") is True
+        assert ctx.trace["finalists"] == [] and len(out) == 0
 
 
 def test_pool_min_never_worsens_across_stages(registry):
