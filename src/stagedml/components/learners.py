@@ -6,6 +6,12 @@ breaks ties toward the smallest class index, so repeated fits are
 bit-identical. Long fits cooperate with an optional deadline, checking
 it between coarse work units (per tree, per epoch, per prediction
 chunk).
+
+Logistic regression also fits a stack of equal-sized independent
+problems, (r, n, d), in one call whose numpy operations serve all r at
+once; each slice comes out bit-identical to fitting it alone, so callers
+with many small fits (the folds of one evaluation, the estimators of one
+bagging ensemble) may stack them. ``LearnerSpec.stacks`` marks it.
 """
 
 from __future__ import annotations
@@ -265,42 +271,75 @@ def fit_decision_tree(X, y, n_classes, params, seed=0, deadline=None) -> Decisio
 
 @dataclass
 class LogisticModel:
-    weights: np.ndarray  # (d + 1, n_classes), last row is the bias
+    weights: np.ndarray  # (d + 1, n_classes) or a stack (r, d + 1, n_classes); last row is the bias
     n_classes: int
 
     @property
     def n_columns(self) -> int:
-        return self.weights.shape[0] - 1
+        return self.weights.shape[-2] - 1
 
     def predict(self, rows: np.ndarray, deadline: Deadline | None = None) -> np.ndarray:
-        rows = _check_columns(self.n_columns, rows)
-        logits = rows @ self.weights[:-1] + self.weights[-1]
-        return np.argmax(logits, axis=1).astype(np.int64)
+        """(m, d) rows -> (m,) labels. A stack of r models maps (r, m, d)
+        rows to (r, m), slice i by model i, and (m, d) rows to (r, m), every
+        model on the same rows."""
+        if self.weights.ndim == 3 and np.ndim(rows) == 3:
+            rows = np.asarray(rows, dtype=np.float64)
+            if rows.shape[0] != self.weights.shape[0] or rows.shape[2] != self.n_columns:
+                raise ValueError(
+                    f"prediction input has shape {rows.shape}, model stack is "
+                    f"{self.weights.shape[0]} models on {self.n_columns} columns"
+                )
+        else:
+            rows = _check_columns(self.n_columns, rows)
+        logits = rows @ self.weights[..., :-1, :] + self.weights[..., -1:, :]
+        return np.argmax(logits, axis=-1).astype(np.int64)
 
 
 def fit_logistic_regression(X, y, n_classes, params, seed=0, deadline=None) -> LogisticModel:
+    """Full-batch gradient descent on the softmax loss.
+
+    ``X`` is one (n, d) matrix with labels ``y`` of shape (n,), or a stack
+    of r independent problems, (r, n, d) with (r, n), fitted together:
+    every numpy call of an epoch serves all r, and each slice of the
+    returned weights is bit-identical to fitting that slice alone. A
+    problem whose step turns non-finite keeps its last finite weights
+    (the others go on). The fit draws no randomness and ignores ``seed``.
+    """
     lr = float(params["learning_rate"])
     epochs = int(params["epochs"])
     l2 = float(params["l2"])
-    n, d = X.shape
-    W = np.zeros((d + 1, n_classes))
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), y] = 1.0
-    Xb = np.hstack([X, np.ones((n, 1))])
+    stacked = X.ndim == 3
+    Xb = np.concatenate([X, np.ones((*X.shape[:-1], 1))], axis=-1)
+    if not stacked:
+        Xb, y = Xb[None], y[None]
+    r, n, _ = Xb.shape
+    XbT = Xb.transpose(0, 2, 1)
+    W = np.zeros((r, Xb.shape[2], n_classes))
+    onehot = np.zeros((r, n, n_classes))
+    onehot[np.arange(r)[:, None], np.arange(n), y] = 1.0
     for epoch in range(epochs):
         if deadline is not None and epoch % 8 == 0:
             deadline.check()
         logits = Xb @ W
-        logits -= logits.max(axis=1, keepdims=True)
-        expl = np.exp(logits)
-        probs = expl / expl.sum(axis=1, keepdims=True)
-        grad = Xb.T @ (probs - onehot) / n
-        grad[:-1] += l2 * W[:-1]
+        logits -= logits.max(axis=2, keepdims=True)
+        expl = np.exp(logits, out=logits)
+        expl /= expl.sum(axis=2, keepdims=True)
+        expl -= onehot
+        grad = XbT @ expl
+        grad /= n
+        grad[:, :-1] += l2 * W[:, :-1]
         step = W - lr * grad
-        if not np.all(np.isfinite(step)):
-            break  # keep the last finite weights
+        # a sum of finite entries may overflow, but one with a NaN or an
+        # infinity never is finite: look at the slices only then
+        if not math.isfinite(step.sum()):
+            finite = np.isfinite(step).all(axis=(1, 2))
+            if not finite.any():
+                break
+            # the weights of a stopped slice stay put, so its step stays
+            # non-finite in every later epoch too
+            step[~finite] = W[~finite]
         W = step
-    return LogisticModel(weights=W, n_classes=n_classes)
+    return LogisticModel(weights=W if stacked else W[0], n_classes=n_classes)
 
 
 # ---------------------------------------------------------------------------

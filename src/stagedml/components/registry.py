@@ -37,12 +37,24 @@ class UnknownComponentError(KeyError):
 
 @dataclass(frozen=True)
 class LearnerSpec:
+    """One catalog entry.
+
+    A base learner's ``fit(X, y, n_classes, params, seed, deadline)``
+    returns a model with ``predict(rows, deadline)``; a meta-learner's
+    ``fit(base, base_params, X, y, n_classes, params, seed, deadline)``
+    receives the base learner's spec. A learner that ``stacks`` also fits
+    a stack of equal-sized independent problems in one call, ``X`` of
+    shape (r, n, d) and ``y`` of shape (r, n), and its model maps (r, m, d)
+    rows to (r, m) predictions; its fit ignores ``seed``, so one stacked
+    call gives exactly what r separate calls would.
+    """
+
     id: str
     default_params: Mapping
     param_space: ParamSpace
     is_meta: bool
-    fit: Callable  # base: fit(X, y, n_classes, params, seed, deadline) -> model
-    # meta: fit(base_fit, base_params, X, y, n_classes, params, seed, deadline)
+    fit: Callable
+    stacks: bool = False
 
 
 @dataclass(frozen=True)
@@ -177,6 +189,7 @@ def registry_default() -> Registry:
             },
             is_meta=False,
             fit=_learners.fit_logistic_regression,
+            stacks=True,
         ),
         "random_forest": LearnerSpec(
             id="random_forest",

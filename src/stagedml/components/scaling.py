@@ -30,8 +30,20 @@ class StandardizeScaler:
 
 
 def fit_standardize(X: np.ndarray) -> StandardizeScaler:
-    mean = X.mean(axis=0)
-    std = X.std(axis=0)  # population std
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = X.mean(axis=0)
+        std = X.std(axis=0)  # population std
+    overflowed = ~(np.isfinite(mean) & np.isfinite(std))
+    if X.size and overflowed.any():
+        overflowed &= np.isfinite(X).all(axis=0)
+        # a finite column whose sum or squared deviations overflow: take its
+        # statistics on the column divided by a power of two that brings
+        # its largest magnitude below 1, then multiply them back
+        cols = X[:, overflowed]
+        _, exponent = np.frexp(np.abs(cols).max(axis=0))
+        small = np.ldexp(cols, -exponent)
+        mean[overflowed] = np.ldexp(small.mean(axis=0), exponent)
+        std[overflowed] = np.ldexp(small.std(axis=0), exponent)
     degenerate = std == 0.0
     center = np.where(degenerate, 0.0, mean)
     scale = np.where(degenerate, 1.0, std)

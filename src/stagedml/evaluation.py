@@ -178,6 +178,11 @@ class FittedPipeline:
     n_columns: int
 
     def predict(self, rows: np.ndarray, deadline: Deadline | None = None) -> np.ndarray:
+        return self.model.predict(self.transform(rows), deadline=deadline)
+
+    def transform(self, rows: np.ndarray) -> np.ndarray:
+        """``rows`` scaled and restricted to the pipeline's features: the
+        input of its model."""
         rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim != 2 or rows.shape[1] != self.n_columns:
             raise ValueError("prediction input column mismatch with pipeline")
@@ -185,7 +190,7 @@ class FittedPipeline:
             rows = self.scaler.transform(rows)
         if self.features is not None:
             rows = rows[:, list(self.features.indices)]
-        return self.model.predict(rows, deadline=deadline)
+        return rows
 
 
 def _resolve_candidate(
@@ -213,6 +218,33 @@ def _resolve_candidate(
     return scaler, base, params, meta, meta_params
 
 
+def _prepare(
+    candidate: Candidate, scaler_spec: ScalerSpec | None, train: Dataset
+) -> tuple[FittedPipeline, np.ndarray]:
+    """The candidate's pipeline on ``train`` with its scaler fitted but no
+    model yet, and the training matrix of that model: ``train`` scaled,
+    then restricted to the candidate's features.
+
+    Raises ``ValueError`` for empty training data, scaled training data
+    that are not finite or a feature index out of range.
+    """
+    if train.n_rows == 0:
+        raise ValueError("cannot fit on an empty dataset")
+    X = train.instances
+    scaler = None
+    if scaler_spec is not None:
+        scaler = scaler_spec.fit(X)
+        X = scaler.transform(X)
+        if not np.all(np.isfinite(X)):
+            raise ValueError(f"scaler {candidate.scaler!r} produced NaN/Inf on the training data")
+    if candidate.features is not None:
+        cols = list(candidate.features.indices)
+        if cols[-1] >= X.shape[1]:
+            raise ValueError(f"feature index {cols[-1]} out of range for {X.shape[1]} columns")
+        X = X[:, cols]
+    return FittedPipeline(scaler=scaler, features=candidate.features, model=None, n_columns=train.n_columns), X
+
+
 def fit_pipeline(
     candidate: Candidate,
     train: Dataset,
@@ -229,26 +261,13 @@ def fit_pipeline(
     finite.
     """
     scaler_spec, base, params, meta, meta_params = _resolve_candidate(candidate, registry)
-    if train.n_rows == 0:
-        raise ValueError("cannot fit on an empty dataset")
-    X = train.instances
-    scaler = None
-    if scaler_spec is not None:
-        scaler = scaler_spec.fit(X)
-        X = scaler.transform(X)
-        if not np.all(np.isfinite(X)):
-            raise ValueError(f"scaler {candidate.scaler!r} produced NaN/Inf on the training data")
-    if candidate.features is not None:
-        cols = list(candidate.features.indices)
-        if cols[-1] >= X.shape[1]:
-            raise ValueError(f"feature index {cols[-1]} out of range for {X.shape[1]} columns")
-        X = X[:, cols]
+    pipeline, X = _prepare(candidate, scaler_spec, train)
     n_classes = len(train.class_names)
     if meta is None:
-        model = base.fit(X, train.labels, n_classes, params, seed=seed, deadline=deadline)
+        pipeline.model = base.fit(X, train.labels, n_classes, params, seed=seed, deadline=deadline)
     else:
-        model = meta.fit(base.fit, params, X, train.labels, n_classes, meta_params, seed=seed, deadline=deadline)
-    return FittedPipeline(scaler=scaler, features=candidate.features, model=model, n_columns=train.n_columns)
+        pipeline.model = meta.fit(base, params, X, train.labels, n_classes, meta_params, seed=seed, deadline=deadline)
+    return pipeline
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +306,13 @@ def mccv_score(
     when the caller already holds them; by default they are built here.
     ``fold_listener(key, r, train, val)``, if given, sees every fold
     before it is fitted; an invalid candidate is rejected before the
-    first fold. Each fold is fitted by ``fit_pipeline``.
+    first fold. Each fold is fitted by ``fit_pipeline``, except for a
+    candidate without meta-learner whose learner stacks and whose folds
+    all have equal train sizes and equal validation sizes (as
+    ``mccv_splits`` makes them): its folds are scaled one by one as
+    ``fit_pipeline`` would, then fitted in one stacked call of the
+    learner and predicted in one stacked call of its model, with the
+    same scores.
 
     Failures are statuses, not exceptions: a lapsed deadline yields
     ``failed_timeout`` (partial folds discarded), an invalid candidate,
@@ -299,19 +324,31 @@ def mccv_score(
         return Score(mean=0.0, std=0.0, per_fold=(0.0,) * cfg.repeats, status=STATUS_OK)
     key = candidate_key(candidate)
     effective = Deadline.earliest(deadline, Deadline(cfg.per_eval_timeout))
-    per_fold: list[float] = []
     try:
-        _resolve_candidate(candidate, registry)  # reject before any fold is seen
+        scaler_spec, base, params, meta, _ = _resolve_candidate(candidate, registry)  # reject before any fold
         if folds is None:
             folds = _fold_pairs(dataset, cfg)
+        stacked = meta is None and base.stacks and len({(t.n_rows, v.n_rows) for t, v in folds}) == 1
+        per_fold, train_X, val_X = [], [], []
         for r, (train, val) in enumerate(folds):
             effective.check()
             if fold_listener is not None:
                 fold_listener(key, r, train, val)
-            fit_seed = derive_seed(cfg.seed, "fit", key, r)
-            fitted = fit_pipeline(candidate, train, registry, seed=fit_seed, deadline=effective)
-            preds = fitted.predict(val.instances, deadline=effective)
-            per_fold.append(error_rate(val.labels, preds))
+            if stacked:
+                pipeline, X = _prepare(candidate, scaler_spec, train)
+                train_X.append(X)
+                val_X.append(pipeline.transform(val.instances))
+            else:
+                fit_seed = derive_seed(cfg.seed, "fit", key, r)
+                fitted = fit_pipeline(candidate, train, registry, seed=fit_seed, deadline=effective)
+                preds = fitted.predict(val.instances, deadline=effective)
+                per_fold.append(error_rate(val.labels, preds))
+        if stacked:
+            # a stacking fit ignores its seed, so one call fits every fold
+            labels = np.stack([train.labels for train, _ in folds])
+            model = base.fit(np.stack(train_X), labels, len(folds[0][0].class_names), params, deadline=effective)
+            preds = model.predict(np.stack(val_X), deadline=effective)
+            per_fold = [error_rate(val.labels, p) for (_, val), p in zip(folds, preds)]
     except DeadlineExceeded:
         return Score(mean=None, std=None, per_fold=(), status=STATUS_TIMEOUT)
     except Exception:

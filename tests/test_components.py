@@ -278,6 +278,73 @@ def test_best_split_matches_per_feature_reference(n, d_cols, n_classes, grid, bl
         assert learners._best_split(x, y, idx, n_classes, features) == expected
 
 
+def _logistic_reference(X, y, n_classes, lr, epochs, l2):
+    """Gradient descent on one (n, d) problem, stopping at the first
+    non-finite step."""
+    n, d = X.shape
+    W = np.zeros((d + 1, n_classes))
+    onehot = np.zeros((n, n_classes))
+    onehot[np.arange(n), y] = 1.0
+    Xb = np.hstack([X, np.ones((n, 1))])
+    for _ in range(epochs):
+        logits = Xb @ W
+        logits -= logits.max(axis=1, keepdims=True)
+        expl = np.exp(logits)
+        probs = expl / expl.sum(axis=1, keepdims=True)
+        grad = Xb.T @ (probs - onehot) / n
+        grad[:-1] += l2 * W[:-1]
+        step = W - lr * grad
+        if not np.all(np.isfinite(step)):
+            break
+        W = step
+    return W
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    r=st.integers(min_value=1, max_value=6),
+    n=st.integers(min_value=1, max_value=60),
+    d_cols=st.integers(min_value=1, max_value=6),
+    n_classes=st.integers(min_value=2, max_value=4),
+    data=st.data(),
+    lr=st.one_of(st.floats(min_value=1e-4, max_value=0.1), st.floats(min_value=1.0, max_value=10.0)),
+    epochs=st.integers(min_value=0, max_value=80),
+    l2=st.sampled_from([0.0, 1e-4, 1.0, 5.0]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_stacked_logistic_matches_per_problem_reference(r, n, d_cols, n_classes, data, lr, epochs, l2, seed):
+    present = data.draw(st.integers(min_value=1, max_value=n_classes), label="present")
+    rng = np.random.default_rng(seed)
+    # each problem on its own scale, so large steps break them at different epochs
+    scales = 10.0 ** rng.choice([0, 50, 100, 125, 140, 150], size=(r, 1, 1))
+    X = rng.normal(size=(r, n, d_cols)) * scales
+    y = rng.integers(0, present, size=(r, n))
+    rows = rng.normal(size=(r, 7, d_cols)) * scales
+    params = {"learning_rate": lr, "epochs": epochs, "l2": l2}
+    with np.errstate(all="ignore"):
+        model = learners.fit_logistic_regression(X, y, n_classes, params)
+        assert model.weights.shape == (r, d_cols + 1, n_classes)
+        stacked = model.predict(rows)
+        shared = model.predict(rows[0])
+        for i in range(r):
+            W = _logistic_reference(X[i], y[i], n_classes, lr, epochs, l2)
+            assert np.array_equal(model.weights[i], W, equal_nan=True)
+            alone = learners.fit_logistic_regression(X[i], y[i], n_classes, params)
+            assert np.array_equal(alone.weights, W, equal_nan=True)
+            assert np.array_equal(stacked[i], np.argmax(rows[i] @ W[:-1] + W[-1], axis=1))
+            assert np.array_equal(shared[i], np.argmax(rows[0] @ W[:-1] + W[-1], axis=1))
+            assert np.array_equal(alone.predict(rows[i]), stacked[i])
+
+
+def test_stacked_logistic_predict_checks_shapes():
+    X = np.random.default_rng(0).normal(size=(3, 10, 2))
+    y = np.zeros((3, 10), dtype=np.int64)
+    model = learners.fit_logistic_regression(X, y, 2, {"learning_rate": 0.1, "epochs": 5, "l2": 0.0})
+    for rows in (np.zeros((2, 4, 2)), np.zeros((3, 4, 3)), np.zeros((4, 3)), np.zeros(2)):
+        with pytest.raises(ValueError):
+            model.predict(rows)
+
+
 class TestMetaLearners:
     def _toy(self):
         rng = np.random.default_rng(7)
@@ -327,6 +394,23 @@ class TestScalers:
         d = make_numeric_dataset([[5.0, 1.0], [5.0, 2.0]], [0, 1])
         out = reg.scaler("standardize").fit(d.instances).transform(d.instances)
         assert np.array_equal(out[:, 0], [5.0, 5.0])
+
+    def test_standardize_columns_whose_statistics_overflow(self, reg):
+        # the first column's mean overflows, the second's squared deviations do
+        x = np.column_stack(
+            [
+                np.linspace(1e308, 1.5e308, 20),
+                np.linspace(0.5e308, 1e308, 20) * np.tile([1.0, -1.0], 10),
+                np.arange(20.0),
+            ]
+        )
+        scaler = reg.scaler("standardize").fit(x)
+        shrunk = np.ldexp(x[:, :2], -1024)  # both columns peak between 2**1023 and 2**1024
+        assert scaler.center[:2] == pytest.approx(np.ldexp(shrunk.mean(axis=0), 1024), rel=1e-12)
+        assert scaler.scale[:2] == pytest.approx(np.ldexp(shrunk.std(axis=0), 1024), rel=1e-12)
+        assert (scaler.center[2], scaler.scale[2]) == (x[:, 2].mean(), x[:, 2].std())
+        out = scaler.transform(x)
+        assert np.allclose(out.mean(axis=0), 0.0) and np.allclose(out.std(axis=0), 1.0)
 
     def test_minmax_constant_column(self, reg):
         d = make_numeric_dataset([[5.0], [5.0], [5.0]], [0, 0, 1])

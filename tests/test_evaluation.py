@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -30,6 +31,13 @@ from conftest import make_numeric_dataset
 def _huge_first_column():
     """20 rows whose first column (1e308 to 1.5e308) overflows a column mean."""
     x = np.column_stack([np.linspace(1e308, 1.5e308, 20), np.arange(20.0)])
+    return make_numeric_dataset(x, [0, 1] * 10)
+
+
+def _alternating_huge_first_column():
+    """20 rows whose first column alternates between +-(0.5 to 1)e308, so
+    its range (the span of ``minmax``) overflows."""
+    x = np.column_stack([np.linspace(0.5e308, 1e308, 20) * np.tile([1.0, -1.0], 10), np.arange(20.0)])
     return make_numeric_dataset(x, [0, 1] * 10)
 
 
@@ -133,12 +141,12 @@ class TestMaterialize:
 
     def test_bad_training_data_rejected(self, registry):
         empty = self.TRAIN.subset_rows([])
-        huge = _huge_first_column()
+        huge = _alternating_huge_first_column()
         for c, train in (
             (Candidate(learner="knn"), empty),
             (Candidate(learner="knn", meta="bagging"), empty),
             (Candidate(learner="knn", features=FeatureSet([3])), self.TRAIN),
-            (Candidate(learner="knn", scaler="standardize"), huge),  # the column mean overflows
+            (Candidate(learner="knn", scaler="minmax"), huge),  # the column's span overflows
         ):
             with pytest.raises(ValueError), np.errstate(over="ignore", invalid="ignore"):
                 fit_pipeline(c, train, registry)
@@ -224,14 +232,19 @@ class TestMccv:
         assert s.mean is None
 
     def test_non_finite_scaler_output_is_failed_error(self, registry):
-        d = _huge_first_column()
         cfg = EvalConfig(seed=0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            statuses = {
-                s: mccv_score(Candidate(learner="knn", scaler=s), d, cfg, registry).status
-                for s in registry.scaler_ids()
-            }
-        assert statuses == {"standardize": "failed_error", "minmax": "ok", "quantile_rank": "ok"}
+        datasets = (_huge_first_column(), _alternating_huge_first_column())
+        for lid in ("knn", "logistic_regression"):  # per-fold and stacked folds
+            with np.errstate(over="ignore", invalid="ignore"):
+                statuses = [
+                    {s: mccv_score(Candidate(lid, scaler=s), d, cfg, registry).status for s in registry.scaler_ids()}
+                    for d in datasets
+                ]
+            # standardize rescales a column whose mean overflows; minmax's span overflows
+            assert statuses == [
+                {"standardize": "ok", "minmax": "ok", "quantile_rank": "ok"},
+                {"standardize": "ok", "minmax": "failed_error", "quantile_rank": "ok"},
+            ], lid
 
     def test_timeout_status_and_monotonicity(self, registry):
         d = make_dataset("madelon_like", 200, 20, 1)
@@ -407,6 +420,130 @@ class TestFoldCache:
             "failed_error"
         )
         assert ev.best_ok() is None
+
+
+class TestStackedFolds:
+    """A plain logistic-regression candidate fits all its folds in one
+    stacked call; every other candidate fits fold by fold."""
+
+    CANDIDATES = [
+        Candidate(learner="logistic_regression"),
+        Candidate(learner="logistic_regression", params={"learning_rate": 0.1, "epochs": 60, "l2": 1.0}),
+        Candidate(learner="logistic_regression", scaler="standardize", features=FeatureSet([0, 2])),
+        Candidate(learner="logistic_regression", scaler="quantile_rank"),
+        Candidate(learner="logistic_regression", features=FeatureSet([7])),  # out of range: failed_error
+        Candidate("logistic_regression", params={"epochs": 50}, meta="bagging", meta_params={"n_estimators": 5}),
+        Candidate("logistic_regression", params={"epochs": 50}, meta="adaboost", meta_params={"n_estimators": 5}),
+        Candidate(learner="knn"),
+    ]
+
+    @staticmethod
+    def _registry(registry, events=None, stacks=True, before_fit=None):
+        """A copy of ``registry`` whose learners log each fit as
+        ("fit", learner id, X.ndim) in ``events``."""
+        learners = {}
+        for lid, spec in registry.learners.items():
+
+            def fit(X, *args, _fit=spec.fit, _lid=lid, **kwargs):
+                if events is not None:
+                    events.append(("fit", _lid, np.ndim(X)))
+                if before_fit is not None:
+                    before_fit(kwargs["deadline"])
+                return _fit(X, *args, **kwargs)
+
+            learners[lid] = replace(spec, fit=fit, stacks=spec.stacks and stacks)
+        return replace(registry, learners=learners)
+
+    @staticmethod
+    def _journal(ev):
+        return [{k: v for k, v in r.to_dict().items() if k != "wall_ms"} for r in ev.journal_records()]
+
+    def test_one_stacked_fit_per_logistic_evaluation(self, registry):
+        d = make_dataset("madelon_like", 60, 4, 3)
+        cfg = EvalConfig(seed=4)
+        events = []
+        reg = self._registry(registry, events)
+        listener = lambda key, r, train, val: events.append(("fold", r))  # noqa: E731
+        assert mccv_score(Candidate(learner="logistic_regression"), d, cfg, reg, fold_listener=listener).ok
+        # the listener sees every fold before the one fit
+        assert events == [("fold", r) for r in range(5)] + [("fit", "logistic_regression", 3)]
+        events.clear()
+        assert mccv_score(Candidate(learner="knn"), d, cfg, reg, fold_listener=listener).ok
+        assert events == [e for r in range(5) for e in (("fold", r), ("fit", "knn", 2))]
+
+    def test_stacked_folds_give_the_per_fold_journal(self, registry):
+        d = make_dataset("madelon_like", 60, 4, 3)
+        journals, fits = [], []
+        for stacks in (True, False):
+            events = []
+            ev = Evaluator(registry=self._registry(registry, events, stacks), dataset=d, cfg=EvalConfig(seed=4))
+            for c in self.CANDIDATES:
+                ev.evaluate(c, stage="probing")
+            journals.append(self._journal(ev))
+            fits.append([events.count(("fit", "logistic_regression", ndim)) for ndim in (2, 3)])
+        assert journals[0] == journals[1]
+        assert [r["status"] for r in journals[0]].count("failed_error") == 1
+        # stacked: one fit for each of four plain candidates that reach a fit, one bagging chunk per fold;
+        # boosting fits one estimator at a time either way
+        (flat, stack), (flat_alone, stack_alone) = fits
+        assert (stack, stack_alone, flat_alone - flat) == (4 + 5, 0, 4 * 5 + 5 * 5)
+
+    def test_deadline_lapsing_inside_stacked_fit_is_failed_timeout(self, registry):
+        d = make_dataset("madelon_like", 60, 4, 3)
+
+        def wait_out(deadline):
+            while not deadline.expired():
+                time.sleep(0.005)
+
+        events = []
+        reg = self._registry(registry, events, before_fit=wait_out)
+        s = mccv_score(Candidate(learner="logistic_regression"), d, EvalConfig(seed=4, per_eval_timeout=0.5), reg)
+        assert s.status == "failed_timeout"
+        assert events == [("fit", "logistic_regression", 3)]
+
+    def test_one_non_finite_fold_is_failed_error(self, registry):
+        d = make_dataset("madelon_like", 40, 2, 3)
+        folds = evaluation._fold_pairs(d, EvalConfig(seed=4))
+        train, val = folds[2]
+        x = train.instances.copy()
+        x[:, 0] = np.linspace(0.5e308, 1e308, train.n_rows) * np.tile([1.0, -1.0], train.n_rows)[: train.n_rows]
+        folds[2] = (make_numeric_dataset(x, train.labels), val)
+        events = []
+        reg = self._registry(registry, events)
+        c = Candidate(learner="logistic_regression", scaler="minmax")
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = mccv_score(c, d, EvalConfig(seed=4), reg, folds=folds)
+        assert s.status == "failed_error" and events == []
+
+    def test_unequal_folds_fit_one_by_one(self, registry):
+        d = make_dataset("madelon_like", 60, 4, 3)
+        cfg = EvalConfig(seed=4)
+        folds = evaluation._fold_pairs(d, cfg)
+        train, val = folds[1]
+        folds[1] = (train.subset_rows(np.arange(1, train.n_rows)), val)
+        c = Candidate(learner="logistic_regression", scaler="standardize")
+        events = []
+        stacked = mccv_score(c, d, cfg, self._registry(registry, events), folds=folds)
+        assert stacked.ok and events == [("fit", "logistic_regression", 2)] * 5
+        assert stacked == mccv_score(c, d, cfg, self._registry(registry, stacks=False), folds=folds)
+
+    def test_bagging_chunks_predict_like_one_stack(self, registry, monkeypatch):
+        from stagedml.components import meta
+
+        d = make_dataset("madelon_like", 60, 4, 3)
+        c = Candidate("logistic_regression", params={"epochs": 50}, meta="bagging", meta_params={"n_estimators": 10})
+        probe = np.random.default_rng(2).normal(size=(30, 4))
+        preds = []
+        # one chunk; chunks of three 60x4 samples; one estimator each
+        for cells, chunks in ((meta._STACK_CELLS, 1), (3 * 60 * 4, 4), (1, 10)):
+            monkeypatch.setattr(meta, "_STACK_CELLS", cells)
+            events = []
+            fitted = fit_pipeline(c, d, self._registry(registry, events), seed=5)
+            assert events[1:] == [("fit", "logistic_regression", 3)] * chunks
+            preds.append(fitted.predict(probe))
+        plain = fit_pipeline(c, d, self._registry(registry, stacks=False), seed=5).predict(probe)
+        for p in preds:
+            assert np.array_equal(p, plain)
 
 
 class TestLeakageCanary:

@@ -1,8 +1,10 @@
 """Golden-journal guard: fixed-work runs must keep their exact output.
 
-Two small searches run with every budget switched off, so they do the
-same evaluations however fast the code is. The sha256 of their journals
-(without ``wall_ms``) and best keys is pinned. A change that alters
+Small searches run with every budget switched off, so they do the same
+evaluations however fast the code is. The sha256 of their journals
+(without ``wall_ms``) and best keys is pinned; so is the journal of a
+fixed list of logistic-regression candidates, plain and bagged, that
+covers the stacked fits. A change that alters
 search behaviour on purpose re-pins the hash and says why; a change
 meant to be a pure refactor or speed-up must leave it alone.
 """
@@ -15,7 +17,10 @@ from dataclasses import replace
 import numpy as np
 
 from stagedml import orchestrator
-from stagedml.evaluation import EvalConfig
+from stagedml.components.registry import registry_default
+from stagedml.data import FeatureSet
+from stagedml.evaluation import Candidate, EvalConfig, Evaluator
+from stagedml.rng import Rng
 from stagedml.synth import make_dataset
 
 from conftest import make_numeric_dataset
@@ -23,6 +28,8 @@ from conftest import make_numeric_dataset
 GOLDEN_SHA256 = "4778bc5f397ea40a133de448210bba9e72a9bdcbe7f3109018985a278ec69d7a"
 # meta-learner fits and the validation stage's refit and holdout predict
 META_VALIDATION_SHA256 = "67deef98d09aaefc581b062ef030316aadf91921f9e91e4905c43c21d0aa32e2"
+# logistic-regression candidates, plain and bagged, scored directly
+LOGISTIC_SHA256 = "819337da3ad234617a429116f25a9e99bdd79a078fc7f856f8cd68bb2f9799e1"
 
 
 def _fixed_work(cfg: orchestrator.SchemeConfig) -> orchestrator.SchemeConfig:
@@ -87,3 +94,34 @@ def test_meta_and_validation_journals_unchanged():
     assert runs[1]["finalists"][0]  # the holdout rescored some finalists
     blob = json.dumps(runs, sort_keys=True).encode("utf-8")
     assert hashlib.sha256(blob).hexdigest() == META_VALIDATION_SHA256
+
+
+def test_logistic_journal_unchanged():
+    reg = registry_default()
+    rng = Rng(5)
+    param_sets = [None] + [reg.sample_params("logistic_regression", rng) for _ in range(4)]
+    candidates = [
+        Candidate("logistic_regression", params=params, scaler=scaler, features=features)
+        for params in param_sets
+        for scaler in (None, *reg.scaler_ids())
+        for features in (None, FeatureSet([0, 2]))
+    ]
+    candidates += [
+        Candidate(
+            "logistic_regression",
+            params={"epochs": 50},
+            meta="bagging",
+            meta_params={"replace": replace_rows, "sample_fraction": fraction, "n_estimators": n},
+        )
+        for replace_rows in (True, False)
+        for fraction in (0.5, 0.7, 1.0)
+        for n in (1, 25)
+    ]
+    cfg = EvalConfig(seed=3, per_eval_timeout=math.inf)
+    ev = Evaluator(registry=reg, dataset=make_dataset("madelon_like", 60, 4, 3), cfg=cfg)
+    for c in candidates:
+        ev.evaluate(c, stage="probing")
+    journal = [{k: v for k, v in r.to_dict().items() if k != "wall_ms"} for r in ev.journal_records()]
+    assert len(journal) == 52 and all(r["status"] == "ok" for r in journal)
+    blob = json.dumps(journal, sort_keys=True).encode("utf-8")
+    assert hashlib.sha256(blob).hexdigest() == LOGISTIC_SHA256

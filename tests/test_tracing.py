@@ -1,8 +1,9 @@
 """The benchmark's span tracer still finds every name it wraps.
 
 ``benchmark/tracing.py`` patches public names of ``stagedml`` from
-outside the package. A refactor that drops or renames one of them must
-fail here, not only in a traced benchmark run.
+outside the package. A refactor that drops or renames one of them, or
+fits a learner around its registry entry, must fail here, not only in a
+traced benchmark run.
 """
 
 import importlib
@@ -32,4 +33,9 @@ def test_traced_search_books_every_span(monkeypatch):
     metrics = tracing.layer_metrics(tracer, root)
     assert report.ok
     assert metrics["evaluation.evaluations"] == len(report.journal)
+    # a logistic-regression evaluation fits all its folds in one traced call
+    learners = [r["candidate_key"].split("|")[2] for r in report.journal if r["status"] == "ok"]
+    fitted = learners.count("logistic_regression")
+    assert fitted and metrics["learners.logistic_regression.calls"] == fitted
+    assert metrics["learners.logistic_regression.fit_s"] > 0
     assert metrics["trace.self_sum_s"] == pytest.approx(metrics["trace.root_s"], rel=1e-9)
