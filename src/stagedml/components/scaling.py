@@ -22,9 +22,6 @@ class StandardizeScaler:
     def transform(self, rows: np.ndarray) -> np.ndarray:
         return (np.asarray(rows, dtype=np.float64) - self.center) / self.scale
 
-    def inverse_transform(self, rows: np.ndarray) -> np.ndarray:
-        return np.asarray(rows, dtype=np.float64) * self.scale + self.center
-
     def stats(self) -> dict:
         return {"center": self.center.copy(), "scale": self.scale.copy()}
 
@@ -53,16 +50,20 @@ def fit_standardize(X: np.ndarray) -> StandardizeScaler:
 @dataclass
 class MinMaxScaler:
     """Per-column [0, 1] on the fit data. Zero-range columns map every
-    value to the fitted constant."""
+    value to the fitted constant. A finite column whose range overflows
+    float64 is scaled on its halved values (``factor`` 0.5, ``span`` the
+    halved range); every other column has ``factor`` 1."""
 
     lo: np.ndarray
     span: np.ndarray
     constant: np.ndarray
     degenerate: np.ndarray
+    factor: np.ndarray
 
     def transform(self, rows: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.float64)
-        out = (rows - self.lo) / self.span
+        # multiplying by 1 is exact, so columns with factor 1 are unchanged
+        out = (rows * self.factor - self.lo * self.factor) / self.span
         if self.degenerate.any():
             out = out.copy()
             out[:, self.degenerate] = self.constant[self.degenerate]
@@ -76,8 +77,11 @@ def fit_minmax(X: np.ndarray) -> MinMaxScaler:
     lo = X.min(axis=0)
     hi = X.max(axis=0)
     degenerate = hi == lo
-    span = np.where(degenerate, 1.0, hi - lo)
-    return MinMaxScaler(lo=lo, span=span, constant=lo, degenerate=degenerate)
+    with np.errstate(over="ignore"):
+        overflowed = np.isinf(hi - lo) & np.isfinite(hi) & np.isfinite(lo)
+    factor = np.where(overflowed, 0.5, 1.0)
+    span = np.where(degenerate, 1.0, hi * factor - lo * factor)
+    return MinMaxScaler(lo=lo, span=span, constant=lo, degenerate=degenerate, factor=factor)
 
 
 @dataclass

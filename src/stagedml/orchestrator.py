@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Sequence
 
 from stagedml.data import Dataset, SplitSpec, split
@@ -75,15 +75,7 @@ class SchemeConfig:
                 "metric": self.eval.metric,
                 "per_eval_timeout": self.eval.per_eval_timeout,
             },
-            "validation": (
-                {
-                    "n_bar": self.validation.n_bar,
-                    "m": self.validation.m,
-                    "holdout_fraction": self.validation.holdout_fraction,
-                }
-                if self.validation
-                else None
-            ),
+            "validation": asdict(self.validation) if self.validation else None,
             "seed": self.seed,
         }
 

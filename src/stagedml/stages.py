@@ -5,13 +5,23 @@ pool. New entries are always scored by the shared evaluator on the
 optimization data; holdout data is visible to the validation stage
 alone. Stages respect a cooperative deadline and return whatever they
 completed when it lapses.
+
+The protocol the stages share is written once, in ``StageContext``:
+``try_add`` returns a candidate's pool entry, scoring the candidate and
+adding it first when the pool lacks it (tuning adds only candidates that
+beat the incumbent, so it keeps its own add), and ``expired`` is the
+stage-deadline check that records ``deadline_hit`` in the trace when it
+stops a stage. Settings no caller varies are module constants:
+``SCALING_EPSILON`` for the scaling stage, and ``FILTER_PILOT``,
+``CHEAP_REPEATS``, ``CURVE_TOL`` and ``CURVE_PATIENCE`` for the feature
+curves of the filtering stage.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Callable, ClassVar, Iterable, Sequence
 
 from stagedml.components.domains import enumerate_grid, space_grid_size, space_is_enumerable
 from stagedml.components.registry import Registry
@@ -25,9 +35,14 @@ from stagedml.evaluation import (
     fit_pipeline,
 )
 from stagedml.rng import Rng, derive_seed
-from stagedml.timing import Deadline, DeadlineExceeded
+from stagedml.timing import Deadline
 
 PILOT_LEARNERS = ("knn", "gaussian_nb")
+SCALING_EPSILON = 0.0  # a scaler expands when it beats some pilot's raw score by more
+FILTER_PILOT = "knn"  # the learner scored along every feature curve
+CHEAP_REPEATS = 3  # MCCV repeats of one feature-curve point
+CURVE_TOL = 0.005  # a curve point within this of the best so far is not worse
+CURVE_PATIENCE = 2  # consecutive worse points that end a curve
 
 
 @dataclass
@@ -37,10 +52,10 @@ class ScoredCandidate:
     stage_id: str
     phi_validate: float | None = None
     final_score: float | None = None
+    key: str = field(init=False)
 
-    @property
-    def key(self) -> str:
-        return candidate_key(self.candidate)
+    def __post_init__(self) -> None:
+        self.key = candidate_key(self.candidate)
 
 
 class CandidatePool:
@@ -118,7 +133,24 @@ class StageContext:
     trace: dict = field(default_factory=dict)
 
     def expired(self) -> bool:
-        return self.deadline is not None and self.deadline.expired()
+        """Whether the stage deadline has lapsed. A stage stops when this
+        is true, so the trace records ``deadline_hit`` here."""
+        if self.deadline is None or not self.deadline.expired():
+            return False
+        self.trace["deadline_hit"] = True
+        return True
+
+    def try_add(self, pool: CandidatePool, candidate: Candidate, stage_id: str) -> ScoredCandidate | None:
+        """The pool's entry for ``candidate``. A candidate the pool lacks
+        is scored under the stage deadline first and added when its score
+        is ok; returns None when that scoring failed."""
+        entry = pool.get(candidate_key(candidate))
+        if entry is None:
+            score = self.evaluator.evaluate(candidate, stage=stage_id, deadline=self.deadline)
+            if score.ok:
+                entry = ScoredCandidate(candidate, score, stage_id)
+                pool.add(entry)
+        return entry
 
 
 # ---------------------------------------------------------------------------
@@ -155,22 +187,18 @@ def final_score(phi_int: float, phi_val: float, w: float) -> float:
 class ProbingStage:
     """Evaluate every base learner once with default parameters."""
 
-    stage_id: str = "probing"
+    stage_id: ClassVar[str] = "probing"
     time_limit: float | None = None
 
     def run(self, pool: CandidatePool, ctx: StageContext) -> CandidatePool:
         added = []
         for learner_id in ctx.registry.base_learner_ids():
             if ctx.expired():
-                ctx.trace["deadline_hit"] = True
                 break
-            c = Candidate(learner=learner_id)
-            if candidate_key(c) in pool:
-                continue
-            score = ctx.evaluator.evaluate(c, stage=self.stage_id, deadline=ctx.deadline)
-            if score.ok:
-                pool.add(ScoredCandidate(c, score, self.stage_id))
-                added.append(candidate_key(c))
+            size = len(pool)
+            entry = ctx.try_add(pool, Candidate(learner=learner_id), self.stage_id)
+            if len(pool) > size:
+                added.append(entry.key)
         ctx.trace["added"] = added
         return pool
 
@@ -178,7 +206,7 @@ class ProbingStage:
 def scalers_to_expand(
     baseline_means: dict[str, float],
     scaled_means: dict[tuple[str, str], float],
-    epsilon: float = 0.0,
+    epsilon: float = SCALING_EPSILON,
 ) -> list[str]:
     """Scaler ids where at least one pilot strictly improved.
 
@@ -200,89 +228,60 @@ class ScalingStage:
     """Pair scalers with cheap pilot learners; expand a scaler to the
     whole catalog when it strictly improves some pilot."""
 
-    stage_id: str = "scaling"
+    stage_id: ClassVar[str] = "scaling"
     time_limit: float | None = None
-    epsilon: float = 0.0
     include_best_pilot: bool = True
 
     def run(self, pool: CandidatePool, ctx: StageContext) -> CandidatePool:
-        pilots: list[Candidate] = [Candidate(learner=p) for p in PILOT_LEARNERS]
+        pilots = {candidate_key(p): p for p in map(Candidate, PILOT_LEARNERS)}
         if self.include_best_pilot:
             best = pool.best()
             if best is not None and best.candidate.meta is None:
                 extra = Candidate(learner=best.candidate.learner, params=best.candidate.params)
-                if candidate_key(extra) not in {candidate_key(p) for p in pilots}:
-                    pilots.append(extra)
-        pilot_learner_ids = {p.learner for p in pilots}
+                pilots.setdefault(candidate_key(extra), extra)
 
-        baselines: dict[str, float] = {}
-        for p in pilots:
+        # every pilot on raw data (scaler None) first, then under each scaler
+        means: dict[tuple[str | None, str], float] = {}
+        for scaler_id, key in [(s, k) for s in (None, *ctx.registry.scaler_ids()) for k in pilots]:
             if ctx.expired():
-                return self._finish(pool, ctx, [])
-            key = candidate_key(p)
-            entry = pool.get(key)
-            if entry is None:
-                score = ctx.evaluator.evaluate(p, stage=self.stage_id, deadline=ctx.deadline)
-                if score.ok:
-                    entry = ScoredCandidate(p, score, self.stage_id)
-                    pool.add(entry)
+                break
+            entry = ctx.try_add(pool, replace(pilots[key], scaler=scaler_id), self.stage_id)
             if entry is not None:
-                baselines[key] = entry.score.mean
+                means[scaler_id, key] = entry.score.mean
+        baselines = {key: mean for (scaler_id, key), mean in means.items() if scaler_id is None}
+        scaled_means = {sk: mean for sk, mean in means.items() if sk[0] is not None}
+        expanded = scalers_to_expand(baselines, scaled_means)
+        ctx.trace["expanded_scalers"] = expanded
 
-        scaled_means: dict[tuple[str, str], float] = {}
-        for scaler_id in ctx.registry.scaler_ids():
-            for p in pilots:
-                if ctx.expired():
-                    return self._finish(pool, ctx, scalers_to_expand(baselines, scaled_means, self.epsilon))
-                c = replace(p, scaler=scaler_id)
-                if candidate_key(c) in pool:
-                    scaled_means[(scaler_id, candidate_key(p))] = pool.get(candidate_key(c)).score.mean
-                    continue
-                score = ctx.evaluator.evaluate(c, stage=self.stage_id, deadline=ctx.deadline)
-                if score.ok:
-                    pool.add(ScoredCandidate(c, score, self.stage_id))
-                    scaled_means[(scaler_id, candidate_key(p))] = score.mean
-
-        expanded = scalers_to_expand(baselines, scaled_means, self.epsilon)
+        pilot_learner_ids = {p.learner for p in pilots.values()}
         for scaler_id in expanded:
             for learner_id in ctx.registry.base_learner_ids():
                 if learner_id in pilot_learner_ids:
                     continue
                 if ctx.expired():
-                    return self._finish(pool, ctx, expanded)
-                c = Candidate(learner=learner_id, scaler=scaler_id)
-                if candidate_key(c) in pool:
-                    continue
-                score = ctx.evaluator.evaluate(c, stage=self.stage_id, deadline=ctx.deadline)
-                if score.ok:
-                    pool.add(ScoredCandidate(c, score, self.stage_id))
-        return self._finish(pool, ctx, expanded)
-
-    def _finish(self, pool: CandidatePool, ctx: StageContext, expanded: list[str]) -> CandidatePool:
-        ctx.trace["expanded_scalers"] = expanded
-        if ctx.expired():
-            ctx.trace["deadline_hit"] = True
+                    return pool
+                ctx.try_add(pool, Candidate(learner=learner_id, scaler=scaler_id), self.stage_id)
         return pool
 
 
 def feature_curve(
     score_at,
     schedule: Sequence[int],
-    tol: float = 0.005,
-    patience: int = 2,
-    deadline: Deadline | None = None,
+    tol: float = CURVE_TOL,
+    patience: int = CURVE_PATIENCE,
+    expired: Callable[[], bool] | None = None,
 ) -> list[tuple[int, float]]:
     """Walk prefix lengths until scores worsen persistently.
 
     Advances while points stay within ``tol`` of the best seen; stops
-    after ``patience`` consecutive worse points (or when the deadline
-    lapses). Returns the evaluated (length, score) points.
+    after ``patience`` consecutive worse points (or once ``expired()``
+    is true). Returns the evaluated (length, score) points.
     """
     points: list[tuple[int, float]] = []
     best = float("inf")
     worse_streak = 0
     for l in schedule:
-        if deadline is not None and deadline.expired():
+        if expired is not None and expired():
             break
         s = score_at(l)
         points.append((l, s))
@@ -318,27 +317,20 @@ def select_best_prefix(curves: list[tuple[str, list[int], list[tuple[int, float]
     return best
 
 
-def compute_feature_set(
-    ctx: StageContext,
-    filters: Sequence[str] | None = None,
-    pilot: Candidate | None = None,
-    tol: float = 0.005,
-    patience: int = 2,
-    cheap_repeats: int = 3,
-) -> tuple[FeatureSet, list[dict]]:
+def compute_feature_set(ctx: StageContext) -> tuple[FeatureSet, list[dict]]:
     """Choose a feature prefix from per-filter performance curves.
 
-    For each filter ranking, a pilot is scored under a cheap MCCV
-    (``cheap_repeats`` repeats) on growing prefixes; the best-scoring
-    (filter, length) wins. Independent of the candidate pool. Falls back
-    to all features when nothing could be evaluated.
+    For each filter ranking, the ``FILTER_PILOT`` learner is scored under
+    a cheap MCCV (``CHEAP_REPEATS`` repeats) on growing prefixes; the
+    best-scoring (filter, length) wins. Independent of the candidate
+    pool. Falls back to all features when nothing could be evaluated.
     """
     data = ctx.data
-    filter_ids = list(filters) if filters is not None else ctx.registry.filter_ids()
+    filter_ids = ctx.registry.filter_ids()
     if not filter_ids:
         raise ValueError("compute_feature_set needs at least one filter")
-    pilot = pilot if pilot is not None else Candidate(learner="knn")
-    cheap_cfg = replace(ctx.evaluator.cfg, repeats=cheap_repeats)
+    pilot = Candidate(learner=FILTER_PILOT)
+    cheap_cfg = replace(ctx.evaluator.cfg, repeats=CHEAP_REPEATS)
     schedule = prefix_schedule(data.n_columns)
 
     curves = []
@@ -353,7 +345,7 @@ def compute_feature_set(
             s = ctx.evaluator.evaluate(c, stage="filtering", cfg=cheap_cfg, deadline=ctx.deadline)
             return s.mean if s.ok else float("inf")
 
-        points = feature_curve(score_at, schedule, tol=tol, patience=patience, deadline=ctx.deadline)
+        points = feature_curve(score_at, schedule, expired=ctx.expired)
         curves.append((filter_id, ranking, points))
         curve_traces.append({"filter": filter_id, "points": [[l, s] for l, s in points]})
 
@@ -369,36 +361,19 @@ class FilteringStage:
     """Compute one shared feature set, then give every candidate a
     projected twin, best candidates first."""
 
-    stage_id: str = "filtering"
+    stage_id: ClassVar[str] = "filtering"
     time_limit: float | None = None
-    tol: float = 0.005
-    patience: int = 2
-    cheap_repeats: int = 3
-    pilot_learner: str = "knn"
 
     def run(self, pool: CandidatePool, ctx: StageContext) -> CandidatePool:
-        features, curves = compute_feature_set(
-            ctx,
-            pilot=Candidate(learner=self.pilot_learner),
-            tol=self.tol,
-            patience=self.patience,
-            cheap_repeats=self.cheap_repeats,
-        )
+        features, curves = compute_feature_set(ctx)
         ctx.trace["feature_set"] = list(features)
         ctx.trace["curves"] = curves
         covers_all = len(features) == ctx.data.n_columns
         for entry in pool.sorted_by_score():
             if ctx.expired():
-                ctx.trace["deadline_hit"] = True
                 break
-            if entry.candidate.features is not None:
-                continue
-            twin = entry.candidate.with_features(None if covers_all else features)
-            if candidate_key(twin) in pool:
-                continue
-            score = ctx.evaluator.evaluate(twin, stage=self.stage_id, deadline=ctx.deadline)
-            if score.ok:
-                pool.add(ScoredCandidate(twin, score, self.stage_id))
+            if entry.candidate.features is None:
+                ctx.try_add(pool, entry.candidate.with_features(None if covers_all else features), self.stage_id)
         return pool
 
 
@@ -407,7 +382,7 @@ class MetaStage:
     """Wrap each candidate's learner in every registered meta-learner;
     feature slots are untouched."""
 
-    stage_id: str = "meta"
+    stage_id: ClassVar[str] = "meta"
     time_limit: float | None = None
 
     def run(self, pool: CandidatePool, ctx: StageContext) -> CandidatePool:
@@ -417,14 +392,8 @@ class MetaStage:
                 continue
             for meta_id in metas:
                 if ctx.expired():
-                    ctx.trace["deadline_hit"] = True
                     return pool
-                twin = entry.candidate.with_meta(meta_id)
-                if candidate_key(twin) in pool:
-                    continue
-                score = ctx.evaluator.evaluate(twin, stage=self.stage_id, deadline=ctx.deadline)
-                if score.ok:
-                    pool.add(ScoredCandidate(twin, score, self.stage_id))
+                ctx.try_add(pool, entry.candidate.with_meta(meta_id), self.stage_id)
         return pool
 
 
@@ -433,7 +402,7 @@ class TuningStage:
     """Random-search (or small-grid enumeration) over learner params,
     candidates visited best-first under per-candidate budgets."""
 
-    stage_id: str = "tuning"
+    stage_id: ClassVar[str] = "tuning"
     time_limit: float | None = None
     max_evals: int = 30
     per_candidate_seconds: float = 120.0
@@ -441,7 +410,6 @@ class TuningStage:
     def run(self, pool: CandidatePool, ctx: StageContext) -> CandidatePool:
         for entry in pool.sorted_by_score():
             if ctx.expired():
-                ctx.trace["deadline_hit"] = True
                 break
             self._tune_one(entry, pool, ctx)
         return pool
@@ -478,7 +446,7 @@ class ValidationStage:
     """Re-rank the m internally-best candidates by blending internal and
     single-shot holdout scores; the output pool is terminal."""
 
-    stage_id: str = "validation"
+    stage_id: ClassVar[str] = "validation"
     time_limit: float | None = None
 
     def run(self, pool: CandidatePool, ctx: StageContext) -> CandidatePool:
@@ -497,7 +465,6 @@ class ValidationStage:
         detail = []
         for entry in finalists:
             if ctx.expired():
-                ctx.trace["deadline_hit"] = True
                 break
             try:
                 fitted = fit_pipeline(
@@ -509,10 +476,9 @@ class ValidationStage:
                 )
                 preds = fitted.predict(ctx.holdout.instances, deadline=ctx.deadline)
                 phi_val = error_rate(ctx.holdout.labels, preds)
-            except DeadlineExceeded:
-                ctx.trace["deadline_hit"] = True
-                break
             except Exception:
+                if ctx.expired():
+                    break  # the refit or the holdout predict ran out of stage time
                 continue  # failed refits drop out of the terminal pool
             final = final_score(entry.score.mean, phi_val, w)
             rescored.append(
@@ -531,8 +497,3 @@ class ValidationStage:
 
 
 Stage = ProbingStage | ScalingStage | FilteringStage | MetaStage | TuningStage | ValidationStage
-
-
-def stage_run(stage: Stage, pool: CandidatePool, ctx: StageContext) -> CandidatePool:
-    """Uniform entry point for running one stage."""
-    return stage.run(pool, ctx)

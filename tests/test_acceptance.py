@@ -34,7 +34,6 @@ from stagedml.stages import (
     compute_feature_set,
     final_score,
     omega,
-    stage_run,
     tau,
 )
 from stagedml.stats import ResultMatrix, tournament, trimmed_mean, wilcoxon_signed_rank
@@ -149,8 +148,7 @@ def test_c04_filtering_curve_mechanism():
         for seed in range(5):
             data = make_dataset("madelon_like", 600, 100, seed, informative=5)
             ev = Evaluator(registry=REGISTRY, dataset=data, cfg=EvalConfig(seed=seed))
-            pool = stage_run(
-                ProbingStage(),
+            pool = ProbingStage().run(
                 CandidatePool(),
                 StageContext(evaluator=ev, registry=REGISTRY, data=data, seed=seed),
             )
@@ -170,13 +168,12 @@ def test_c05_scaling_stage_gate():
     with criterion("C5 scaling-stage-gate", max_seconds=120.0):
         def expansion(data, seed):
             ev = Evaluator(registry=REGISTRY, dataset=data, cfg=EvalConfig(seed=seed))
-            pool = stage_run(
-                ProbingStage(),
+            pool = ProbingStage().run(
                 CandidatePool(),
                 StageContext(evaluator=ev, registry=REGISTRY, data=data, seed=seed),
             )
             ctx = StageContext(evaluator=ev, registry=REGISTRY, data=data, seed=seed)
-            stage_run(ScalingStage(), pool, ctx)
+            ScalingStage().run(pool, ctx)
             return ctx.trace["expanded_scalers"]
 
         triggered = 0

@@ -41,6 +41,14 @@ def _alternating_huge_first_column():
     return make_numeric_dataset(x, [0, 1] * 10)
 
 
+def _lopsided_huge_first_column():
+    """21 rows whose first column repeats 1.5e308, 1.5e308, -1.5e308: the
+    -1.5e308 rows lie more than the float64 range below the column mean,
+    so ``standardize`` maps them to -inf."""
+    x = np.column_stack([np.tile([1.5e308, 1.5e308, -1.5e308], 7), np.arange(21.0)])
+    return make_numeric_dataset(x, [0, 1, 0] * 7)
+
+
 class TestCandidateKey:
     def test_blank_candidate(self):
         assert candidate_key(Candidate(learner="knn")) == "-|-|knn|default"
@@ -141,12 +149,12 @@ class TestMaterialize:
 
     def test_bad_training_data_rejected(self, registry):
         empty = self.TRAIN.subset_rows([])
-        huge = _alternating_huge_first_column()
+        huge = _lopsided_huge_first_column()
         for c, train in (
             (Candidate(learner="knn"), empty),
             (Candidate(learner="knn", meta="bagging"), empty),
             (Candidate(learner="knn", features=FeatureSet([3])), self.TRAIN),
-            (Candidate(learner="knn", scaler="minmax"), huge),  # the column's span overflows
+            (Candidate(learner="knn", scaler="standardize"), huge),  # scales some rows to -inf
         ):
             with pytest.raises(ValueError), np.errstate(over="ignore", invalid="ignore"):
                 fit_pipeline(c, train, registry)
@@ -233,17 +241,19 @@ class TestMccv:
 
     def test_non_finite_scaler_output_is_failed_error(self, registry):
         cfg = EvalConfig(seed=0)
-        datasets = (_huge_first_column(), _alternating_huge_first_column())
+        datasets = (_huge_first_column(), _alternating_huge_first_column(), _lopsided_huge_first_column())
         for lid in ("knn", "logistic_regression"):  # per-fold and stacked folds
             with np.errstate(over="ignore", invalid="ignore"):
                 statuses = [
                     {s: mccv_score(Candidate(lid, scaler=s), d, cfg, registry).status for s in registry.scaler_ids()}
                     for d in datasets
                 ]
-            # standardize rescales a column whose mean overflows; minmax's span overflows
+            # standardize rescales a column whose mean overflows and minmax one
+            # whose span overflows; standardize output that overflows is an error
             assert statuses == [
                 {"standardize": "ok", "minmax": "ok", "quantile_rank": "ok"},
-                {"standardize": "ok", "minmax": "failed_error", "quantile_rank": "ok"},
+                {"standardize": "ok", "minmax": "ok", "quantile_rank": "ok"},
+                {"standardize": "failed_error", "minmax": "ok", "quantile_rank": "ok"},
             ], lid
 
     def test_timeout_status_and_monotonicity(self, registry):
@@ -506,11 +516,11 @@ class TestStackedFolds:
         folds = evaluation._fold_pairs(d, EvalConfig(seed=4))
         train, val = folds[2]
         x = train.instances.copy()
-        x[:, 0] = np.linspace(0.5e308, 1e308, train.n_rows) * np.tile([1.0, -1.0], train.n_rows)[: train.n_rows]
+        x[:, 0] = np.tile([1.5e308, 1.5e308, -1.5e308], train.n_rows)[: train.n_rows]
         folds[2] = (make_numeric_dataset(x, train.labels), val)
         events = []
         reg = self._registry(registry, events)
-        c = Candidate(learner="logistic_regression", scaler="minmax")
+        c = Candidate(learner="logistic_regression", scaler="standardize")
         with np.errstate(over="ignore", invalid="ignore"):
             s = mccv_score(c, d, EvalConfig(seed=4), reg, folds=folds)
         assert s.status == "failed_error" and events == []

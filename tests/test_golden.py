@@ -2,11 +2,12 @@
 
 Small searches run with every budget switched off, so they do the same
 evaluations however fast the code is. The sha256 of their journals
-(without ``wall_ms``) and best keys is pinned; so is the journal of a
-fixed list of logistic-regression candidates, plain and bagged, that
-covers the stacked fits. A change that alters
-search behaviour on purpose re-pins the hash and says why; a change
-meant to be a pure refactor or speed-up must leave it alone.
+(without ``wall_ms``) and best keys is pinned, and so are their stage
+traces and pool snapshots, the config of every preset, and the journal
+of a fixed list of logistic-regression candidates, plain and bagged,
+that covers the stacked fits. A change that alters search behaviour on
+purpose re-pins the hash and says why; a change meant to be a pure
+refactor or speed-up must leave it alone.
 """
 
 import hashlib
@@ -15,6 +16,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from stagedml import orchestrator
 from stagedml.components.registry import registry_default
@@ -30,6 +32,8 @@ GOLDEN_SHA256 = "4778bc5f397ea40a133de448210bba9e72a9bdcbe7f3109018985a278ec69d7
 META_VALIDATION_SHA256 = "67deef98d09aaefc581b062ef030316aadf91921f9e91e4905c43c21d0aa32e2"
 # logistic-regression candidates, plain and bagged, scored directly
 LOGISTIC_SHA256 = "819337da3ad234617a429116f25a9e99bdd79a078fc7f856f8cd68bb2f9799e1"
+# stage traces without start and end times, pool snapshots, preset configs
+TRACES_CONFIGS_SHA256 = "d7e374b35068325d6cb8399e7eff3863835ca5f994d73b76b4fa4e821acb4ec9"
 
 
 def _fixed_work(cfg: orchestrator.SchemeConfig) -> orchestrator.SchemeConfig:
@@ -51,22 +55,29 @@ def _journal(report: orchestrator.RunReport) -> list[dict]:
     return [{k: v for k, v in rec.items() if k != "wall_ms"} for rec in report.journal]
 
 
-def _run(dataset, preset: str, seed: int) -> dict:
-    report = _report(dataset, preset, seed)
-    return {"preset": preset, "best_key": report.best_key, "journal": _journal(report)}
-
-
 def _grid_dataset():
     # features on an integer grid, so knn sees many exact distance ties
     d = make_dataset("scale_sensitive", 160, 4, 5)
     return make_numeric_dataset(np.round(d.instances), d.labels)
 
 
-def test_fixed_work_journals_unchanged():
+@pytest.fixture(scope="module")
+def reports() -> list[orchestrator.RunReport]:
+    """The fixed-work runs every pin below reads, each run once."""
+    madelon = make_dataset("madelon_like", 60, 4, 3)
+    return [
+        _report(_grid_dataset(), "primitive", 3),
+        _report(_grid_dataset(), "monotone-filtering", 4),
+        _report(make_dataset("scale_sensitive", 150, 5, 11), "monotone-filtering", 11),
+        _report(madelon, "single-meta", 3),
+        _report(madelon, "single-validation", 3),
+    ]
+
+
+def test_fixed_work_journals_unchanged(reports):
     runs = [
-        _run(_grid_dataset(), "primitive", 3),
-        _run(_grid_dataset(), "monotone-filtering", 4),
-        _run(make_dataset("scale_sensitive", 150, 5, 11), "monotone-filtering", 11),
+        {"preset": r.config["name"], "best_key": r.best_key, "journal": _journal(r)}
+        for r in reports[:3]
     ]
     for r in runs:
         assert r["journal"] and r["best_key"] is not None
@@ -74,11 +85,10 @@ def test_fixed_work_journals_unchanged():
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_SHA256
 
 
-def test_meta_and_validation_journals_unchanged():
-    data = make_dataset("madelon_like", 60, 4, 3)
+def test_meta_and_validation_journals_unchanged(reports):
     runs = []
-    for preset in ("single-meta", "single-validation"):
-        report = _report(data, preset, 3)
+    for report in reports[3:]:
+        preset = report.config["name"]
         finalists = [t["detail"]["finalists"] for t in report.stage_traces if t["stage_id"] == "validation"]
         runs.append(
             {
@@ -94,6 +104,20 @@ def test_meta_and_validation_journals_unchanged():
     assert runs[1]["finalists"][0]  # the holdout rescored some finalists
     blob = json.dumps(runs, sort_keys=True).encode("utf-8")
     assert hashlib.sha256(blob).hexdigest() == META_VALIDATION_SHA256
+
+
+def test_stage_traces_and_configs_unchanged(reports):
+    runs = [
+        {
+            "stage_traces": [{k: v for k, v in t.items() if k not in ("started", "ended")} for t in r.stage_traces],
+            "pool_snapshots": r.pool_snapshots,
+        }
+        for r in reports
+    ]
+    configs = [cfg.describe() for cfg in orchestrator.scheme_presets().values()]
+    # no sort_keys: the key order of traces and configs is pinned too
+    blob = json.dumps({"runs": runs, "configs": configs}).encode("utf-8")
+    assert hashlib.sha256(blob).hexdigest() == TRACES_CONFIGS_SHA256
 
 
 def test_logistic_journal_unchanged():

@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from stagedml.stages import (
     prefix_schedule,
     scalers_to_expand,
     select_best_prefix,
-    stage_run,
     tau,
 )
 from stagedml.synth import make_dataset
@@ -130,7 +130,7 @@ class TestProbing:
     def test_adds_every_base_learner(self, registry):
         data = make_dataset("separable", 40, 3, 0)
         stub = StubEvaluator()
-        pool = stage_run(ProbingStage(), CandidatePool(), ctx_for(stub, data, registry))
+        pool = ProbingStage().run(CandidatePool(), ctx_for(stub, data, registry))
         assert len(pool) == 5
         assert {e.candidate.learner for e in pool} == set(registry.base_learner_ids())
         assert all(e.candidate.scaler is None and e.candidate.features is None for e in pool)
@@ -139,14 +139,16 @@ class TestProbing:
         data = make_dataset("separable", 40, 3, 0)
         stub = StubEvaluator()
         pool = CandidatePool([entry(0.2, learner="knn")])
-        stage_run(ProbingStage(), pool, ctx_for(stub, data, registry))
+        ctx = ctx_for(stub, data, registry)
+        ProbingStage().run(pool, ctx)
         assert len(pool) == 5
         assert sum(1 for key, _ in stub.calls if key == "-|-|knn|default") == 0
+        assert ctx.trace["added"] == pool.keys()[1:]
 
     def test_zero_deadline_no_work(self, registry):
         data = make_dataset("separable", 40, 3, 0)
         stub = StubEvaluator()
-        pool = stage_run(ProbingStage(), CandidatePool(), ctx_for(stub, data, registry, deadline=Deadline(0.0)))
+        pool = ProbingStage().run(CandidatePool(), ctx_for(stub, data, registry, deadline=Deadline(0.0)))
         assert len(pool) == 0 and stub.calls == []
 
     def test_failed_learner_excluded(self, registry):
@@ -160,17 +162,20 @@ class TestProbing:
                 return super().evaluate(candidate, stage, cfg, deadline)
 
         stub = Failing()
-        pool = stage_run(ProbingStage(), CandidatePool(), ctx_for(stub, data, registry))
+        pool = ProbingStage().run(CandidatePool(), ctx_for(stub, data, registry))
         assert len(pool) == 4
         assert "-|-|decision_tree|default" not in pool
 
     def test_rerun_adds_no_duplicates(self, registry):
         data = make_dataset("separable", 40, 3, 0)
         stub = StubEvaluator()
-        pool = stage_run(ProbingStage(), CandidatePool(), ctx_for(stub, data, registry))
+        first = ctx_for(stub, data, registry)
+        pool = ProbingStage().run(CandidatePool(), first)
         n = len(pool)
-        stage_run(ProbingStage(), pool, ctx_for(stub, data, registry))
+        again = ctx_for(stub, data, registry)
+        ProbingStage().run(pool, again)
         assert len(pool) == n
+        assert first.trace["added"] == pool.keys() and again.trace["added"] == []
 
 
 class TestScaling:
@@ -198,10 +203,10 @@ class TestScaling:
     def test_stage_counts_with_stub(self, registry):
         data = make_dataset("separable", 40, 3, 0)
         stub = StubEvaluator()  # flat scores: no strict improvement anywhere
-        pool = stage_run(ProbingStage(), CandidatePool(), ctx_for(stub, data, registry))
+        pool = ProbingStage().run(CandidatePool(), ctx_for(stub, data, registry))
         calls_before = len(stub.calls)
         ctx = ctx_for(stub, data, registry)
-        stage_run(ScalingStage(include_best_pilot=False), pool, ctx)
+        ScalingStage(include_best_pilot=False).run(pool, ctx)
         # 3 scalers x 2 pilots, no expansion under flat scores
         assert len(stub.calls) - calls_before == 6
         assert ctx.trace["expanded_scalers"] == []
@@ -210,9 +215,9 @@ class TestScaling:
         data = make_dataset("separable", 40, 3, 0)
         table = {"standardize|-|knn|default": 0.1}  # all others 0.5
         stub = StubEvaluator(table)
-        pool = stage_run(ProbingStage(), CandidatePool(), ctx_for(stub, data, registry))
+        pool = ProbingStage().run(CandidatePool(), ctx_for(stub, data, registry))
         ctx = ctx_for(stub, data, registry)
-        stage_run(ScalingStage(include_best_pilot=False), pool, ctx)
+        ScalingStage(include_best_pilot=False).run(pool, ctx)
         assert ctx.trace["expanded_scalers"] == ["standardize"]
         expanded_keys = {k for k, _ in stub.calls if k.startswith("standardize|")}
         # pilots (knn, gaussian_nb) plus the 3 non-pilot learners
@@ -228,7 +233,7 @@ class TestScaling:
         data = make_dataset("separable", 40, 3, 0)
         stub = StubEvaluator()
         ctx = ctx_for(stub, data, registry)
-        pool = stage_run(ScalingStage(include_best_pilot=False), CandidatePool(), ctx)
+        pool = ScalingStage(include_best_pilot=False).run(CandidatePool(), ctx)
         raw_pilot_calls = [k for k, _ in stub.calls if k in ("-|-|knn|default", "-|-|gaussian_nb|default")]
         assert len(raw_pilot_calls) == 2
         assert "-|-|knn|default" in pool
@@ -236,9 +241,9 @@ class TestScaling:
     def test_real_expansion_on_scale_sensitive_data(self, registry):
         data = make_dataset("scale_sensitive", 120, 5, 0)
         ev = Evaluator(registry=registry, dataset=data, cfg=EvalConfig(seed=3))
-        pool = stage_run(ProbingStage(), CandidatePool(), ctx_for(ev, data, registry))
+        pool = ProbingStage().run(CandidatePool(), ctx_for(ev, data, registry))
         ctx = ctx_for(ev, data, registry)
-        stage_run(ScalingStage(), pool, ctx)
+        ScalingStage().run(pool, ctx)
         assert "standardize" in ctx.trace["expanded_scalers"]
 
 
@@ -309,7 +314,7 @@ class TestFilteringStage:
         stub = FullWidth()
         ctx = ctx_for(stub, data, registry)
         pool = CandidatePool([entry(0.2, learner="knn")])
-        stage_run(FilteringStage(), pool, ctx)
+        FilteringStage().run(pool, ctx)
         assert ctx.trace["feature_set"] == [0, 1, 2]
         assert pool.keys() == ["-|-|knn|default"]  # twin == original, dedup
 
@@ -338,17 +343,33 @@ class TestFilteringStage:
             entry(0.2, learner="decision_tree"),
         ])
         ctx = ctx_for(stub, data, registry)
-        stage_run(FilteringStage(), pool, ctx)
+        FilteringStage().run(pool, ctx)
         twins = [e for e in pool if e.candidate.features is not None]
         assert {t.candidate.learner for t in twins} == {"gaussian_nb", "decision_tree"}
+
+    def test_curve_cut_off_with_empty_pool_sets_deadline_hit(self, registry):
+        # one filter, and a deadline that lapses after the curve's first
+        # point: only the curve's own check sees it, no later check runs
+        data = make_numeric_dataset(np.arange(120.0).reshape(40, 3), [0, 1] * 20)
+        one_filter = replace(registry, filters={"variance": registry.filters["variance"]})
+        stub = StubEvaluator()
+
+        class LapsesAfterFirstCall:
+            def expired(self):
+                return bool(stub.calls)
+
+        ctx = ctx_for(stub, data, one_filter, deadline=LapsesAfterFirstCall())
+        FilteringStage().run(CandidatePool(), ctx)
+        assert len(stub.calls) == 1 and len(ctx.trace["curves"][0]["points"]) == 1
+        assert ctx.trace.get("deadline_hit") is True
 
     def test_madelon_twin_quality(self, registry):
         data = make_dataset("madelon_like", 300, 40, 0)
         ev = Evaluator(registry=registry, dataset=data, cfg=EvalConfig(seed=7))
-        pool = stage_run(ProbingStage(), CandidatePool(), ctx_for(ev, data, registry))
+        pool = ProbingStage().run(CandidatePool(), ctx_for(ev, data, registry))
         best_before = pool.best()
         ctx = ctx_for(ev, data, registry)
-        stage_run(FilteringStage(), pool, ctx)
+        FilteringStage().run(pool, ctx)
         twin = pool.get(candidate_key(best_before.candidate.with_features(
             FeatureSet(ctx.trace["feature_set"])
         )))
@@ -362,7 +383,7 @@ class TestMetaStage:
         data = make_dataset("separable", 40, 3, 0)
         stub = StubEvaluator()
         pool = CandidatePool([entry(0.2, learner="knn")])
-        stage_run(MetaStage(), pool, ctx_for(stub, data, registry))
+        MetaStage().run(pool, ctx_for(stub, data, registry))
         assert len(stub.calls) == 2
         metas = {e.candidate.meta for e in pool if e.candidate.meta}
         assert metas == {"bagging", "adaboost"}
@@ -371,7 +392,7 @@ class TestMetaStage:
         data = make_dataset("separable", 40, 3, 0)
         stub = StubEvaluator()
         pool = CandidatePool([entry(0.2, learner="knn", meta="bagging")])
-        stage_run(MetaStage(), pool, ctx_for(stub, data, registry))
+        MetaStage().run(pool, ctx_for(stub, data, registry))
         assert stub.calls == []
 
     def test_feature_slots_untouched(self, registry):
@@ -380,7 +401,7 @@ class TestMetaStage:
         pool = CandidatePool([
             entry(0.2, learner="knn", scaler="standardize", features=FeatureSet([0, 2])),
         ])
-        stage_run(MetaStage(), pool, ctx_for(stub, data, registry))
+        MetaStage().run(pool, ctx_for(stub, data, registry))
         wrapped = [e for e in pool if e.candidate.meta]
         assert all(e.candidate.scaler == "standardize" for e in wrapped)
         assert all(e.candidate.features == FeatureSet([0, 2]) for e in wrapped)
@@ -403,7 +424,7 @@ class TestTuningStage:
         data = make_dataset("separable", 40, 3, 0)
         stub = StubEvaluator()
         pool = CandidatePool([entry(0.4, learner="knn")])
-        stage_run(TuningStage(), pool, ctx_for(stub, data, registry))
+        TuningStage().run(pool, ctx_for(stub, data, registry))
         tuned_calls = [k for k, s in stub.calls if s == "tuning"]
         assert len(tuned_calls) == 6  # grid of 7 minus the default k=5
         assert "-|-|knn|k=5" not in tuned_calls
@@ -412,7 +433,7 @@ class TestTuningStage:
         data = make_dataset("separable", 40, 3, 0)
         stub = StubEvaluator()
         pool = CandidatePool([entry(0.4, learner="knn")])
-        stage_run(TuningStage(), pool, ctx_for(stub, data, registry, deadline=Deadline(0.0)))
+        TuningStage().run(pool, ctx_for(stub, data, registry, deadline=Deadline(0.0)))
         assert stub.calls == []
         assert len(pool) == 1
 
@@ -421,7 +442,7 @@ class TestTuningStage:
         table = {"-|-|knn|k=1": 0.1, "-|-|knn|k=3": 0.9}
         stub = StubEvaluator(table)
         pool = CandidatePool([entry(0.4, learner="knn")])
-        stage_run(TuningStage(), pool, ctx_for(stub, data, registry))
+        TuningStage().run(pool, ctx_for(stub, data, registry))
         assert "-|-|knn|k=1" in pool
         assert "-|-|knn|k=3" not in pool
         assert "-|-|knn|default" in pool  # incumbent retained
@@ -430,7 +451,7 @@ class TestTuningStage:
         data = make_dataset("separable", 40, 3, 0)
         stub = StubEvaluator()
         pool = CandidatePool([entry(0.4, learner="gaussian_nb")])
-        stage_run(TuningStage(), pool, ctx_for(stub, data, registry))
+        TuningStage().run(pool, ctx_for(stub, data, registry))
         assert stub.calls == []
 
     def test_random_search_improves_bad_learning_rate(self, registry):
@@ -445,14 +466,14 @@ class TestTuningStage:
         bad_score = ev.evaluate(bad, stage="probing")
         pool = CandidatePool([ScoredCandidate(bad, bad_score, "probing")])
         ctx = ctx_for(ev, data, registry, seed=9)
-        stage_run(TuningStage(max_evals=30), pool, ctx)
+        TuningStage(max_evals=30).run(pool, ctx)
         assert pool.best().score.mean < bad_score.mean
 
     def test_max_evals_respected_for_random_spaces(self, registry):
         data = make_dataset("separable", 40, 3, 0)
         stub = StubEvaluator()
         pool = CandidatePool([entry(0.4, learner="logistic_regression")])
-        stage_run(TuningStage(max_evals=5), pool, ctx_for(stub, data, registry))
+        TuningStage(max_evals=5).run(pool, ctx_for(stub, data, registry))
         assert len(stub.calls) <= 5
 
 
@@ -470,7 +491,7 @@ class TestValidationStage:
         ev = Evaluator(registry=registry, dataset=data, cfg=EvalConfig(seed=1))
         pool = self._pool([0.3, 0.1, 0.4])
         ctx = ctx_for(ev, data, registry, holdout=holdout, validation=ValidationConfig(m=1))
-        out = stage_run(ValidationStage(), pool, ctx)
+        out = ValidationStage().run(pool, ctx)
         assert len(out) == 1
         assert out.entries()[0].candidate.learner == "gaussian_nb"
 
@@ -480,7 +501,7 @@ class TestValidationStage:
         ev = Evaluator(registry=registry, dataset=data, cfg=EvalConfig(seed=1))
         pool = self._pool([0.2, 0.2])
         ctx = ctx_for(ev, data, registry, holdout=holdout, validation=ValidationConfig(m=2))
-        out = stage_run(ValidationStage(), pool, ctx)
+        out = ValidationStage().run(pool, ctx)
         entries = out.entries()
         assert len(entries) == 2
         assert entries[0].phi_validate <= entries[1].phi_validate
@@ -491,7 +512,7 @@ class TestValidationStage:
         ev = Evaluator(registry=registry, dataset=data, cfg=EvalConfig(seed=1))
         pool = self._pool([0.10, 0.11])
         ctx = ctx_for(ev, data, registry, holdout=holdout, validation=ValidationConfig(n_bar=1, m=2))
-        out = stage_run(ValidationStage(), pool, ctx)
+        out = ValidationStage().run(pool, ctx)
         entries = out.entries()
         assert ctx.trace["omega"] == 1.0
         assert [e.final_score for e in entries] == [e.phi_validate for e in entries]
@@ -502,7 +523,7 @@ class TestValidationStage:
         pool = self._pool([0.3])
         ctx = ctx_for(ev, data, registry, holdout=None)
         with pytest.warns(UserWarning, match="holdout empty"):
-            out = stage_run(ValidationStage(), pool, ctx)
+            out = ValidationStage().run(pool, ctx)
         assert out is pool
         assert ctx.trace["skipped"] == "holdout empty"
 
@@ -513,7 +534,7 @@ class TestValidationStage:
         pool = self._pool([0.25, 0.3])
         vcfg = ValidationConfig(m=2, n_bar=10000)
         ctx = ctx_for(ev, data, registry, holdout=holdout, validation=vcfg)
-        out = stage_run(ValidationStage(), pool, ctx)
+        out = ValidationStage().run(pool, ctx)
         w = omega(20, 110, 10000)
         for e in out:
             assert e.final_score == pytest.approx(
@@ -540,9 +561,43 @@ class TestValidationStage:
         ctx = ctx_for(
             StubEvaluator(), data, slow, holdout=holdout, validation=ValidationConfig(m=1), deadline=stage_deadline
         )
-        out = stage_run(ValidationStage(), pool, ctx)
+        out = ValidationStage().run(pool, ctx)
         assert ctx.trace.get("deadline_hit") is True
         assert ctx.trace["finalists"] == [] and len(out) == 0
+
+
+@pytest.mark.parametrize(
+    "stage, filled",
+    [
+        (ProbingStage(), True),
+        (ScalingStage(), True),
+        (FilteringStage(), True),
+        (FilteringStage(), False),
+        (MetaStage(), True),
+        (TuningStage(), True),
+        (ValidationStage(), True),
+    ],
+    ids=["probing", "scaling", "filtering", "filtering-empty-pool", "meta", "tuning", "validation"],
+)
+def test_lapsed_stage_deadline_stops_work_and_is_recorded(registry, stage, filled):
+    data = make_dataset("separable", 40, 3, 0)
+    stub = StubEvaluator()
+    pool = CandidatePool([entry(0.2, learner="knn"), entry(0.3, learner="logistic_regression")] if filled else [])
+    keys = pool.keys()
+    ctx = ctx_for(
+        stub,
+        data,
+        registry,
+        holdout=make_dataset("separable", 20, 3, 1),
+        validation=ValidationConfig(),
+        deadline=Deadline(0.0),
+    )
+    out = stage.run(pool, ctx)
+    assert stub.calls == [] and ctx.trace.get("finalists", []) == []
+    assert pool.keys() == keys
+    # the validation stage returns a new, terminal pool: nothing was rescored
+    assert out is pool if stage.stage_id != "validation" else len(out) == 0
+    assert ctx.trace.get("deadline_hit") is True
 
 
 def test_pool_min_never_worsens_across_stages(registry):
@@ -551,7 +606,7 @@ def test_pool_min_never_worsens_across_stages(registry):
     pool = CandidatePool()
     best = float("inf")
     for stage in (ProbingStage(), ScalingStage(), FilteringStage(), MetaStage(), TuningStage(max_evals=4)):
-        pool = stage_run(stage, pool, ctx_for(ev, data, registry, seed=3))
+        pool = stage.run(pool, ctx_for(ev, data, registry, seed=3))
         current = pool.best().score.mean
         assert current <= best + 1e-12
         best = min(best, current)
