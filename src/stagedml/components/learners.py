@@ -4,29 +4,38 @@ Every fit is a pure function of (X, y, params, seed); all internal
 randomness comes from the seeded splitmix64 stream and every argmax
 breaks ties toward the smallest class index, so repeated fits are
 bit-identical. Long fits cooperate with an optional deadline, checking
-it between coarse work units (per tree, per epoch, per prediction
-chunk).
+it between coarse work units (per growth step, per epoch, per
+prediction chunk).
 
-Logistic regression also fits a stack of equal-sized independent
-problems, (r, n, d), in one call whose numpy operations serve all r at
-once; each slice comes out bit-identical to fitting it alone, so callers
-with many small fits (the folds of one evaluation, the estimators of one
-bagging ensemble) may stack them. ``LearnerSpec.stacks`` marks it.
+Logistic regression, decision trees and random forests also fit a stack
+of equal-sized independent problems in one call: ``X`` (r, n, d), ``y``
+(r, n) and ``seed`` a sequence of r seeds, one per slice (logistic
+regression and decision trees draw nothing and ignore them). Their
+models map (r, m, d) rows to (r, m) predictions, and each slice comes
+out bit-identical to fitting it alone with its seed, so callers with
+many small fits (the folds of one evaluation, the estimators of one
+bagging ensemble) may stack them. ``LearnerSpec.stacks`` marks them.
+Logistic regression serves all r with each numpy call of an epoch;
+trees of all slices grow in lockstep, one split search for the next
+node of every tree.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from stagedml.rng import Rng
+from stagedml.rng import below, next_u64_block, randbelow_block, shuffled_block, streams
 from stagedml.timing import Deadline
 
 _PREDICT_CHUNK = 512
-_SPLIT_BLOCK = 1 << 16
+# most (feature, row, class) cells of one split-search block, and most rows
+# of one lockstep step: a search holds about 15 temporaries of this size
+_SPLIT_BLOCK = 1 << 14
+# most (tree, row) pairs descending a stacked forest at once
+_DESCENT_CELLS = 1 << 16
 
 
 def _check_columns(model_columns: int, rows: np.ndarray) -> np.ndarray:
@@ -138,132 +147,367 @@ def fit_gaussian_nb(X, y, n_classes, params, seed=0, deadline=None) -> GaussianN
 
 
 # ---------------------------------------------------------------------------
-# CART-style decision tree (Gini)
+# CART-style decision trees (Gini) and random forests, grown in lockstep
+
+
+def as_stack(X, y, seed) -> tuple[np.ndarray, np.ndarray, list[int], bool]:
+    """``(X, y, seeds, stacked)`` of a fit: a stack (r, n, d) with its
+    sequence of r seeds, or one (n, d) problem as a stack of one."""
+    if X.ndim == 3:
+        return X, y, [int(s) for s in seed], True
+    return X[None], y[None], [int(seed)], False
 
 
 @dataclass
-class _TreeNode:
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_TreeNode | None" = None
-    right: "_TreeNode | None" = None
-    label: int = -1
+class ForestModel:
+    """Trees as flat node arrays, each tree one pre-order block.
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature < 0
+    Node i is a leaf when ``feature[i]`` is -1; a leaf points to itself in
+    ``left`` and ``right``. Otherwise rows whose value in column
+    ``feature[i]`` is at most ``threshold[i]`` go to ``left[i]`` and the
+    rest to ``right[i]``. ``label`` is the majority class of a node's
+    training rows, ``roots[s, t]`` the root of tree t of the forest of
+    stack slice s, and ``depth`` the most splits on any root-to-leaf path.
+    A decision tree is a forest of one tree.
+    """
 
-
-@dataclass
-class DecisionTreeModel:
-    root: _TreeNode
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    label: np.ndarray
+    roots: np.ndarray  # (r, n_trees)
+    depth: int
     n_features: int
     n_classes: int
+    stacked: bool
 
     @property
     def n_columns(self) -> int:
         return self.n_features
 
     def predict(self, rows: np.ndarray, deadline: Deadline | None = None) -> np.ndarray:
-        rows = _check_columns(self.n_features, rows)
-        out = np.empty(rows.shape[0], dtype=np.int64)
-        self._apply(self.root, rows, np.arange(rows.shape[0]), out)
-        return out
+        """Majority vote of the trees, ties to the smaller class index:
+        (m, d) rows -> (m,). A stack of r forests maps (r, m, d) rows to
+        (r, m), slice i by forest i, and (m, d) rows to (r, m), every forest
+        on the same rows. All rows descend all trees one level at a time."""
+        r = self.roots.shape[0]
+        rows = np.asarray(rows, dtype=np.float64)
+        per_slice = self.stacked and rows.ndim == 3
+        if per_slice and (rows.shape[0] != r or rows.shape[2] != self.n_features):
+            raise ValueError(
+                f"prediction input has shape {rows.shape}, model stack is {r} forests on {self.n_features} columns"
+            )
+        rows = np.ascontiguousarray(rows if per_slice else _check_columns(self.n_features, rows))
+        m, d = rows.shape[-2:]
+        k = self.n_classes
+        flat = rows.reshape(-1)
+        feature = np.maximum(self.feature, 0)
+        out = np.empty((r, m), dtype=np.int64)
+        chunk = max(1, _DESCENT_CELLS // self.roots.size)
+        for lo in range(0, m, chunk):
+            c = min(chunk, m - lo)
+            at = np.arange(lo, lo + c) * d
+            if per_slice:
+                at = at + (np.arange(r) * (m * d))[:, None, None]
+            node = np.repeat(self.roots[:, :, None], c, axis=2)
+            for _ in range(self.depth):
+                if deadline is not None:
+                    deadline.check()
+                go_left = flat[at + feature[node]] <= self.threshold[node]
+                node = np.where(go_left, self.left[node], self.right[node])
+            slot = np.arange(r * c).reshape(r, 1, c) * k
+            votes = np.bincount((slot + self.label[node]).ravel(), minlength=r * c * k)
+            out[:, lo : lo + c] = np.argmax(votes.reshape(r, c, k), axis=2)
+        return out if self.stacked else out[0]
 
-    def _apply(self, node: _TreeNode, rows: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
-        if node.is_leaf:
-            out[idx] = node.label
-            return
-        go_left = rows[idx, node.feature] <= node.threshold
-        self._apply(node.left, rows, idx[go_left], out)
-        self._apply(node.right, rows, idx[~go_left], out)
+
+def _sum_classes(q: np.ndarray) -> np.ndarray:
+    """``q`` summed over its first (class) axis with the rounding of
+    numpy's sum over a contiguous last axis, which the split search has
+    always used: numpy adds fewer than 8 terms in order and more pairwise,
+    so only those go through a class-last copy."""
+    if q.shape[0] >= 8:
+        return np.ascontiguousarray(np.moveaxis(q, 0, -1)).sum(axis=-1)
+    total = q[0].copy()
+    for c in range(1, q.shape[0]):
+        total += q[c]
+    return total
 
 
-def _majority(counts: np.ndarray) -> int:
-    return int(np.argmax(counts))
+def _score_block(X, y, n_classes, rows, sizes, features) -> tuple[np.ndarray, np.ndarray]:
+    """Best gain and threshold of node j on its i-th candidate feature, as
+    (F, J) arrays; see ``_best_splits``."""
+    n_nodes, n_features = features.shape
+    n_rows = rows.size
+    node_of = np.arange(n_nodes).repeat(sizes)
+    first = sizes.cumsum() - sizes
+    labels = y[rows]
+    counts = np.bincount(node_of * n_classes + labels, minlength=n_nodes * n_classes)
+    counts = counts.reshape(n_nodes, n_classes).astype(np.float64)
+    gini = 1.0 - ((counts / sizes[:, None]) ** 2).sum(axis=1)
+    # segment (i, j), node j's rows on its i-th feature, is one stretch of
+    # row i: sort each row by value, then stably by node (a radix sort)
+    values = X[rows, features[node_of].T]
+    order = values.argsort(axis=1)
+    at = np.arange(n_features)[:, None]
+    order = order[at, node_of.astype(np.min_scalar_type(n_nodes))[order].argsort(axis=1, kind="stable")]
+    values = values[at, order]
+    # class-major cumulative counts; a node's left side after sorted row p
+    onehot = labels[order] == np.arange(n_classes)[:, None, None]
+    cum = np.zeros((n_classes, n_features, n_rows + 1))
+    onehot.cumsum(axis=2, dtype=np.float64, out=cum[:, :, 1:])
+    left = cum[:, :, 1:] - cum[:, :, first[node_of]]
+    right = counts.T[:, None, node_of] - left
+    left_n = (np.arange(1, n_rows + 1) - first[node_of]).astype(np.float64)
+    n = sizes[node_of].astype(np.float64)
+    # a node's last row has no right side: scored with right_n 1, never picked
+    right_n = np.maximum(n - left_n, 1.0)
+    gini_left = 1.0 - _sum_classes((left / left_n) ** 2)
+    gini_right = 1.0 - _sum_classes((right / right_n) ** 2)
+    gains = gini[node_of] - (left_n * gini_left + right_n * gini_right) / n
+    # only a change of value within a node is a threshold
+    invalid = np.empty(values.shape, dtype=bool)
+    invalid[:, :-1] = values[:, 1:] == values[:, :-1]
+    invalid |= left_n == n
+    gains[invalid] = -np.inf
+    best = np.maximum.reduceat(gains, first, axis=1)
+    pick = np.minimum.reduceat(np.where(gains == best[:, node_of], np.arange(n_rows), n_rows), first, axis=1)
+    return best, (values[at, pick] + values[at, pick + 1]) / 2.0
 
 
-def _best_split(X, y, idx, n_classes, feature_ids) -> tuple[int, float, float]:
-    """Best (feature, threshold, gain) over candidate features.
+def _best_splits(X, y, n_classes, rows, sizes, features) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The best Gini split of each node of a batch.
 
-    Gain is the Gini impurity reduction; ties keep the first candidate
-    (lowest feature id, then lowest threshold). Returns gain -inf when
-    no feature admits a valid split. Features are scored in blocks of
-    at most ``_SPLIT_BLOCK`` (feature, row, class) cells at a time.
+    Node j holds the ``sizes[j]`` (at least two) rows of ``X`` and ``y``
+    listed next in ``rows``, and ``features[j]`` its candidate features in
+    ascending order, as many for every node. Returns (feature, threshold,
+    gain) arrays, one entry per node: the split of largest Gini impurity
+    reduction, ties to the lowest feature id, then the lowest threshold;
+    feature -1 and gain -inf where no candidate feature takes two values.
+
+    A (node, feature) pair is a segment of rows. Groups of nodes are
+    scored in blocks of features, a block holding at most ``_SPLIT_BLOCK``
+    (row, class) cells unless one feature of one node is larger. Within a
+    block the rows of all nodes on one feature are sorted by value and
+    then stably by node, which sorts every segment; one cumulative class
+    count runs over them and each segment subtracts the count at its
+    start. So nodes of any mix of sizes are scored together without
+    padding.
     """
-    y_node = y[idx]
-    n = idx.size
-    counts = np.bincount(y_node, minlength=n_classes).astype(np.float64)
-    gini_node = 1.0 - np.sum((counts / n) ** 2)
-    best_gain = -np.inf
-    best_feature = -1
-    best_threshold = 0.0
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), y_node] = 1.0
-    # the split after sorted position b - 1 has b rows on the left
-    left_n = np.arange(1.0, n)
-    right_n = n - left_n
-    features = np.fromiter(feature_ids, dtype=np.int64)
-    step = max(1, _SPLIT_BLOCK // (n * n_classes))
-    for lo in range(0, features.size, step):
-        block = features[lo : lo + step]
-        cols = X[idx[None, :], block[:, None]]
-        order = np.argsort(cols, axis=1, kind="stable")
-        vs = cols[np.arange(block.size)[:, None], order]
-        left_counts = np.cumsum(onehot[order], axis=1)[:, :-1]
-        right_counts = counts - left_counts
-        gini_left = 1.0 - np.sum((left_counts / left_n[:, None]) ** 2, axis=2)
-        gini_right = 1.0 - np.sum((right_counts / right_n[:, None]) ** 2, axis=2)
-        gains = gini_node - (left_n * gini_left + right_n * gini_right) / n
-        # only a change of value is a threshold
-        gains[vs[:, 1:] == vs[:, :-1]] = -np.inf
-        pos = np.argmax(gains, axis=1)
-        top = gains[np.arange(block.size), pos]
-        f = int(np.argmax(top))
-        if top[f] > best_gain:
-            best_gain = float(top[f])
-            best_feature = int(block[f])
-            b = pos[f] + 1
-            best_threshold = float((vs[f, b - 1] + vs[f, b]) / 2.0)
-    return best_feature, best_threshold, best_gain
+    sizes = np.asarray(sizes, dtype=np.int64)
+    features = np.asarray(features, dtype=np.int64)
+    n_nodes, n_features = features.shape
+    gains = np.empty((n_features, n_nodes))
+    thresholds = np.empty((n_features, n_nodes))
+    ends = sizes.cumsum()
+    lo = 0
+    while lo < n_nodes:
+        start = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(ends.searchsorted(start + _SPLIT_BLOCK // n_classes, side="right")))
+        block = max(1, _SPLIT_BLOCK // ((ends[hi - 1] - start) * n_classes))
+        for f in range(0, n_features, block):
+            gains[f : f + block, lo:hi], thresholds[f : f + block, lo:hi] = _score_block(
+                X, y, n_classes, rows[start : ends[hi - 1]], sizes[lo:hi], features[lo:hi, f : f + block]
+            )
+        lo = hi
+    at = np.arange(n_nodes)
+    best = gains.argmax(axis=0)
+    gain = gains[best, at]
+    found = gain > -np.inf
+    return np.where(found, features[at, best], -1), np.where(found, thresholds[best, at], 0.0), gain
 
 
-def _grow_tree(X, y, idx, n_classes, depth, max_depth, min_split, feature_sampler, rng, deadline):
-    counts = np.bincount(y[idx], minlength=n_classes)
-    node = _TreeNode(label=_majority(counts))
-    pure = int(np.count_nonzero(counts)) <= 1
-    depth_ok = max_depth <= 0 or depth < max_depth
-    if pure or not depth_ok or idx.size < min_split:
-        return node
-    if deadline is not None:
-        # raising (not truncating) keeps fitted trees a pure function of
-        # (data, params, seed); a lapsed budget fails the whole evaluation
-        deadline.check()
-    feature_ids = feature_sampler(rng) if feature_sampler is not None else range(X.shape[1])
-    feature, threshold, gain = _best_split(X, y, idx, n_classes, feature_ids)
-    if feature < 0:
-        # impure node but no feature separates the rows anywhere: leaf
-        return node
-    go_left = X[idx, feature] <= threshold
-    left_idx = idx[go_left]
-    right_idx = idx[~go_left]
-    if left_idx.size == 0 or right_idx.size == 0:
-        return node
-    node.feature = feature
-    node.threshold = threshold
-    node.left = _grow_tree(X, y, left_idx, n_classes, depth + 1, max_depth, min_split, feature_sampler, rng, deadline)
-    node.right = _grow_tree(X, y, right_idx, n_classes, depth + 1, max_depth, min_split, feature_sampler, rng, deadline)
-    return node
+def _push(pending: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """``new`` entries on top of their lanes' stacks in ``pending``, whose
+    rows stay grouped by lane, bottom of each stack first."""
+    both = np.concatenate([pending, new])
+    return both[np.argsort(both[:, 0], kind="stable")]
 
 
-def fit_decision_tree(X, y, n_classes, params, seed=0, deadline=None) -> DecisionTreeModel:
-    max_depth = int(params["max_depth"])  # 0 means unbounded
-    min_split = int(params["min_split"])
-    root = _grow_tree(
-        X, y, np.arange(X.shape[0]), n_classes, 0, max_depth, max(2, min_split), None, None, deadline
+def _grow(X, y, n_classes, seed, n_trees, max_depth, min_split, n_sampled, bootstrap, deadline) -> ForestModel:
+    """``n_trees`` trees for every slice of a stack, grown in lockstep.
+
+    Tree t of a forest grows on a bootstrap of n ``randbelow(n)`` draws
+    from the slice's stream (with ``bootstrap``; otherwise on all rows),
+    and each node it searches then draws its ``n_sampled`` candidate
+    features by a Fisher-Yates shuffle of range(d) from the same stream,
+    in pre-order. Those nodes must therefore be searched one at a time,
+    in pre-order: a lane is such a sequence, and each step searches the
+    next pending node of every lane at once. When nodes draw nothing
+    (``n_sampled >= d``), each tree is a lane of its own, whose bootstrap
+    begins at a known stream position, and a step searches all its
+    pending nodes. A node stays a leaf without search when it is pure, at
+    ``max_depth`` (0: unbounded) or smaller than ``min_split``, and after
+    search when no feature separates its rows or its threshold sends them
+    all one way. The deadline is checked once per step; raising (not
+    truncating) keeps a fitted tree a pure function of (data, params,
+    seed), and a lapsed budget fails the whole evaluation.
+    """
+    X, y, seeds, stacked = as_stack(X, y, seed)
+    r, n, d = X.shape
+    k = n_classes
+    X = np.ascontiguousarray(X, dtype=np.float64).reshape(r * n, d)
+    y = np.asarray(y, dtype=np.int64).reshape(r * n)
+    draws = n_sampled < d
+    per_forest = n_trees if bootstrap and not draws else 1  # lanes
+    lane_forest = np.repeat(np.arange(r), per_forest)
+    next_tree = np.tile(np.arange(per_forest), r)
+    last_tree = next_tree + n_trees // per_forest
+    if bootstrap:
+        states = streams([seeds[f] for f in lane_forest], next_tree * n)
+    roots = np.empty(r * n_trees, dtype=np.int64)
+    labels, splits = [], []
+    n_nodes = 0
+
+    def make(counts, depth):
+        """New nodes with these class counts at this depth, and which of
+        them need a split search."""
+        nonlocal n_nodes
+        ids = np.arange(n_nodes, n_nodes + len(counts))
+        n_nodes += len(counts)
+        labels.append(counts.argmax(axis=1))
+        size = counts.sum(axis=1)
+        grows = (counts.max(axis=1) < size) & (size >= min_split)
+        return ids, size, grows & (depth < max_depth) if max_depth > 0 else grows
+
+    # the Fisher-Yates draws that settle which features a node samples
+    bounds = np.arange(d, n_sampled, -1, dtype=np.uint64)
+    # lanes grow a group at a time, so a step holds at most _SPLIT_BLOCK rows
+    group = max(1, _SPLIT_BLOCK // n)
+    for first_lane in range(0, lane_forest.size, group):
+        lanes = np.arange(first_lane, min(first_lane + group, lane_forest.size))
+        # the rows (of X) of each lane's current tree; a node's rows are a range of them
+        samples = np.empty((lanes.size, n), dtype=np.int64)
+        flat_samples = samples.reshape(-1)
+        # pending nodes, one row each: lane, node id, first row in the lane's
+        # samples, row count, depth; grouped by lane, each lane's top last
+        pending = np.empty((0, 5), dtype=np.int64)
+        while True:
+            busy = np.zeros(lane_forest.size, dtype=bool)
+            busy[pending[:, 0]] = True
+            idle = lanes[~busy[lanes] & (next_tree[lanes] < last_tree[lanes])]
+            while idle.size:
+                forest_rows = (lane_forest[idle] * n)[:, None]
+                if bootstrap:
+                    lane_states = states[idle]
+                    rows = np.sort(randbelow_block(lane_states, n, n), axis=1) + forest_rows
+                    states[idle] = lane_states
+                else:
+                    rows = np.arange(n) + forest_rows
+                samples[idle - first_lane] = rows
+                slot = (np.arange(idle.size) * k)[:, None]
+                counts = np.bincount((slot + y[rows]).reshape(-1), minlength=idle.size * k).reshape(-1, k)
+                entries = np.zeros((idle.size, 5), dtype=np.int64)
+                entries[:, 0] = idle
+                entries[:, 1], entries[:, 3], grows = make(counts, entries[:, 4])
+                roots[lane_forest[idle] * n_trees + next_tree[idle]] = entries[:, 1]
+                next_tree[idle] += 1
+                pending = _push(pending, entries[grows])
+                idle = idle[~grows & (next_tree[idle] < last_tree[idle])]
+            if not pending.size:
+                break
+            if deadline is not None:
+                deadline.check()
+            if draws:
+                top = np.empty(len(pending), dtype=bool)
+                top[-1] = True
+                np.not_equal(pending[1:, 0], pending[:-1, 0], out=top[:-1])
+                nodes, pending = pending[top], pending[~top]
+                lane_states = states[nodes[:, 0]]
+                picks = below(next_u64_block(lane_states, d - 1)[:, : bounds.size], bounds)
+                states[nodes[:, 0]] = lane_states
+                features = np.sort(shuffled_block(picks, d)[:, :n_sampled], axis=1)
+            else:
+                nodes, pending = pending, pending[:0]
+                features = np.arange(d)[None, :].repeat(len(nodes), axis=0)
+            size = nodes[:, 3]
+            node_of = np.arange(len(nodes)).repeat(size)
+            at = ((nodes[:, 0] - first_lane) * n + nodes[:, 2] - size.cumsum() + size).repeat(size)
+            at += np.arange(node_of.size)
+            rows = flat_samples[at]
+            feature, threshold, _ = _best_splits(X, y, k, rows, size, features)
+            go_left = X[rows, feature[node_of]] <= threshold[node_of]
+            left_n = np.bincount(node_of[go_left], minlength=len(nodes))
+            split = (feature >= 0) & (left_n > 0) & (left_n < size)
+            if not split.any():
+                continue
+            cells = split[node_of]
+            side = ~go_left[cells]
+            # stable partition of each split node's rows: the left child's first
+            flat_samples[at[cells]] = rows[cells][(node_of[cells] * 2 + side).argsort(kind="stable")]
+            children = nodes[split].repeat(2, axis=0)  # 2i left, 2i + 1 right child of split node i
+            child = 2 * (split.cumsum() - 1)[node_of[cells]] + side
+            counts = np.bincount(child * k + y[rows[cells]], minlength=len(children) * k).reshape(-1, k)
+            children[:, 4] += 1
+            ids, children[:, 3], grows = make(counts, children[:, 4])
+            children[:, 1] = ids
+            splits.append((nodes[split, 1], nodes[split, 4], feature[split], threshold[split], ids[0::2]))
+            children[1::2, 2] += left_n[split]
+            # the right child below the left one, which is searched next
+            order = np.arange(len(children)) ^ 1
+            pending = _push(pending, children[order][grows[order]])
+    return _assemble(labels, splits, roots.reshape(r, n_trees), d, n_classes, stacked)
+
+
+def _assemble(labels, splits, roots, n_features, n_classes, stacked) -> ForestModel:
+    """The grown nodes, numbered in creation order, renumbered so that each
+    tree is one pre-order block and the trees follow ``roots`` row by row.
+    ``splits`` holds the split nodes, their depths, features, thresholds
+    and left children; a right child follows its left sibling. Both lists
+    are emptied once copied, and node arrays are int32: a stack of many
+    forests holds all its trees at once."""
+    label = np.concatenate(labels, dtype=np.int32)
+    records = list(zip(*splits)) or [[np.empty(0, dtype=np.int32)]] * 5
+    parent, depth, feature, left = (np.concatenate(records[i], dtype=np.int32) for i in (0, 1, 2, 4))
+    threshold = np.concatenate(records[3], dtype=np.float64)
+    labels.clear()
+    splits.clear()
+    del records
+    # subtree sizes bottom-up, then pre-order positions top-down, one depth at a time
+    levels = [np.flatnonzero(depth == level) for level in range(depth.max() + 1 if depth.size else 0)]
+    size = np.ones(label.size, dtype=np.int32)
+    for i in reversed(levels):
+        size[parent[i]] = 1 + size[left[i]] + size[left[i] + 1]
+    pos = np.empty(label.size, dtype=np.int32)
+    tree_size = size[roots.reshape(-1)]
+    pos[roots.reshape(-1)] = tree_size.cumsum() - tree_size
+    for i in levels:
+        pos[left[i]] = pos[parent[i]] + 1
+        pos[left[i] + 1] = pos[left[i]] + size[left[i]]
+    model = ForestModel(
+        feature=np.full(label.size, -1, dtype=np.int32),
+        threshold=np.zeros(label.size),
+        left=np.arange(label.size, dtype=np.int32),
+        right=np.arange(label.size, dtype=np.int32),
+        label=np.empty(label.size, dtype=np.int32),
+        roots=pos[roots],
+        depth=len(levels),
+        n_features=n_features,
+        n_classes=n_classes,
+        stacked=stacked,
     )
-    return DecisionTreeModel(root=root, n_features=X.shape[1], n_classes=n_classes)
+    model.label[pos] = label
+    at = pos[parent]
+    model.feature[at], model.threshold[at] = feature, threshold
+    model.left[at], model.right[at] = pos[left], pos[left + 1]
+    return model
 
+
+def fit_decision_tree(X, y, n_classes, params, seed=0, deadline=None) -> ForestModel:
+    """One tree on all rows, every feature a candidate at every node; draws
+    nothing, so ``seed`` is unused."""
+    max_depth = int(params["max_depth"])  # 0 means unbounded
+    min_split = max(2, int(params["min_split"]))
+    return _grow(X, y, n_classes, seed, 1, max_depth, min_split, X.shape[-1], False, deadline)
+
+
+def fit_random_forest(X, y, n_classes, params, seed=0, deadline=None) -> ForestModel:
+    n_trees = int(params["n_trees"])
+    max_depth = int(params["max_depth"])
+    fraction = float(params["feature_subsample"])
+    n_sampled = max(1, int(round(fraction * X.shape[-1])))
+    return _grow(X, y, n_classes, seed, n_trees, max_depth, 2, n_sampled, True, deadline)
 
 # ---------------------------------------------------------------------------
 # multinomial logistic regression (full-batch gradient descent)
@@ -340,54 +584,3 @@ def fit_logistic_regression(X, y, n_classes, params, seed=0, deadline=None) -> L
             step[~finite] = W[~finite]
         W = step
     return LogisticModel(weights=W if stacked else W[0], n_classes=n_classes)
-
-
-# ---------------------------------------------------------------------------
-# random forest
-
-
-@dataclass
-class RandomForestModel:
-    trees: list[DecisionTreeModel]
-    n_features: int
-    n_classes: int
-
-    @property
-    def n_columns(self) -> int:
-        return self.n_features
-
-    def predict(self, rows: np.ndarray, deadline: Deadline | None = None) -> np.ndarray:
-        rows = _check_columns(self.n_features, rows)
-        votes = np.zeros((rows.shape[0], self.n_classes), dtype=np.int64)
-        for tree in self.trees:
-            if deadline is not None:
-                deadline.check()
-            preds = tree.predict(rows)
-            votes[np.arange(rows.shape[0]), preds] += 1
-        return np.argmax(votes, axis=1).astype(np.int64)
-
-
-def fit_random_forest(X, y, n_classes, params, seed=0, deadline=None) -> RandomForestModel:
-    n_trees = int(params["n_trees"])
-    max_depth = int(params["max_depth"])
-    fraction = float(params["feature_subsample"])
-    n, d = X.shape
-    m = max(1, int(round(fraction * d)))
-    rng = Rng(seed)
-
-    def sampler(node_rng: Rng) -> Sequence[int]:
-        if m >= d:
-            return range(d)
-        pool = list(range(d))
-        node_rng.shuffle(pool)
-        return sorted(pool[:m])
-
-    trees: list[DecisionTreeModel] = []
-    for t in range(n_trees):
-        if deadline is not None:
-            deadline.check()
-        boot = sorted(rng.randbelow(n) for _ in range(n))
-        idx = np.array(boot, dtype=np.int64)
-        root = _grow_tree(X[idx], y[idx], np.arange(n), n_classes, 0, max_depth, 2, sampler, rng, deadline)
-        trees.append(DecisionTreeModel(root=root, n_features=d, n_classes=n_classes))
-    return RandomForestModel(trees=trees, n_features=d, n_classes=n_classes)

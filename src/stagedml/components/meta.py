@@ -4,18 +4,26 @@ Both wrap copies of a single base learner. Boosting uses weighted
 resampling rather than sample-weight-aware base fits, since the base
 learner catalog exposes no weight API; the weighted error is still
 computed on the full training set.
+
+Like a base learner that stacks, both fit one (n, d) problem or a stack
+of r independent ones, ``X`` (r, n, d) and ``y`` (r, n) with a sequence
+of r seeds; slice i comes out exactly as fitting it alone with seed i
+would. A base learner that stacks is fitted on stacks: bagging fits the
+estimators of all slices in stacked chunks, and boosting fits round t of
+every slice still boosting in one call. Any other base learner is fitted
+one problem at a time, so boosting with it takes one problem only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import math
-
 import numpy as np
 
-from stagedml.rng import Rng
+from stagedml.components.learners import as_stack
+from stagedml.rng import Rng, below, next_u64_block, shuffled_block, streams
 from stagedml.timing import Deadline
 
 if TYPE_CHECKING:
@@ -27,108 +35,151 @@ _STACK_CELLS = 1 << 16
 
 @dataclass
 class VotingModel:
-    models: list  # each predicts (m,) labels, or (s, m) for a stack of s estimators
-    weights: list[float]  # one per estimator, in model order
+    """Weighted vote of base models over a stack of ``n_slices`` problems.
+
+    Each member is ``(model, slices, weights)``: a stacked model whose
+    slice i votes for stack slice ``slices[i]`` with weight ``weights[i]``,
+    or, with an int ``slices``, an unstacked model of that one slice and a
+    list of its one weight. Votes add up in member order.
+    """
+
+    members: list
+    n_slices: int
     n_features: int
     n_classes: int
+    stacked: bool
 
     @property
     def n_columns(self) -> int:
         return self.n_features
 
     def predict(self, rows: np.ndarray, deadline: Deadline | None = None) -> np.ndarray:
+        """(m, d) rows -> (m,) labels; for a stack, (r, m, d) -> (r, m),
+        slice i by the members of slice i. Score ties go to the smaller
+        class index."""
         rows = np.asarray(rows, dtype=np.float64)
-        if rows.shape[1] != self.n_features:
+        if not self.stacked:
+            rows = rows[None]
+        if rows.ndim != 3 or rows.shape[0] != self.n_slices or rows.shape[2] != self.n_features:
             raise ValueError("prediction input column mismatch")
-        scores = np.zeros((rows.shape[0], self.n_classes))
-        weights = iter(self.weights)
-        for model in self.models:
+        m = rows.shape[1]
+        scores = np.zeros((self.n_slices, m, self.n_classes))
+        for model, slices, weights in self.members:
             if deadline is not None:
                 deadline.check()
-            for preds in np.atleast_2d(model.predict(rows, deadline=deadline)):
-                scores[np.arange(rows.shape[0]), preds] += next(weights)
-        return np.argmax(scores, axis=1).astype(np.int64)
+            # an unstacked vote's members all predict its one slice's rows
+            preds = model.predict(rows[slices] if self.stacked else rows[0], deadline=deadline)
+            # unbuffered, so the votes of one slice add up in estimator order
+            np.add.at(scores, (np.reshape(slices, (-1, 1)), np.arange(m), preds), np.reshape(weights, (-1, 1)))
+        labels = np.argmax(scores, axis=2).astype(np.int64)
+        return labels if self.stacked else labels[0]
 
 
 def fit_bagging(base: LearnerSpec, base_params, X, y, n_classes, params, seed=0, deadline=None) -> VotingModel:
     """Unweighted vote of base fits on row samples.
 
-    Every estimator's rows and fit seed are drawn first, in estimator
-    order. A base learner that stacks is then fitted on chunks of
-    estimators at once, each holding at most ``_STACK_CELLS`` cells of
-    sampled data, and its stacked models vote slice by slice; any other
-    base learner is fitted one estimator at a time.
+    Each slice draws every estimator's rows and fit seed first, in
+    estimator order, from its own stream. A base learner that stacks is
+    then fitted on chunks of the estimators of all slices at once, each
+    holding at most ``_STACK_CELLS`` cells of sampled data; any other base
+    learner is fitted one estimator at a time.
     """
     n_estimators = int(params["n_estimators"])
     fraction = float(params["sample_fraction"])
     replace = bool(params["replace"])
-    n, d = X.shape
+    X, y, seeds, stacked = as_stack(X, y, seed)
+    r, n, d = X.shape
     m = max(1, min(n, int(round(fraction * n))))
-    rng = Rng(seed)
-    samples, seeds = [], []
-    for _ in range(n_estimators):
-        if replace:
-            samples.append(sorted(rng.randbelow(n) for _ in range(m)))
-        else:
-            pool = list(range(n))
-            rng.shuffle(pool)
-            samples.append(sorted(pool[:m]))
-        seeds.append(rng.next_u64())
-    samples = np.array(samples, dtype=np.int64)
+    # per estimator: m row draws, or the n - 1 draws of a shuffle; then a seed
+    draws = m if replace else n - 1
+    raw = next_u64_block(streams(seeds), n_estimators * (draws + 1)).reshape(r * n_estimators, draws + 1)
+    fit_seeds = raw[:, draws].tolist()
+    if replace:
+        samples = np.sort(below(raw[:, :m], n), axis=1)
+    else:
+        samples = np.sort(shuffled_block(below(raw[:, : n - m], np.arange(n, m, -1)), n)[:, :m], axis=1)
+    owner = np.arange(r).repeat(n_estimators)
     chunk = max(1, _STACK_CELLS // max(1, m * d)) if base.stacks else 1
-    models = []
-    for lo in range(0, n_estimators, chunk):
+    members = []
+    for lo in range(0, r * n_estimators, chunk):
         if deadline is not None:
             deadline.check()
-        if base.stacks:
-            idx = samples[lo : lo + chunk]
-            models.append(base.fit(X[idx], y[idx], n_classes, base_params, deadline=deadline))
-        else:
-            idx = samples[lo]
-            models.append(base.fit(X[idx], y[idx], n_classes, base_params, seed=seeds[lo], deadline=deadline))
-    return VotingModel(models=models, weights=[1.0] * n_estimators, n_features=d, n_classes=n_classes)
+        at = slice(lo, lo + chunk)
+        rows = (owner[at, None], samples[at])
+        model, slices = _fit(base, base_params, X[rows], y[rows], n_classes, owner[at], fit_seeds[at], deadline)
+        members.append((model, slices, [1.0] * len(fit_seeds[at])))
+    return VotingModel(members=members, n_slices=r, n_features=d, n_classes=n_classes, stacked=stacked)
+
+
+def _fit(base: LearnerSpec, base_params, X, y, n_classes, slices, seeds, deadline):
+    """A base fit of the problems ``X[i], y[i]`` with ``seeds[i]``, which
+    belong to stack slices ``slices``, and the slices of its vote: one
+    stacked call when the base stacks, else one unstacked fit."""
+    if base.stacks:
+        return base.fit(X, y, n_classes, base_params, seed=seeds, deadline=deadline), np.asarray(slices)
+    if len(slices) != 1:
+        raise ValueError(f"base learner {base.id!r} does not stack")
+    return base.fit(X[0], y[0], n_classes, base_params, seed=seeds[0], deadline=deadline), int(slices[0])
 
 
 def _weighted_resample(weights: np.ndarray, n: int, rng: Rng) -> np.ndarray:
+    """n rows drawn with probability proportional to ``weights``, sorted:
+    one block of ``random()`` and one ``searchsorted``."""
     cum = np.cumsum(weights)
-    total = cum[-1]
-    draws = sorted(int(np.searchsorted(cum, rng.random() * total, side="right")) for _ in range(n))
-    return np.array([min(d, n - 1) for d in draws], dtype=np.int64)
+    draws = np.searchsorted(cum, rng.random_block(n) * cum[-1], side="right")
+    return np.minimum(np.sort(draws), n - 1)
 
 
 def fit_adaboost(base: LearnerSpec, base_params, X, y, n_classes, params, seed=0, deadline=None) -> VotingModel:
-    """Multi-class discrete boosting (SAMME weight updates)."""
+    """Multi-class discrete boosting (SAMME weight updates).
+
+    Every slice boosts with its own stream, weights and stopping round.
+    A base learner that stacks fits each round of all slices still
+    boosting in one call; a slice that stops on a round worse than chance
+    votes with weight 0 in that round, which changes no score.
+    """
     n_estimators = int(params["n_estimators"])
     lr = float(params["learning_rate"])
-    n = X.shape[0]
-    k = max(2, int(len(np.unique(y))) if n_classes < 2 else n_classes)
-    rng = Rng(seed)
-    w = np.full(n, 1.0 / n)
-    models = []
-    alphas: list[float] = []
-    for t in range(n_estimators):
+    X, y, seeds, stacked = as_stack(X, y, seed)
+    r, n, d = X.shape
+    rngs = [Rng(s) for s in seeds]
+    k = [max(2, int(len(np.unique(y[i]))) if n_classes < 2 else n_classes) for i in range(r)]
+    w = [np.full(n, 1.0 / n) for _ in range(r)]
+    members = []
+    voted = [False] * r
+    boosting = list(range(r))
+    for _ in range(n_estimators):
+        if not boosting:
+            break
         if deadline is not None:
             deadline.check()
-        idx = _weighted_resample(w, n, rng)
-        model = base.fit(X[idx], y[idx], n_classes, base_params, seed=rng.next_u64(), deadline=deadline)
-        preds = model.predict(X, deadline=deadline)
-        incorrect = preds != y
-        err = float(np.sum(w[incorrect]))
-        if err <= 0.0:
-            models.append(model)
-            alphas.append(1.0)
-            break
-        if err >= 1.0 - 1.0 / k:
-            # worse than chance on the reweighted data: stop boosting
-            break
-        alpha = lr * (math.log((1.0 - err) / err) + math.log(k - 1.0))
-        models.append(model)
-        alphas.append(alpha)
-        w = w * np.exp(alpha * incorrect)
-        w /= w.sum()
-    if not models:
-        # every round was rejected; fall back to one unweighted base fit
-        model = base.fit(X, y, n_classes, base_params, seed=rng.next_u64(), deadline=deadline)
-        models.append(model)
-        alphas.append(1.0)
-    return VotingModel(models=models, weights=alphas, n_features=X.shape[1], n_classes=n_classes)
+        rows = (np.array(boosting)[:, None], np.stack([_weighted_resample(w[i], n, rngs[i]) for i in boosting]))
+        fit_seeds = [rngs[i].next_u64() for i in boosting]
+        model, slices = _fit(base, base_params, X[rows], y[rows], n_classes, boosting, fit_seeds, deadline)
+        preds = np.reshape(model.predict(X[slices], deadline=deadline), (len(boosting), n))
+        alphas, still = [], []
+        for i, p in zip(boosting, preds):
+            incorrect = p != y[i]
+            err = float(np.sum(w[i][incorrect]))
+            if err <= 0.0:
+                alphas.append(1.0)
+                voted[i] = True
+            elif err >= 1.0 - 1.0 / k[i]:
+                # worse than chance on the reweighted data: stop boosting
+                alphas.append(0.0)
+            else:
+                alpha = lr * (math.log((1.0 - err) / err) + math.log(k[i] - 1.0))
+                alphas.append(alpha)
+                voted[i] = True
+                w[i] = w[i] * np.exp(alpha * incorrect)
+                w[i] /= w[i].sum()
+                still.append(i)
+        members.append((model, slices, alphas))
+        boosting = still
+    # a slice whose every round was rejected falls back to one unweighted base fit
+    fallback = [i for i in range(r) if not voted[i]]
+    if fallback:
+        fit_seeds = [rngs[i].next_u64() for i in fallback]
+        model, slices = _fit(base, base_params, X[fallback], y[fallback], n_classes, fallback, fit_seeds, deadline)
+        members.append((model, slices, [1.0] * len(fallback)))
+    return VotingModel(members=members, n_slices=r, n_features=d, n_classes=n_classes, stacked=stacked)

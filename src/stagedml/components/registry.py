@@ -43,10 +43,13 @@ class LearnerSpec:
     returns a model with ``predict(rows, deadline)``; a meta-learner's
     ``fit(base, base_params, X, y, n_classes, params, seed, deadline)``
     receives the base learner's spec. A learner that ``stacks`` also fits
-    a stack of equal-sized independent problems in one call, ``X`` of
-    shape (r, n, d) and ``y`` of shape (r, n), and its model maps (r, m, d)
-    rows to (r, m) predictions; its fit ignores ``seed``, so one stacked
-    call gives exactly what r separate calls would.
+    a stack of equal-sized independent problems in one call: ``X`` of
+    shape (r, n, d), ``y`` of shape (r, n) and ``seed`` a sequence of r
+    seeds, one per slice (a learner that draws nothing ignores them). Its
+    model maps (r, m, d) rows to (r, m) predictions, and slice i of both
+    is exactly what fitting slice i alone with seed i gives. A
+    meta-learner stacks only through its base learner: ``mccv_score``
+    stacks a meta candidate only when both stack.
     """
 
     id: str
@@ -178,6 +181,7 @@ def registry_default() -> Registry:
             },
             is_meta=False,
             fit=_learners.fit_decision_tree,
+            stacks=True,
         ),
         "logistic_regression": LearnerSpec(
             id="logistic_regression",
@@ -201,6 +205,7 @@ def registry_default() -> Registry:
             },
             is_meta=False,
             fit=_learners.fit_random_forest,
+            stacks=True,
         ),
         "bagging": LearnerSpec(
             id="bagging",
@@ -212,6 +217,7 @@ def registry_default() -> Registry:
             },
             is_meta=True,
             fit=_meta.fit_bagging,
+            stacks=True,
         ),
         "adaboost": LearnerSpec(
             id="adaboost",
@@ -222,6 +228,7 @@ def registry_default() -> Registry:
             },
             is_meta=True,
             fit=_meta.fit_adaboost,
+            stacks=True,
         ),
     }
     scalers = {

@@ -306,13 +306,14 @@ def mccv_score(
     when the caller already holds them; by default they are built here.
     ``fold_listener(key, r, train, val)``, if given, sees every fold
     before it is fitted; an invalid candidate is rejected before the
-    first fold. Each fold is fitted by ``fit_pipeline``, except for a
-    candidate without meta-learner whose learner stacks and whose folds
-    all have equal train sizes and equal validation sizes (as
-    ``mccv_splits`` makes them): its folds are scaled one by one as
-    ``fit_pipeline`` would, then fitted in one stacked call of the
-    learner and predicted in one stacked call of its model, with the
-    same scores.
+    first fold. Fold r is fitted with seed ``derive_seed(cfg.seed, "fit",
+    key, r)``. Each fold is fitted by ``fit_pipeline``, except for a
+    candidate whose learner stacks (and whose meta-learner, if any,
+    stacks too) and whose folds all have equal train sizes and equal
+    validation sizes (as ``mccv_splits`` makes them): its folds are
+    scaled one by one as ``fit_pipeline`` would, then fitted in one
+    stacked call with the r fold seeds and predicted in one stacked call
+    of the model, with the same scores.
 
     Failures are statuses, not exceptions: a lapsed deadline yields
     ``failed_timeout`` (partial folds discarded), an invalid candidate,
@@ -325,10 +326,11 @@ def mccv_score(
     key = candidate_key(candidate)
     effective = Deadline.earliest(deadline, Deadline(cfg.per_eval_timeout))
     try:
-        scaler_spec, base, params, meta, _ = _resolve_candidate(candidate, registry)  # reject before any fold
+        scaler_spec, base, params, meta, meta_params = _resolve_candidate(candidate, registry)  # reject before any fold
         if folds is None:
             folds = _fold_pairs(dataset, cfg)
-        stacked = meta is None and base.stacks and len({(t.n_rows, v.n_rows) for t, v in folds}) == 1
+        stacked = base.stacks and (meta is None or meta.stacks) and len({(t.n_rows, v.n_rows) for t, v in folds}) == 1
+        seeds = [derive_seed(cfg.seed, "fit", key, r) for r in range(len(folds))]
         per_fold, train_X, val_X = [], [], []
         for r, (train, val) in enumerate(folds):
             effective.check()
@@ -339,14 +341,16 @@ def mccv_score(
                 train_X.append(X)
                 val_X.append(pipeline.transform(val.instances))
             else:
-                fit_seed = derive_seed(cfg.seed, "fit", key, r)
-                fitted = fit_pipeline(candidate, train, registry, seed=fit_seed, deadline=effective)
+                fitted = fit_pipeline(candidate, train, registry, seed=seeds[r], deadline=effective)
                 preds = fitted.predict(val.instances, deadline=effective)
                 per_fold.append(error_rate(val.labels, preds))
         if stacked:
-            # a stacking fit ignores its seed, so one call fits every fold
-            labels = np.stack([train.labels for train, _ in folds])
-            model = base.fit(np.stack(train_X), labels, len(folds[0][0].class_names), params, deadline=effective)
+            X, y = np.stack(train_X), np.stack([train.labels for train, _ in folds])
+            n_classes = len(folds[0][0].class_names)
+            if meta is None:
+                model = base.fit(X, y, n_classes, params, seed=seeds, deadline=effective)
+            else:
+                model = meta.fit(base, params, X, y, n_classes, meta_params, seed=seeds, deadline=effective)
             preds = model.predict(np.stack(val_X), deadline=effective)
             per_fold = [error_rate(val.labels, p) for (_, val), p in zip(folds, preds)]
     except DeadlineExceeded:

@@ -8,6 +8,11 @@ number generators"), so a port in another language can reproduce the
 exact same integer streams. Bounded draws use the multiply-shift
 reduction ``(x * n) >> 64``, which is exact under Python's
 arbitrary-precision integers.
+
+The state of a stream advances by a fixed constant per draw, so blocks
+of draws of many streams at once are plain uint64 array arithmetic:
+``randbelow_block`` gives exactly what a loop of ``Rng.randbelow`` calls
+gives, and leaves each stream where that loop would.
 """
 
 from __future__ import annotations
@@ -16,10 +21,16 @@ import hashlib
 import math
 from typing import MutableSequence, Sequence, TypeVar
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+# uint64 operands of the block draws
+_U_GOLDEN, _U_MIX1, _U_MIX2 = np.uint64(_GOLDEN), np.uint64(_MIX1), np.uint64(_MIX2)
+_U11, _U27, _U30, _U31, _U32 = (np.uint64(b) for b in (11, 27, 30, 31, 32))
+_LOW32 = np.uint64(0xFFFFFFFF)
 
 T = TypeVar("T")
 
@@ -87,6 +98,13 @@ class Rng:
             j = self.randbelow(i + 1)
             xs[i], xs[j] = xs[j], xs[i]
 
+    def random_block(self, count: int) -> np.ndarray:
+        """The next ``count`` ``random()`` draws, as a float64 array."""
+        states = np.array([self._state], dtype=np.uint64)
+        raw = next_u64_block(states, count)[0]
+        self._state = int(states[0])
+        return (raw >> _U11) * 2.0**-53
+
     def gauss(self, mu: float = 0.0, sigma: float = 1.0) -> float:
         """Standard Box-Muller transform; the paired deviate is cached."""
         if self._gauss_cache is not None:
@@ -98,3 +116,64 @@ class Rng:
             z = r * math.cos(2.0 * math.pi * u2)
             self._gauss_cache = r * math.sin(2.0 * math.pi * u2)
         return mu + sigma * z
+
+
+def streams(seeds: Sequence[int], skips: Sequence[int] | None = None) -> np.ndarray:
+    """uint64 states of the streams ``Rng(seed)``, each advanced past its
+    first ``skips[i]`` draws (none by default)."""
+    skips = [0] * len(seeds) if skips is None else skips
+    return np.array([(seed + int(skip) * _GOLDEN) & _MASK64 for seed, skip in zip(seeds, skips)], dtype=np.uint64)
+
+
+def next_u64_block(states: np.ndarray, count: int) -> np.ndarray:
+    """The next ``count`` ``next_u64()`` outputs of each stream, shape
+    (len(states), count); advances ``states`` in place by ``count`` draws.
+    uint64 arithmetic wraps, which is the modulo 2**64 of the scalar code."""
+    z = states[:, None] + np.arange(1, count + 1, dtype=np.uint64) * _U_GOLDEN
+    states += np.uint64((count * _GOLDEN) & _MASK64)
+    z ^= z >> _U30
+    z *= _U_MIX1
+    z ^= z >> _U27
+    z *= _U_MIX2
+    z ^= z >> _U31
+    return z
+
+
+def below(x: np.ndarray, n) -> np.ndarray:
+    """``randbelow(n)`` of ``next_u64`` outputs ``x``, as int64.
+
+    ``n`` is one bound or an array of bounds that broadcasts to ``x``, each
+    in [1, 2**32). ``(x * n) >> 64`` is computed in 64 bits from the halves
+    of x: with x = hi * 2**32 + lo it equals ``(hi * n + (lo * n >> 32)) >> 32``,
+    and no product or sum overflows.
+    """
+    n = np.asarray(n, dtype=np.uint64)
+    if n.size and (n.min() < 1 or n.max() > 0xFFFFFFFF):
+        raise ValueError("randbelow bounds must lie in [1, 2**32)")
+    hi = (x >> _U32) * n
+    hi += ((x & _LOW32) * n) >> _U32
+    return (hi >> _U32).astype(np.int64)
+
+
+def randbelow_block(states: np.ndarray, n, count: int) -> np.ndarray:
+    """The next ``count`` ``randbelow(n)`` draws of each stream, shape
+    (len(states), count); advances ``states`` in place. ``n`` as in
+    ``below``."""
+    return below(next_u64_block(states, count), n)
+
+
+def shuffled_block(draws: np.ndarray, size: int) -> np.ndarray:
+    """``range(size)`` after the first swaps of ``Rng.shuffle``, one row
+    per row of ``draws``: column t holds the draw j that the shuffle
+    swaps into position size - 1 - t (bound size - t). With all size - 1
+    draws this is the whole shuffle; after the first size - m of them,
+    positions m and up are final, so the first m hold the final set."""
+    rows = draws.shape[0]
+    out = np.arange(size)[None, :].repeat(rows, axis=0)
+    flat = out.reshape(-1)
+    base = np.arange(rows) * size
+    for t in range(draws.shape[1]):
+        i = base + (size - 1 - t)
+        j = base + draws[:, t]
+        flat[i], flat[j] = flat[j], flat[i]
+    return out

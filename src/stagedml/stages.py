@@ -143,13 +143,17 @@ class StageContext:
     def try_add(self, pool: CandidatePool, candidate: Candidate, stage_id: str) -> ScoredCandidate | None:
         """The pool's entry for ``candidate``. A candidate the pool lacks
         is scored under the stage deadline first and added when its score
-        is ok; returns None when that scoring failed."""
+        is ok; returns None when that scoring failed. A scoring that fails
+        once the stage deadline has lapsed was cut off by it, so it records
+        ``deadline_hit`` like the check that stops the stage."""
         entry = pool.get(candidate_key(candidate))
         if entry is None:
             score = self.evaluator.evaluate(candidate, stage=stage_id, deadline=self.deadline)
             if score.ok:
                 entry = ScoredCandidate(candidate, score, stage_id)
                 pool.add(entry)
+            else:
+                self.expired()
         return entry
 
 

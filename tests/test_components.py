@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stagedml.components import learners, registry_default
+from stagedml.components import learners, meta, registry_default
 from stagedml.components.domains import (
     enumerate_grid,
     space_grid_size,
@@ -260,22 +261,177 @@ def _best_split_reference(X, y, idx, n_classes, feature_ids):
     n=st.integers(min_value=2, max_value=60),
     d_cols=st.integers(min_value=1, max_value=6),
     n_classes=st.integers(min_value=1, max_value=12),
+    n_nodes=st.sampled_from([1, 1, 2, 5]),
     grid=st.booleans(),
     block=st.sampled_from([None, 1, 7]),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_best_split_matches_per_feature_reference(n, d_cols, n_classes, grid, block, seed):
+def test_best_split_matches_per_feature_reference(n, d_cols, n_classes, n_nodes, grid, block, seed):
+    """One node, or a batch of nodes of mixed sizes, each with its own rows
+    and candidate features (as many for every node)."""
     rng = np.random.default_rng(seed)
     x = rng.integers(-2, 3, size=(n, d_cols)).astype(np.float64) if grid else rng.normal(size=(n, d_cols))
     y = rng.integers(0, n_classes, size=n)
-    idx = np.sort(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=bool(rng.integers(2))))
-    features = sorted(rng.choice(d_cols, size=int(rng.integers(1, d_cols + 1)), replace=False).tolist())
-    expected = _best_split_reference(x, y, idx, n_classes, features)
+    n_features = int(rng.integers(1, d_cols + 1))
+    nodes = [
+        np.sort(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=bool(rng.integers(2))))
+        for _ in range(n_nodes)
+    ]
+    features = [sorted(rng.choice(d_cols, size=n_features, replace=False).tolist()) for _ in range(n_nodes)]
+    expected = [_best_split_reference(x, y, idx, n_classes, f) for idx, f in zip(nodes, features)]
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
-            # a small budget scores the features a few at a time
-            mp.setattr(learners, "_SPLIT_BLOCK", block * idx.size * n_classes)
-        assert learners._best_split(x, y, idx, n_classes, features) == expected
+            # a small budget scores a few nodes, or a few features of one node, at a time
+            mp.setattr(learners, "_SPLIT_BLOCK", block * int(rng.integers(2, n + 1)) * n_classes)
+        got = learners._best_splits(x, y, n_classes, np.concatenate(nodes), [idx.size for idx in nodes], features)
+    assert [(int(f), float(t), float(g)) for f, t, g in zip(*got)] == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_classes=st.integers(min_value=1, max_value=20),
+    cells=st.integers(min_value=1, max_value=30),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_class_sums_round_like_numpy_last_axis_sums(n_classes, cells, seed):
+    """The split search sums class terms over a leading axis; its rounding
+    must be that of numpy's sum over a contiguous last axis (the old
+    layout), which adds short rows in order and long ones pairwise."""
+    rng = np.random.default_rng(seed)
+    q = rng.random(size=(cells, n_classes)) * 10.0 ** rng.integers(-8, 8, size=(cells, n_classes))
+    assert np.array_equal(learners._sum_classes(np.ascontiguousarray(q.T)), q.sum(axis=1))
+
+
+def _grow_reference(X, y, idx, n_classes, depth, max_depth, min_split, sampler, rng, nodes):
+    """The recursive, one-node-at-a-time grower: appends each node as
+    [feature, threshold, left, right, label] in pre-order and returns its
+    index; a leaf has feature -1 and points to itself."""
+    counts = np.bincount(y[idx], minlength=n_classes)
+    at = len(nodes)
+    nodes.append([-1, 0.0, at, at, int(np.argmax(counts))])
+    if np.count_nonzero(counts) <= 1 or 0 < max_depth <= depth or idx.size < min_split:
+        return at
+    features = sampler(rng) if sampler is not None else range(X.shape[1])
+    feature, threshold, _ = _best_split_reference(X, y, idx, n_classes, features)
+    if feature < 0:
+        return at
+    go_left = X[idx, feature] <= threshold
+    if go_left.all() or not go_left.any():
+        return at
+    left = _grow_reference(X, y, idx[go_left], n_classes, depth + 1, max_depth, min_split, sampler, rng, nodes)
+    right = _grow_reference(X, y, idx[~go_left], n_classes, depth + 1, max_depth, min_split, sampler, rng, nodes)
+    nodes[at][:4] = [feature, threshold, left, right]
+    return at
+
+
+def _trees_reference(X, y, n_classes, learner, params, seed):
+    """Each tree of a fit as a pre-order node list: a decision tree on all
+    rows, or forest trees on bootstraps drawn one ``randbelow`` at a time,
+    each searched node drawing its features by ``Rng.shuffle``."""
+    n, d = X.shape
+    if learner == "decision_tree":
+        nodes = []
+        min_split = max(2, params["min_split"])
+        _grow_reference(X, y, np.arange(n), n_classes, 0, params["max_depth"], min_split, None, None, nodes)
+        return [nodes]
+    m = max(1, int(round(params["feature_subsample"] * d)))
+
+    def sampler(node_rng):
+        if m >= d:
+            return range(d)
+        pool = list(range(d))
+        node_rng.shuffle(pool)
+        return sorted(pool[:m])
+
+    rng = Rng(seed)
+    trees = []
+    for _ in range(params["n_trees"]):
+        boot = np.array(sorted(rng.randbelow(n) for _ in range(n)), dtype=np.int64)
+        nodes = []
+        _grow_reference(X[boot], y[boot], np.arange(n), n_classes, 0, params["max_depth"], 2, sampler, rng, nodes)
+        trees.append(nodes)
+    return trees
+
+
+def _model_trees(model, s):
+    """The trees of stack slice s of a fitted model as pre-order node
+    lists, indices relative to each tree's root; the trees are stored as
+    consecutive blocks in the order of ``roots``."""
+    starts = model.roots.reshape(-1).tolist()
+    bounds = list(zip(starts, starts[1:] + [model.label.size]))
+    n_trees = model.roots.shape[1]
+    return [
+        [
+            [
+                int(model.feature[i]),
+                float(model.threshold[i]),
+                int(model.left[i] - a),
+                int(model.right[i] - a),
+                int(model.label[i]),
+            ]
+            for i in range(a, b)
+        ]
+        for a, b in bounds[s * n_trees : (s + 1) * n_trees]
+    ]
+
+
+def _predict_reference(trees, rows, n_classes):
+    votes = np.zeros((rows.shape[0], n_classes), dtype=np.int64)
+    for nodes in trees:
+        for q, row in enumerate(rows):
+            i = 0
+            while nodes[i][0] >= 0:
+                i = nodes[i][2] if row[nodes[i][0]] <= nodes[i][1] else nodes[i][3]
+            votes[q, nodes[i][4]] += 1
+    return np.argmax(votes, axis=1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    r=st.integers(min_value=1, max_value=8),
+    n=st.integers(min_value=1, max_value=40),
+    d_cols=st.integers(min_value=1, max_value=6),
+    n_classes=st.integers(min_value=1, max_value=4),
+    grid=st.booleans(),
+    forest=st.booleans(),
+    max_depth=st.sampled_from([0, 1, 2, 4, 8, 16]),
+    fraction=st.sampled_from([0.25, 0.5, 0.75, 1.0]),
+    n_trees=st.sampled_from([1, 2, 5]),
+    min_split=st.integers(min_value=2, max_value=16),
+    block=st.sampled_from([None, 40]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_lockstep_trees_match_one_at_a_time_reference(
+    r, n, d_cols, n_classes, grid, forest, max_depth, fraction, n_trees, min_split, block, seed
+):
+    """A stack of r fits grown in lockstep gives, slice by slice, the trees
+    of the recursive grower: nodes of many sizes meet in one search, and
+    integer grids make tied values."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(-2, 3, size=(r, n, d_cols)).astype(np.float64) if grid else rng.normal(size=(r, n, d_cols))
+    y = rng.integers(0, n_classes, size=(r, n))
+    seeds = rng.integers(0, 2**63, size=r).tolist()
+    rows = rng.integers(-3, 4, size=(r, 9, d_cols)).astype(np.float64)
+    if forest:
+        learner, params = "random_forest", {"n_trees": n_trees, "max_depth": max_depth, "feature_subsample": fraction}
+        fit = learners.fit_random_forest
+    else:
+        learner, params = "decision_tree", {"max_depth": max_depth, "min_split": min_split}
+        fit = learners.fit_decision_tree
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(learners, "_SPLIT_BLOCK", block)
+        model = fit(X, y, n_classes, params, seed=seeds)
+        alone = [fit(X[s], y[s], n_classes, params, seed=seeds[s]) for s in range(r)]
+    stacked, shared = model.predict(rows), model.predict(rows[0])
+    for s in range(r):
+        trees = _trees_reference(X[s], y[s], n_classes, learner, params, seeds[s])
+        assert _model_trees(model, s) == trees
+        assert _model_trees(alone[s], 0) == trees
+        expected = _predict_reference(trees, rows[s], n_classes)
+        assert np.array_equal(stacked[s], expected)
+        assert np.array_equal(alone[s].predict(rows[s]), expected)
+        assert np.array_equal(shared[s], _predict_reference(trees, rows[0], n_classes))
 
 
 def _logistic_reference(X, y, n_classes, lr, epochs, l2):
@@ -343,6 +499,108 @@ def test_stacked_logistic_predict_checks_shapes():
     for rows in (np.zeros((2, 4, 2)), np.zeros((3, 4, 3)), np.zeros((4, 3)), np.zeros(2)):
         with pytest.raises(ValueError):
             model.predict(rows)
+
+
+def _bagging_reference(fit, base_params, X, y, n_classes, params, seed, rows):
+    """Bagging one problem as a loop: each estimator's rows and seed from
+    scalar draws, one fit each, votes added in estimator order."""
+    n = X.shape[0]
+    m = max(1, min(n, int(round(params["sample_fraction"] * n))))
+    rng = Rng(seed)
+    samples, seeds = [], []
+    for _ in range(params["n_estimators"]):
+        if params["replace"]:
+            samples.append(sorted(rng.randbelow(n) for _ in range(m)))
+        else:
+            pool = list(range(n))
+            rng.shuffle(pool)
+            samples.append(sorted(pool[:m]))
+        seeds.append(rng.next_u64())
+    scores = np.zeros((rows.shape[0], n_classes))
+    for idx, fit_seed in zip(samples, seeds):
+        scores[np.arange(rows.shape[0]), fit(X[idx], y[idx], n_classes, base_params, seed=fit_seed).predict(rows)] += 1.0
+    return np.argmax(scores, axis=1)
+
+
+def _adaboost_reference(fit, base_params, X, y, n_classes, params, seed, rows):
+    """SAMME boosting of one problem as a loop: resampling one ``random()``
+    and one ``searchsorted`` at a time, rejected rounds left out."""
+    n = X.shape[0]
+    k = max(2, int(len(np.unique(y))) if n_classes < 2 else n_classes)
+    rng = Rng(seed)
+    w = np.full(n, 1.0 / n)
+    models, alphas = [], []
+    for _ in range(params["n_estimators"]):
+        cum = np.cumsum(w)
+        idx = sorted(min(int(np.searchsorted(cum, rng.random() * cum[-1], side="right")), n - 1) for _ in range(n))
+        model = fit(X[idx], y[idx], n_classes, base_params, seed=rng.next_u64())
+        incorrect = model.predict(X) != y
+        err = float(np.sum(w[incorrect]))
+        if err <= 0.0:
+            models.append(model)
+            alphas.append(1.0)
+            break
+        if err >= 1.0 - 1.0 / k:
+            break
+        alpha = params["learning_rate"] * (math.log((1.0 - err) / err) + math.log(k - 1.0))
+        models.append(model)
+        alphas.append(alpha)
+        w = w * np.exp(alpha * incorrect)
+        w /= w.sum()
+    if not models:
+        models.append(fit(X, y, n_classes, base_params, seed=rng.next_u64()))
+        alphas.append(1.0)
+    scores = np.zeros((rows.shape[0], n_classes))
+    for model, alpha in zip(models, alphas):
+        scores[np.arange(rows.shape[0]), model.predict(rows)] += alpha
+    return np.argmax(scores, axis=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    r=st.integers(min_value=1, max_value=4),
+    n=st.integers(min_value=2, max_value=30),
+    d_cols=st.integers(min_value=1, max_value=4),
+    n_classes=st.integers(min_value=1, max_value=3),
+    base_id=st.sampled_from(["decision_tree", "random_forest", "logistic_regression"]),
+    boosting=st.booleans(),
+    n_estimators=st.sampled_from([1, 3, 8]),
+    replace_rows=st.booleans(),
+    fraction=st.sampled_from([0.5, 1.0]),
+    learning_rate=st.sampled_from([0.05, 1.0, 2.0]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_stacked_meta_learners_match_loop_reference(
+    r, n, d_cols, n_classes, base_id, boosting, n_estimators, replace_rows, fraction, learning_rate, seed
+):
+    """Bagging and boosting of a stack give, slice by slice, the loop over
+    one problem, with a stacking base (one fit per chunk or round) and
+    with the same base unstacked; boosting stops early on perfect and on
+    worse-than-chance rounds in some slices."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(-2, 3, size=(r, n, d_cols)).astype(np.float64)
+    y = rng.integers(0, n_classes, size=(r, n))
+    seeds = rng.integers(0, 2**63, size=r).tolist()
+    rows = rng.integers(-3, 4, size=(r, 7, d_cols)).astype(np.float64)
+    base = registry_default().learner(base_id)
+    base_params = {
+        "decision_tree": {"max_depth": 2, "min_split": 2},
+        "random_forest": {"n_trees": 3, "max_depth": 0, "feature_subsample": 0.5},
+        "logistic_regression": {"learning_rate": 0.5, "epochs": 20, "l2": 0.0},
+    }[base_id]
+    if boosting:
+        fit_meta, reference = meta.fit_adaboost, _adaboost_reference
+        params = {"n_estimators": n_estimators, "learning_rate": learning_rate}
+    else:
+        fit_meta, reference = meta.fit_bagging, _bagging_reference
+        params = {"n_estimators": n_estimators, "replace": replace_rows, "sample_fraction": fraction}
+    stacked = fit_meta(base, base_params, X, y, n_classes, params, seed=seeds).predict(rows)
+    for i in range(r):
+        expected = reference(base.fit, base_params, X[i], y[i], n_classes, params, seeds[i], rows[i])
+        assert np.array_equal(stacked[i], expected)
+        for spec in (base, replace(base, stacks=False)):
+            alone = fit_meta(spec, base_params, X[i], y[i], n_classes, params, seed=seeds[i])
+            assert np.array_equal(alone.predict(rows[i]), expected)
 
 
 class TestMetaLearners:

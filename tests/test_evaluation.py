@@ -433,8 +433,9 @@ class TestFoldCache:
 
 
 class TestStackedFolds:
-    """A plain logistic-regression candidate fits all its folds in one
-    stacked call; every other candidate fits fold by fold."""
+    """A candidate whose learner stacks (and whose meta-learner, if any,
+    stacks too) fits all its folds in one stacked call; every other
+    candidate fits fold by fold."""
 
     CANDIDATES = [
         Candidate(learner="logistic_regression"),
@@ -445,6 +446,22 @@ class TestStackedFolds:
         Candidate("logistic_regression", params={"epochs": 50}, meta="bagging", meta_params={"n_estimators": 5}),
         Candidate("logistic_regression", params={"epochs": 50}, meta="adaboost", meta_params={"n_estimators": 5}),
         Candidate(learner="knn"),
+    ]
+    TREE_CANDIDATES = [
+        Candidate(learner="decision_tree"),
+        Candidate(learner="decision_tree", params={"max_depth": 2, "min_split": 5}, scaler="minmax"),
+        Candidate(learner="random_forest"),
+        Candidate(learner="random_forest", params={"n_trees": 5, "max_depth": 4, "feature_subsample": 1.0}),
+        Candidate(learner="random_forest", features=FeatureSet([1, 3])),
+        Candidate(
+            "random_forest", meta="bagging", meta_params={"n_estimators": 5, "replace": False, "sample_fraction": 0.7}
+        ),
+        Candidate("random_forest", meta="bagging"),
+        Candidate("decision_tree", meta="bagging", meta_params={"n_estimators": 25, "sample_fraction": 0.5}),
+        Candidate("random_forest", meta="adaboost", meta_params={"n_estimators": 5}),
+        Candidate("decision_tree", meta="adaboost", meta_params={"n_estimators": 10, "learning_rate": 0.5}),
+        Candidate("knn", meta="bagging", meta_params={"n_estimators": 5}),
+        Candidate("gaussian_nb", meta="adaboost", meta_params={"n_estimators": 5}),
     ]
 
     @staticmethod
@@ -493,10 +510,49 @@ class TestStackedFolds:
             fits.append([events.count(("fit", "logistic_regression", ndim)) for ndim in (2, 3)])
         assert journals[0] == journals[1]
         assert [r["status"] for r in journals[0]].count("failed_error") == 1
-        # stacked: one fit for each of four plain candidates that reach a fit, one bagging chunk per fold;
-        # boosting fits one estimator at a time either way
+        # stacked: one fit for each of four plain candidates that reach a fit, one for
+        # the bagging estimators of all folds and one per boosting round (five) of the
+        # folds still boosting; unstacked: every fold, estimator and round (16) alone
         (flat, stack), (flat_alone, stack_alone) = fits
-        assert (stack, stack_alone, flat_alone - flat) == (4 + 5, 0, 4 * 5 + 5 * 5)
+        assert (flat, stack, stack_alone, flat_alone) == (0, 4 + 1 + 5, 0, 4 * 5 + 5 * 5 + 16)
+
+    def test_stacked_tree_and_meta_folds_give_the_per_fold_journal(self, registry):
+        d = make_dataset("madelon_like", 60, 4, 3)
+        grid = make_numeric_dataset(np.round(d.instances), d.labels)
+        journals = []
+        for stacks in (True, False):
+            journal = []
+            for data in (d, grid):
+                ev = Evaluator(registry=self._registry(registry, stacks=stacks), dataset=data, cfg=EvalConfig(seed=4))
+                for c in self.TREE_CANDIDATES:
+                    ev.evaluate(c, stage="meta")
+                journal += self._journal(ev)
+            journals.append(journal)
+        assert journals[0] == journals[1]
+        assert all(r["status"] == "ok" for r in journals[0])
+
+    @pytest.mark.parametrize("candidate", [
+        Candidate(learner="random_forest"),
+        Candidate("random_forest", meta="bagging"),
+        Candidate("random_forest", meta="adaboost"),
+    ])
+    def test_deadline_lapsing_mid_growth_is_failed_timeout(self, registry, monkeypatch, candidate):
+        from stagedml.components import learners
+
+        searches = []
+        real = learners._best_splits
+
+        def slow(*args):
+            # the first split search outlasts the evaluation's budget
+            if not searches:
+                time.sleep(0.4)
+            searches.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(learners, "_best_splits", slow)
+        d = make_dataset("madelon_like", 60, 4, 3)
+        s = mccv_score(candidate, d, EvalConfig(seed=4, per_eval_timeout=0.3), registry)
+        assert s.status == "failed_timeout" and len(searches) == 1
 
     def test_deadline_lapsing_inside_stacked_fit_is_failed_timeout(self, registry):
         d = make_dataset("madelon_like", 60, 4, 3)

@@ -4,8 +4,8 @@ Small searches run with every budget switched off, so they do the same
 evaluations however fast the code is. The sha256 of their journals
 (without ``wall_ms``) and best keys is pinned, and so are their stage
 traces and pool snapshots, the config of every preset, and the journal
-of a fixed list of logistic-regression candidates, plain and bagged,
-that covers the stacked fits. A change that alters search behaviour on
+of fixed lists of logistic-regression and tree candidates, plain and
+wrapped in a meta-learner, that cover the stacked fits. A change that alters search behaviour on
 purpose re-pins the hash and says why; a change meant to be a pure
 refactor or speed-up must leave it alone.
 """
@@ -34,6 +34,8 @@ META_VALIDATION_SHA256 = "67deef98d09aaefc581b062ef030316aadf91921f9e91e4905c43c
 LOGISTIC_SHA256 = "819337da3ad234617a429116f25a9e99bdd79a078fc7f856f8cd68bb2f9799e1"
 # stage traces without start and end times, pool snapshots, preset configs
 TRACES_CONFIGS_SHA256 = "d7e374b35068325d6cb8399e7eff3863835ca5f994d73b76b4fa4e821acb4ec9"
+# tree, forest, bagged-forest and boosted candidates, scored directly
+FOREST_SHA256 = "0320a78afc172f272d5e435e44743a6cbf539c8914326565ae471a81519018d4"
 
 
 def _fixed_work(cfg: orchestrator.SchemeConfig) -> orchestrator.SchemeConfig:
@@ -149,3 +151,44 @@ def test_logistic_journal_unchanged():
     assert len(journal) == 52 and all(r["status"] == "ok" for r in journal)
     blob = json.dumps(journal, sort_keys=True).encode("utf-8")
     assert hashlib.sha256(blob).hexdigest() == LOGISTIC_SHA256
+
+
+def test_forest_journal_unchanged():
+    madelon = make_dataset("madelon_like", 60, 4, 3)
+    # the same rows on an integer grid, so split searches meet tied values
+    grid = make_numeric_dataset(np.round(madelon.instances), madelon.labels, class_names=madelon.class_names)
+    candidates = [
+        Candidate("random_forest", params={"n_trees": n, "max_depth": depth, "feature_subsample": fraction})
+        for n in (5, 25)
+        for depth in (0, 4)
+        for fraction in (0.25, 0.5, 0.75, 1.0)
+    ]
+    candidates += [
+        Candidate("decision_tree", params={"max_depth": depth, "min_split": split})
+        for depth in (0, 2)
+        for split in (2, 9)
+    ]
+    candidates += [c.with_features(FeatureSet([0, 2])) for c in candidates]
+    candidates += [
+        Candidate(
+            "random_forest",
+            meta="bagging",
+            meta_params={"replace": replace_rows, "sample_fraction": fraction, "n_estimators": 10},
+        )
+        for replace_rows in (True, False)
+        for fraction in (0.5, 1.0)
+    ]
+    # on the grid, boosting decision trees stops early in some folds, both
+    # on a round without error and on one no better than chance
+    boosted = {"n_estimators": 10}
+    candidates += [Candidate(base, meta="adaboost", meta_params=boosted) for base in ("random_forest", "decision_tree")]
+    cfg = EvalConfig(seed=3, per_eval_timeout=math.inf)
+    journal = []
+    for dataset in (madelon, grid):
+        ev = Evaluator(registry=registry_default(), dataset=dataset, cfg=cfg)
+        for c in candidates:
+            ev.evaluate(c, stage="probing")
+        journal += [{k: v for k, v in r.to_dict().items() if k != "wall_ms"} for r in ev.journal_records()]
+    assert len(journal) == 2 * 46 and all(r["status"] == "ok" for r in journal)
+    blob = json.dumps(journal, sort_keys=True).encode("utf-8")
+    assert hashlib.sha256(blob).hexdigest() == FOREST_SHA256

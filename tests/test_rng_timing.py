@@ -3,7 +3,9 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from stagedml.rng import Rng, derive_seed
+import numpy as np
+
+from stagedml.rng import Rng, derive_seed, randbelow_block, shuffled_block, streams
 from stagedml.timing import Deadline, DeadlineExceeded
 
 
@@ -41,6 +43,36 @@ def test_random_unit_interval(seed):
     rng = Rng(seed)
     for _ in range(10):
         assert 0.0 <= rng.random() < 1.0
+
+
+@given(
+    seeds=st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=4),
+    n=st.one_of(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=2**32 - 1)),
+    count=st.integers(min_value=0, max_value=60),
+    skip=st.integers(min_value=0, max_value=5),
+)
+def test_block_draws_continue_the_scalar_streams(seeds, n, count, skip):
+    states = streams(seeds, [skip] * len(seeds))
+    draws = randbelow_block(states, n, count)
+    size = 1 + count % 9
+    shuffles = shuffled_block(randbelow_block(states, np.arange(size, 1, -1), size - 1), size)
+    # a stream whose state is the block's end state continues where the scalar loop is
+    floats = [Rng(int(s)).random_block(count) for s in states]
+    for i, seed in enumerate(seeds):
+        rng = Rng(seed)
+        for _ in range(skip):
+            rng.next_u64()
+        assert draws[i].tolist() == [rng.randbelow(n) for _ in range(count)]
+        pool = list(range(size))
+        rng.shuffle(pool)
+        assert shuffles[i].tolist() == pool
+        assert floats[i].tolist() == [rng.random() for _ in range(count)]
+
+
+def test_block_bounds_are_checked():
+    for n in (0, 2**32):
+        with pytest.raises(ValueError):
+            randbelow_block(streams([1]), n, 3)
 
 
 def test_shuffle_is_permutation():

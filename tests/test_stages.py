@@ -166,6 +166,24 @@ class TestProbing:
         assert len(pool) == 4
         assert "-|-|decision_tree|default" not in pool
 
+    def test_deadline_lapsing_in_last_evaluation_is_recorded(self, registry):
+        data = make_dataset("separable", 40, 3, 0)
+
+        class WaitsOut(StubEvaluator):
+            # the last base learner's scoring runs past the stage deadline
+            def evaluate(self, candidate, stage, cfg=None, deadline=None):
+                if candidate.learner == "random_forest":
+                    while not deadline.expired():
+                        time.sleep(0.005)
+                    self.calls.append((candidate_key(candidate), stage))
+                    return Score(None, None, (), "failed_timeout")
+                return super().evaluate(candidate, stage, cfg, deadline)
+
+        ctx = ctx_for(WaitsOut(), data, registry, deadline=Deadline(0.3))
+        pool = ProbingStage().run(CandidatePool(), ctx)
+        assert registry.base_learner_ids()[-1] == "random_forest"
+        assert len(pool) == 4 and ctx.trace["deadline_hit"] is True
+
     def test_rerun_adds_no_duplicates(self, registry):
         data = make_dataset("separable", 40, 3, 0)
         stub = StubEvaluator()
