@@ -17,7 +17,8 @@ many small fits (the folds of one evaluation, the estimators of one
 bagging ensemble) may stack them. ``LearnerSpec.stacks`` marks them.
 Logistic regression serves all r with each numpy call of an epoch;
 trees of all slices grow in lockstep, one split search for the next
-node of every tree.
+node of every tree, each node carrying its class counts and looking up
+feature subsets drawn in blocks (``_grow``).
 """
 
 from __future__ import annotations
@@ -27,13 +28,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stagedml.rng import below, next_u64_block, randbelow_block, shuffled_block, streams
+from stagedml.rng import advance, streams, tree_draws
 from stagedml.timing import Deadline
 
 _PREDICT_CHUNK = 512
 # most (feature, row, class) cells of one split-search block, and most rows
 # of one lockstep step: a search holds about 15 temporaries of this size
 _SPLIT_BLOCK = 1 << 14
+# most nodes of a tree whose feature subsets are drawn at once
+_SUBSET_NODES = 32
 # most (tree, row) pairs descending a stacked forest at once
 _DESCENT_CELLS = 1 << 16
 
@@ -229,38 +232,38 @@ def _sum_classes(q: np.ndarray) -> np.ndarray:
     so only those go through a class-last copy."""
     if q.shape[0] >= 8:
         return np.ascontiguousarray(np.moveaxis(q, 0, -1)).sum(axis=-1)
-    total = q[0].copy()
+    total = q[0]
     for c in range(1, q.shape[0]):
-        total += q[c]
+        total = total + q[c]
     return total
 
 
-def _score_block(X, y, n_classes, rows, sizes, features) -> tuple[np.ndarray, np.ndarray]:
+def _score_block(X, y, rows, sizes, counts, gini, features) -> tuple[np.ndarray, np.ndarray]:
     """Best gain and threshold of node j on its i-th candidate feature, as
     (F, J) arrays; see ``_best_splits``."""
     n_nodes, n_features = features.shape
+    n_classes = counts.shape[1]
     n_rows = rows.size
     node_of = np.arange(n_nodes).repeat(sizes)
-    first = sizes.cumsum() - sizes
+    starts = sizes.cumsum() - sizes
+    first = starts[node_of]
     labels = y[rows]
-    counts = np.bincount(node_of * n_classes + labels, minlength=n_nodes * n_classes)
-    counts = counts.reshape(n_nodes, n_classes).astype(np.float64)
-    gini = 1.0 - ((counts / sizes[:, None]) ** 2).sum(axis=1)
     # segment (i, j), node j's rows on its i-th feature, is one stretch of
     # row i: sort each row by value, then stably by node (a radix sort)
-    values = X[rows, features[node_of].T]
+    values = X[rows, features.T.take(node_of, axis=1)]
     order = values.argsort(axis=1)
     at = np.arange(n_features)[:, None]
-    order = order[at, node_of.astype(np.min_scalar_type(n_nodes))[order].argsort(axis=1, kind="stable")]
+    if n_nodes > 1:
+        order = order[at, node_of.astype(np.min_scalar_type(n_nodes))[order].argsort(axis=1, kind="stable")]
     values = values[at, order]
     # class-major cumulative counts; a node's left side after sorted row p
     onehot = labels[order] == np.arange(n_classes)[:, None, None]
     cum = np.zeros((n_classes, n_features, n_rows + 1))
-    onehot.cumsum(axis=2, dtype=np.float64, out=cum[:, :, 1:])
-    left = cum[:, :, 1:] - cum[:, :, first[node_of]]
-    right = counts.T[:, None, node_of] - left
-    left_n = (np.arange(1, n_rows + 1) - first[node_of]).astype(np.float64)
-    n = sizes[node_of].astype(np.float64)
+    np.add.accumulate(onehot, axis=2, dtype=np.float64, out=cum[:, :, 1:])
+    left = cum[:, :, 1:] - cum.take(first, axis=2)
+    right = counts.T.take(node_of, axis=1)[:, None] - left
+    left_n = np.arange(1.0, n_rows + 1) - first
+    n = sizes.astype(np.float64)[node_of]
     # a node's last row has no right side: scored with right_n 1, never picked
     right_n = np.maximum(n - left_n, 1.0)
     gini_left = 1.0 - _sum_classes((left / left_n) ** 2)
@@ -271,46 +274,54 @@ def _score_block(X, y, n_classes, rows, sizes, features) -> tuple[np.ndarray, np
     invalid[:, :-1] = values[:, 1:] == values[:, :-1]
     invalid |= left_n == n
     gains[invalid] = -np.inf
-    best = np.maximum.reduceat(gains, first, axis=1)
-    pick = np.minimum.reduceat(np.where(gains == best[:, node_of], np.arange(n_rows), n_rows), first, axis=1)
+    best = np.maximum.reduceat(gains, starts, axis=1)
+    pick = np.minimum.reduceat(np.where(gains == best.take(node_of, axis=1), np.arange(n_rows), n_rows), starts, axis=1)
     return best, (values[at, pick] + values[at, pick + 1]) / 2.0
 
 
-def _best_splits(X, y, n_classes, rows, sizes, features) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _best_splits(X, y, rows, sizes, counts, features) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The best Gini split of each node of a batch.
 
     Node j holds the ``sizes[j]`` (at least two) rows of ``X`` and ``y``
-    listed next in ``rows``, and ``features[j]`` its candidate features in
-    ascending order, as many for every node. Returns (feature, threshold,
-    gain) arrays, one entry per node: the split of largest Gini impurity
-    reduction, ties to the lowest feature id, then the lowest threshold;
-    feature -1 and gain -inf where no candidate feature takes two values.
+    listed next in ``rows``, ``counts[j]`` their class counts, and
+    ``features[j]`` its candidate features in ascending order, as many for
+    every node. Returns (feature, threshold, gain) arrays, one entry per
+    node: the split of largest Gini impurity reduction, ties to the lowest
+    feature id, then the lowest threshold; feature -1 and gain -inf where
+    no candidate feature takes two values.
 
     A (node, feature) pair is a segment of rows. Groups of nodes are
     scored in blocks of features, a block holding at most ``_SPLIT_BLOCK``
-    (row, class) cells unless one feature of one node is larger. Within a
-    block the rows of all nodes on one feature are sorted by value and
-    then stably by node, which sorts every segment; one cumulative class
-    count runs over them and each segment subtracts the count at its
-    start. So nodes of any mix of sizes are scored together without
-    padding.
+    (row, class) cells unless one feature of one node is larger; a batch
+    within that budget is one block. Within a block the rows of all nodes
+    on one feature are sorted by value and then stably by node, which
+    sorts every segment; one cumulative class count runs over them and each
+    segment subtracts the count at its start. So nodes of any mix of sizes
+    are scored together without padding.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     features = np.asarray(features, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.float64)
     n_nodes, n_features = features.shape
-    gains = np.empty((n_features, n_nodes))
-    thresholds = np.empty((n_features, n_nodes))
-    ends = sizes.cumsum()
-    lo = 0
-    while lo < n_nodes:
-        start = ends[lo - 1] if lo else 0
-        hi = max(lo + 1, int(ends.searchsorted(start + _SPLIT_BLOCK // n_classes, side="right")))
-        block = max(1, _SPLIT_BLOCK // ((ends[hi - 1] - start) * n_classes))
-        for f in range(0, n_features, block):
-            gains[f : f + block, lo:hi], thresholds[f : f + block, lo:hi] = _score_block(
-                X, y, n_classes, rows[start : ends[hi - 1]], sizes[lo:hi], features[lo:hi, f : f + block]
-            )
-        lo = hi
+    n_classes = counts.shape[1]
+    gini = 1.0 - np.add.reduce((counts / sizes[:, None]) ** 2, axis=1)
+    if rows.size * n_classes * n_features <= _SPLIT_BLOCK:
+        gains, thresholds = _score_block(X, y, rows, sizes, counts, gini, features)
+    else:
+        gains = np.empty((n_features, n_nodes))
+        thresholds = np.empty((n_features, n_nodes))
+        ends = sizes.cumsum()
+        lo = 0
+        while lo < n_nodes:
+            start = ends[lo - 1] if lo else 0
+            hi = max(lo + 1, int(ends.searchsorted(start + _SPLIT_BLOCK // n_classes, side="right")))
+            block = max(1, _SPLIT_BLOCK // ((ends[hi - 1] - start) * n_classes))
+            at = slice(lo, hi)
+            for f in range(0, n_features, block):
+                gains[f : f + block, at], thresholds[f : f + block, at] = _score_block(
+                    X, y, rows[start : ends[hi - 1]], sizes[at], counts[at], gini[at], features[at, f : f + block]
+                )
+            lo = hi
     at = np.arange(n_nodes)
     best = gains.argmax(axis=0)
     gain = gains[best, at]
@@ -318,31 +329,27 @@ def _best_splits(X, y, n_classes, rows, sizes, features) -> tuple[np.ndarray, np
     return np.where(found, features[at, best], -1), np.where(found, thresholds[best, at], 0.0), gain
 
 
-def _push(pending: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """``new`` entries on top of their lanes' stacks in ``pending``, whose
-    rows stay grouped by lane, bottom of each stack first."""
-    both = np.concatenate([pending, new])
-    return both[np.argsort(both[:, 0], kind="stable")]
-
-
 def _grow(X, y, n_classes, seed, n_trees, max_depth, min_split, n_sampled, bootstrap, deadline) -> ForestModel:
     """``n_trees`` trees for every slice of a stack, grown in lockstep.
 
     Tree t of a forest grows on a bootstrap of n ``randbelow(n)`` draws
     from the slice's stream (with ``bootstrap``; otherwise on all rows),
-    and each node it searches then draws its ``n_sampled`` candidate
-    features by a Fisher-Yates shuffle of range(d) from the same stream,
-    in pre-order. Those nodes must therefore be searched one at a time,
-    in pre-order: a lane is such a sequence, and each step searches the
-    next pending node of every lane at once. When nodes draw nothing
-    (``n_sampled >= d``), each tree is a lane of its own, whose bootstrap
-    begins at a known stream position, and a step searches all its
-    pending nodes. A node stays a leaf without search when it is pure, at
-    ``max_depth`` (0: unbounded) or smaller than ``min_split``, and after
-    search when no feature separates its rows or its threshold sends them
-    all one way. The deadline is checked once per step; raising (not
-    truncating) keeps a fitted tree a pure function of (data, params,
-    seed), and a lapsed budget fails the whole evaluation.
+    then each node it searches draws its ``n_sampled`` candidate features
+    by a Fisher-Yates shuffle of range(d), d - 1 draws, in pre-order. A
+    lane is a sequence of trees whose nodes must be searched one at a
+    time, and a step searches the next pending node of every lane at once
+    (all of them when nodes draw nothing, each tree then its own lane). A
+    pending node carries its row range, depth and class counts; below a
+    lane's nodes wait its unstarted trees, and a step that pops one draws
+    its bootstrap and searches its root. A tree's first search, and every
+    ``_SUBSET_NODES``-th after, draws the subsets of as many nodes in one
+    block; the next tree starts n + searched * (d - 1) draws after the last.
+    A node stays a leaf without search when it is pure, at ``max_depth``
+    (0: unbounded) or smaller than ``min_split``, and after search when no
+    feature separates its rows or its threshold sends them all one way.
+    The deadline is checked once per step; raising (not truncating) keeps
+    a fitted tree a pure function of (data, params, seed), and a lapsed
+    budget fails the whole evaluation.
     """
     X, y, seeds, stacked = as_stack(X, y, seed)
     r, n, d = X.shape
@@ -350,63 +357,49 @@ def _grow(X, y, n_classes, seed, n_trees, max_depth, min_split, n_sampled, boots
     X = np.ascontiguousarray(X, dtype=np.float64).reshape(r * n, d)
     y = np.asarray(y, dtype=np.int64).reshape(r * n)
     draws = n_sampled < d
-    per_forest = n_trees if bootstrap and not draws else 1  # lanes
-    lane_forest = np.repeat(np.arange(r), per_forest)
-    next_tree = np.tile(np.arange(per_forest), r)
-    last_tree = next_tree + n_trees // per_forest
-    if bootstrap:
-        states = streams([seeds[f] for f in lane_forest], next_tree * n)
+    per_lane = n_trees if draws or not bootstrap else 1  # lane j grows trees j * per_lane, ...
+    forest = np.arange(r * n_trees // per_lane) * per_lane // n_trees
+    # each lane's stream where its current tree's bootstrap ends (before its first tree: begins)
+    states = streams([seeds[f] for f in forest], np.arange(forest.size) * per_lane % n_trees * n)
     roots = np.empty(r * n_trees, dtype=np.int64)
     labels, splits = [], []
     n_nodes = 0
 
-    def make(counts, depth):
-        """New nodes with these class counts at this depth, and which of
-        them need a split search."""
+    def make(entries):
+        """Numbers new nodes, whose depths and class counts ``entries``
+        hold, and sets their sizes; returns which need a split search."""
         nonlocal n_nodes
-        ids = np.arange(n_nodes, n_nodes + len(counts))
-        n_nodes += len(counts)
+        counts = entries[:, 5:]
+        entries[:, 1] = np.arange(n_nodes, n_nodes + len(entries))
+        n_nodes += len(entries)
         labels.append(counts.argmax(axis=1))
-        size = counts.sum(axis=1)
-        grows = (counts.max(axis=1) < size) & (size >= min_split)
-        return ids, size, grows & (depth < max_depth) if max_depth > 0 else grows
+        entries[:, 3] = size = np.add.reduce(counts, axis=1)
+        grows = np.maximum.reduce(counts, axis=1) < size  # impure, so at least 2 rows
+        if min_split > 2:
+            grows &= size >= min_split
+        return grows & (entries[:, 4] < max_depth) if max_depth > 0 else grows
 
-    # the Fisher-Yates draws that settle which features a node samples
-    bounds = np.arange(d, n_sampled, -1, dtype=np.uint64)
     # lanes grow a group at a time, so a step holds at most _SPLIT_BLOCK rows
     group = max(1, _SPLIT_BLOCK // n)
-    for first_lane in range(0, lane_forest.size, group):
-        lanes = np.arange(first_lane, min(first_lane + group, lane_forest.size))
+    for first_lane in range(0, forest.size, group):
+        n_lanes = min(group, forest.size - first_lane)
+        lane_states = states[first_lane : first_lane + n_lanes]
+        offset = forest[first_lane : first_lane + n_lanes] * n
         # the rows (of X) of each lane's current tree; a node's rows are a range of them
-        samples = np.empty((lanes.size, n), dtype=np.int64)
+        samples = np.empty((n_lanes, n), dtype=np.int64)
         flat_samples = samples.reshape(-1)
-        # pending nodes, one row each: lane, node id, first row in the lane's
-        # samples, row count, depth; grouped by lane, each lane's top last
-        pending = np.empty((0, 5), dtype=np.int64)
-        while True:
-            busy = np.zeros(lane_forest.size, dtype=bool)
-            busy[pending[:, 0]] = True
-            idle = lanes[~busy[lanes] & (next_tree[lanes] < last_tree[lanes])]
-            while idle.size:
-                forest_rows = (lane_forest[idle] * n)[:, None]
-                if bootstrap:
-                    lane_states = states[idle]
-                    rows = np.sort(randbelow_block(lane_states, n, n), axis=1) + forest_rows
-                    states[idle] = lane_states
-                else:
-                    rows = np.arange(n) + forest_rows
-                samples[idle - first_lane] = rows
-                slot = (np.arange(idle.size) * k)[:, None]
-                counts = np.bincount((slot + y[rows]).reshape(-1), minlength=idle.size * k).reshape(-1, k)
-                entries = np.zeros((idle.size, 5), dtype=np.int64)
-                entries[:, 0] = idle
-                entries[:, 1], entries[:, 3], grows = make(counts, entries[:, 4])
-                roots[lane_forest[idle] * n_trees + next_tree[idle]] = entries[:, 1]
-                next_tree[idle] += 1
-                pending = _push(pending, entries[grows])
-                idle = idle[~grows & (next_tree[idle] < last_tree[idle])]
-            if not pending.size:
-                break
+        # searched nodes of each lane's current tree, and the feature subsets of its next ones
+        searched = np.zeros(n_lanes, dtype=np.int64)
+        chunk = max(1, min(_SUBSET_NODES, _SPLIT_BLOCK // (n_lanes * d))) if draws else 0
+        subsets = np.empty((n_lanes, chunk, n_sampled), dtype=np.int64)
+        # pending nodes, one row each: lane (in the group), node id, first row in the
+        # group's samples, row count, depth, class counts; grouped by lane, each
+        # lane's top last. An unstarted tree has no rows, its place in roots for id.
+        slot = np.arange(first_lane * per_lane, (first_lane + n_lanes) * per_lane)[::-1]
+        pending = np.zeros((slot.size, 5 + k), dtype=np.int64)
+        pending[:, 0] = lane = slot // per_lane - first_lane
+        pending[:, 1], pending[:, 2] = slot, lane * n
+        while pending.size:
             if deadline is not None:
                 deadline.check()
             if draws:
@@ -414,39 +407,62 @@ def _grow(X, y, n_classes, seed, n_trees, max_depth, min_split, n_sampled, boots
                 top[-1] = True
                 np.not_equal(pending[1:, 0], pending[:-1, 0], out=top[:-1])
                 nodes, pending = pending[top], pending[~top]
-                lane_states = states[nodes[:, 0]]
-                picks = below(next_u64_block(lane_states, d - 1)[:, : bounds.size], bounds)
-                states[nodes[:, 0]] = lane_states
-                features = np.sort(shuffled_block(picks, d)[:, :n_sampled], axis=1)
             else:
                 nodes, pending = pending, pending[:0]
+            starts = nodes[:, 3] == 0
+            if np.count_nonzero(starts):
+                trees = nodes[starts]
+                lane = trees[:, 0]
+                # a tree starts where the last one's bootstrap ended, past its searched nodes
+                at_states = lane_states[lane]
+                advance(at_states, searched[lane] * (d - 1))
+                boot, subsets[lane] = tree_draws(at_states, n, d, n_sampled, chunk)
+                lane_states[lane], searched[lane] = at_states, 0
+                samples[lane] = rows = (boot if bootstrap else np.arange(n)) + offset[lane, None]
+                roots[trees[:, 1]] = np.arange(n_nodes, n_nodes + lane.size)
+                trees[:, 5:] = np.add.reduce(y[rows][:, :, None] == np.arange(k), axis=1)
+                nodes = np.concatenate([nodes[~starts], trees[make(trees)]])
+                if not nodes.size:
+                    continue
+            if draws:
+                lane = nodes[:, 0]
+                done = searched[lane]
+                features = subsets[lane, done % chunk]
+                searched[lane] = done = done + 1
+                # a lane that used all the feature subsets it drew draws the next ones
+                refill = lane[done % chunk == 0]
+                if refill.size:
+                    at_states = lane_states[refill]
+                    advance(at_states, searched[refill] * (d - 1))
+                    _, subsets[refill] = tree_draws(at_states, 0, d, n_sampled, chunk)
+            else:
                 features = np.arange(d)[None, :].repeat(len(nodes), axis=0)
             size = nodes[:, 3]
             node_of = np.arange(len(nodes)).repeat(size)
-            at = ((nodes[:, 0] - first_lane) * n + nodes[:, 2] - size.cumsum() + size).repeat(size)
+            at = (nodes[:, 2] - size.cumsum() + size).repeat(size)
             at += np.arange(node_of.size)
             rows = flat_samples[at]
-            feature, threshold, _ = _best_splits(X, y, k, rows, size, features)
+            feature, threshold, _ = _best_splits(X, y, rows, size, nodes[:, 5:], features)
             go_left = X[rows, feature[node_of]] <= threshold[node_of]
             left_n = np.bincount(node_of[go_left], minlength=len(nodes))
             split = (feature >= 0) & (left_n > 0) & (left_n < size)
-            if not split.any():
+            if not np.count_nonzero(split):
                 continue
-            cells = split[node_of]
-            side = ~go_left[cells]
-            # stable partition of each split node's rows: the left child's first
-            flat_samples[at[cells]] = rows[cells][(node_of[cells] * 2 + side).argsort(kind="stable")]
-            children = nodes[split].repeat(2, axis=0)  # 2i left, 2i + 1 right child of split node i
-            child = 2 * (split.cumsum() - 1)[node_of[cells]] + side
-            counts = np.bincount(child * k + y[rows[cells]], minlength=len(children) * k).reshape(-1, k)
+            # each node's rows, the right side's first (their order within a
+            # side never changes a split, and unsplit nodes are leaves)
+            key = node_of * 2 + go_left
+            flat_samples[at] = rows[key.argsort(kind="stable")]
+            both = np.bincount(key * k + y[rows], minlength=len(nodes) * 2 * k).reshape(-1, 2, k)
+            children = nodes[split].repeat(2, axis=0)  # 2i right, 2i + 1 left child of split node i
             children[:, 4] += 1
-            ids, children[:, 3], grows = make(counts, children[:, 4])
-            children[:, 1] = ids
-            splits.append((nodes[split, 1], nodes[split, 4], feature[split], threshold[split], ids[0::2]))
-            children[1::2, 2] += left_n[split]
-            # the right child below the left one, which is searched next
-            order = np.arange(len(children)) ^ 1
-            pending = _push(pending, children[order][grows[order]])
+            children[:, 5:] = both[split].reshape(-1, k)
+            children[1::2, 2] += (size - left_n)[split]
+            grows = make(children)
+            right = children[0::2, 1].copy()  # a view would keep all the children alive
+            splits.append((nodes[split, 1], nodes[split, 4], feature[split], threshold[split], right))
+            # children on top of their lanes' stacks, the right below the left one, searched next
+            pending = np.concatenate([pending, children[grows]])
+            pending = pending[pending[:, 0].argsort(kind="stable")]
     return _assemble(labels, splits, roots.reshape(r, n_trees), d, n_classes, stacked)
 
 
@@ -454,12 +470,12 @@ def _assemble(labels, splits, roots, n_features, n_classes, stacked) -> ForestMo
     """The grown nodes, numbered in creation order, renumbered so that each
     tree is one pre-order block and the trees follow ``roots`` row by row.
     ``splits`` holds the split nodes, their depths, features, thresholds
-    and left children; a right child follows its left sibling. Both lists
+    and right children; a left child follows its right sibling. Both lists
     are emptied once copied, and node arrays are int32: a stack of many
     forests holds all its trees at once."""
     label = np.concatenate(labels, dtype=np.int32)
     records = list(zip(*splits)) or [[np.empty(0, dtype=np.int32)]] * 5
-    parent, depth, feature, left = (np.concatenate(records[i], dtype=np.int32) for i in (0, 1, 2, 4))
+    parent, depth, feature, right = (np.concatenate(records[i], dtype=np.int32) for i in (0, 1, 2, 4))
     threshold = np.concatenate(records[3], dtype=np.float64)
     labels.clear()
     splits.clear()
@@ -468,13 +484,13 @@ def _assemble(labels, splits, roots, n_features, n_classes, stacked) -> ForestMo
     levels = [np.flatnonzero(depth == level) for level in range(depth.max() + 1 if depth.size else 0)]
     size = np.ones(label.size, dtype=np.int32)
     for i in reversed(levels):
-        size[parent[i]] = 1 + size[left[i]] + size[left[i] + 1]
+        size[parent[i]] = 1 + size[right[i]] + size[right[i] + 1]
     pos = np.empty(label.size, dtype=np.int32)
     tree_size = size[roots.reshape(-1)]
     pos[roots.reshape(-1)] = tree_size.cumsum() - tree_size
     for i in levels:
-        pos[left[i]] = pos[parent[i]] + 1
-        pos[left[i] + 1] = pos[left[i]] + size[left[i]]
+        pos[right[i] + 1] = pos[parent[i]] + 1
+        pos[right[i]] = pos[right[i] + 1] + size[right[i] + 1]
     model = ForestModel(
         feature=np.full(label.size, -1, dtype=np.int32),
         threshold=np.zeros(label.size),
@@ -490,7 +506,7 @@ def _assemble(labels, splits, roots, n_features, n_classes, stacked) -> ForestMo
     model.label[pos] = label
     at = pos[parent]
     model.feature[at], model.threshold[at] = feature, threshold
-    model.left[at], model.right[at] = pos[left], pos[left + 1]
+    model.left[at], model.right[at] = pos[right + 1], pos[right]
     return model
 
 

@@ -414,7 +414,8 @@ def _train_size(fraction: float, n: int) -> int:
 def split_indices(
     labels: np.ndarray, spec: SplitSpec, stratified: bool = True
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic row partition; returns (train_rows, test_rows) ascending."""
+    """Deterministic row partition; returns (train_rows, test_rows) ascending.
+    Stratified, a class of a single row goes wholly to train."""
     n = int(labels.shape[0])
     if n == 0:
         raise ValueError("cannot split an empty dataset")
@@ -427,10 +428,8 @@ def split_indices(
         groups = [g for g in groups if g.size > 0]
         if len(groups) < 2:
             raise ValueError("stratified split needs at least 2 distinct label values")
-        for g in groups:
-            if g.size < 2:
-                raise ValueError("stratified split requires at least 2 examples per class")
-        quotas = [spec.train_fraction * g.size for g in groups]
+        # a class of one row cannot be split: it goes wholly to train
+        quotas = [spec.train_fraction * g.size if g.size > 1 else 1.0 for g in groups]
         base = [int(math.floor(q)) for q in quotas]
         extra = target - sum(base)
         order = sorted(range(len(groups)), key=lambda i: (-(quotas[i] - base[i]), i))
@@ -457,7 +456,7 @@ def split(dataset: Dataset, spec: SplitSpec, stratified: bool = True) -> tuple[D
 
     Stratified splitting keeps per-class train proportions within one
     example of the global proportions (floor quotas plus largest
-    remainders).
+    remainders); a class of one row goes wholly to train.
     """
     train_rows, test_rows = split_indices(dataset.labels, spec, stratified=stratified)
     return dataset.subset_rows(train_rows), dataset.subset_rows(test_rows)

@@ -407,8 +407,9 @@ class Evaluator:
 
     ``evaluate`` is safe to call concurrently: the cache, fold cache and
     journal are lock-protected and seeds derive from candidate keys,
-    never from arrival order. ``fold_listener`` (if set) observes every
-    fitted fold; tests use it for leakage bookkeeping.
+    never from arrival order; a key being scored is waited for, never
+    scored twice. ``fold_listener`` (if set) observes every fitted fold;
+    tests use it for leakage bookkeeping.
     """
 
     registry: Registry
@@ -420,6 +421,7 @@ class Evaluator:
     _by_key: dict = field(default_factory=dict)
     _fold_cache: dict = field(default_factory=dict)
     _lock: threading.Lock = field(default_factory=threading.Lock)
+    _scoring: dict = field(default_factory=dict)  # cache key -> lock held while it is scored
 
     def __post_init__(self) -> None:
         self._dataset_hash = self.dataset.content_hash()
@@ -438,24 +440,29 @@ class Evaluator:
         with self._lock:
             if cache_key in self._cache:
                 return self._cache[cache_key]
-        started = time.monotonic()
-        score = self._score(candidate, cfg_eff, deadline)
-        wall_ms = (time.monotonic() - started) * 1000.0
-        record = JournalRecord(
-            candidate_key=key,
-            stage=stage,
-            mean=score.mean,
-            std=score.std,
-            per_fold=score.per_fold,
-            status=score.status,
-            wall_ms=wall_ms,
-            seed=cfg_eff.seed,
-            auxiliary=auxiliary,
-        )
-        with self._lock:
-            self._cache[cache_key] = score  # last writer wins on races
-            self._journal.append(record)
-            self._by_key[key] = candidate
+            scoring = self._scoring.setdefault(cache_key, threading.Lock())
+        with scoring:  # a second caller of the key waits here for the first one's score
+            with self._lock:
+                if cache_key in self._cache:
+                    return self._cache[cache_key]
+            started = time.monotonic()
+            score = self._score(candidate, cfg_eff, deadline)
+            record = JournalRecord(
+                candidate_key=key,
+                stage=stage,
+                mean=score.mean,
+                std=score.std,
+                per_fold=score.per_fold,
+                status=score.status,
+                wall_ms=(time.monotonic() - started) * 1000.0,
+                seed=cfg_eff.seed,
+                auxiliary=auxiliary,
+            )
+            with self._lock:
+                self._cache[cache_key] = score
+                self._journal.append(record)
+                self._by_key[key] = candidate
+                del self._scoring[cache_key]
         return score
 
     def _score(self, candidate: Candidate, cfg: EvalConfig, deadline: Deadline | None) -> Score:

@@ -143,13 +143,11 @@ def below(x: np.ndarray, n) -> np.ndarray:
     """``randbelow(n)`` of ``next_u64`` outputs ``x``, as int64.
 
     ``n`` is one bound or an array of bounds that broadcasts to ``x``, each
-    in [1, 2**32). ``(x * n) >> 64`` is computed in 64 bits from the halves
-    of x: with x = hi * 2**32 + lo it equals ``(hi * n + (lo * n >> 32)) >> 32``,
-    and no product or sum overflows.
+    in [1, 2**32) (unchecked; ``randbelow_block`` checks). ``(x * n) >> 64``
+    is computed in 64 bits from the halves of x: with x = hi * 2**32 + lo it
+    equals ``(hi * n + (lo * n >> 32)) >> 32``, and no product or sum overflows.
     """
     n = np.asarray(n, dtype=np.uint64)
-    if n.size and (n.min() < 1 or n.max() > 0xFFFFFFFF):
-        raise ValueError("randbelow bounds must lie in [1, 2**32)")
     hi = (x >> _U32) * n
     hi += ((x & _LOW32) * n) >> _U32
     return (hi >> _U32).astype(np.int64)
@@ -159,7 +157,10 @@ def randbelow_block(states: np.ndarray, n, count: int) -> np.ndarray:
     """The next ``count`` ``randbelow(n)`` draws of each stream, shape
     (len(states), count); advances ``states`` in place. ``n`` as in
     ``below``."""
-    return below(next_u64_block(states, count), n)
+    bounds = np.asarray(n, dtype=np.uint64)
+    if bounds.size and (bounds.min() < 1 or bounds.max() > 0xFFFFFFFF):
+        raise ValueError("randbelow bounds must lie in [1, 2**32)")
+    return below(next_u64_block(states, count), bounds)
 
 
 def shuffled_block(draws: np.ndarray, size: int) -> np.ndarray:
@@ -168,12 +169,28 @@ def shuffled_block(draws: np.ndarray, size: int) -> np.ndarray:
     swaps into position size - 1 - t (bound size - t). With all size - 1
     draws this is the whole shuffle; after the first size - m of them,
     positions m and up are final, so the first m hold the final set."""
-    rows = draws.shape[0]
-    out = np.arange(size)[None, :].repeat(rows, axis=0)
-    flat = out.reshape(-1)
-    base = np.arange(rows) * size
+    out = np.arange(size)[None, :].repeat(draws.shape[0], axis=0)
+    at = np.arange(draws.shape[0])
     for t in range(draws.shape[1]):
-        i = base + (size - 1 - t)
-        j = base + draws[:, t]
-        flat[i], flat[j] = flat[j], flat[i]
+        j = draws[:, t]
+        out[at, j], out[:, size - 1 - t] = out[:, size - 1 - t], out[at, j]
     return out
+
+
+def advance(states: np.ndarray, draws) -> None:
+    """Moves each stream of ``states`` past ``draws[i]`` more draws, in place."""
+    states += np.asarray(draws, dtype=np.uint64) * _U_GOLDEN
+
+
+def tree_draws(states: np.ndarray, n: int, size: int, m: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """A forest tree's draws from each stream: its bootstrap, n draws of
+    ``randbelow(n)``, then the feature sets of its next ``count`` searched
+    nodes, each the first m <= size places, ascending, of a ``Rng.shuffle``
+    of range(size) that takes size - 1 draws (``shuffled_block``); shapes
+    (len(states), n) and (len(states), count, m). Advances ``states`` past
+    the bootstrap only: the nodes look ahead, and ``advance`` moves past them."""
+    raw = next_u64_block(states.copy(), n + count * (size - 1))
+    advance(states, n)
+    picks = below(raw[:, n:].reshape(len(states) * count, size - 1)[:, : size - m], np.arange(size, m, -1))
+    subsets = np.sort(shuffled_block(picks, size)[:, :m], axis=1).reshape(len(states), count, m)
+    return below(raw[:, :n], n), subsets

@@ -119,6 +119,17 @@ class TestBench:
         m = ResultMatrix.from_reports(outdir)
         assert m.get("sep", "primitive") is not None
 
+    def test_singleton_class_outer_split(self, tmp_path):
+        # 20/20/1 rows over three classes: the lone row goes to the train side
+        rows = [f"{i % 7}.5,{i % 3},{'abc'[min(i // 20, 2)]}" for i in range(41)]
+        path = tmp_path / "lone.csv"
+        path.write_text("x0,x1,label\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        code = main([
+            "bench", "--data", str(path), "--label", "label", "--preset", "primitive",
+            "--splits", "1", "--seed", "5", "--out", str(tmp_path / "bench"),
+        ])
+        assert code == EXIT_OK
+
     def test_full_preset_solves_separable(self, synth_csv, tmp_path):
         outdir = tmp_path / "bench3"
         code = main([

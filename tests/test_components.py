@@ -283,7 +283,8 @@ def test_best_split_matches_per_feature_reference(n, d_cols, n_classes, n_nodes,
         if block is not None:
             # a small budget scores a few nodes, or a few features of one node, at a time
             mp.setattr(learners, "_SPLIT_BLOCK", block * int(rng.integers(2, n + 1)) * n_classes)
-        got = learners._best_splits(x, y, n_classes, np.concatenate(nodes), [idx.size for idx in nodes], features)
+        counts = [np.bincount(y[idx], minlength=n_classes) for idx in nodes]
+        got = learners._best_splits(x, y, np.concatenate(nodes), [idx.size for idx in nodes], counts, features)
     assert [(int(f), float(t), float(g)) for f, t, g in zip(*got)] == expected
 
 
@@ -390,23 +391,27 @@ def _predict_reference(trees, rows, n_classes):
 @given(
     r=st.integers(min_value=1, max_value=8),
     n=st.integers(min_value=1, max_value=40),
-    d_cols=st.integers(min_value=1, max_value=6),
+    d_cols=st.integers(min_value=1, max_value=8),
     n_classes=st.integers(min_value=1, max_value=4),
     grid=st.booleans(),
     forest=st.booleans(),
     max_depth=st.sampled_from([0, 1, 2, 4, 8, 16]),
-    fraction=st.sampled_from([0.25, 0.5, 0.75, 1.0]),
+    sampled=st.integers(min_value=1, max_value=8),
     n_trees=st.sampled_from([1, 2, 5]),
     min_split=st.integers(min_value=2, max_value=16),
     block=st.sampled_from([None, 40]),
+    subset_nodes=st.sampled_from([None, 1, 2, 3]),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_lockstep_trees_match_one_at_a_time_reference(
-    r, n, d_cols, n_classes, grid, forest, max_depth, fraction, n_trees, min_split, block, seed
+    r, n, d_cols, n_classes, grid, forest, max_depth, sampled, n_trees, min_split, block, subset_nodes, seed
 ):
     """A stack of r fits grown in lockstep gives, slice by slice, the trees
-    of the recursive grower: nodes of many sizes meet in one search, and
-    integer grids make tied values."""
+    of the recursive grower: nodes of many sizes meet in one search,
+    integer grids make tied values, every count of sampled features
+    occurs, and small draw chunks make trees draw their feature subsets
+    again mid-tree."""
+    fraction = min(sampled, d_cols) / d_cols
     rng = np.random.default_rng(seed)
     X = rng.integers(-2, 3, size=(r, n, d_cols)).astype(np.float64) if grid else rng.normal(size=(r, n, d_cols))
     y = rng.integers(0, n_classes, size=(r, n))
@@ -421,6 +426,8 @@ def test_lockstep_trees_match_one_at_a_time_reference(
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
             mp.setattr(learners, "_SPLIT_BLOCK", block)
+        if subset_nodes is not None:
+            mp.setattr(learners, "_SUBSET_NODES", subset_nodes)
         model = fit(X, y, n_classes, params, seed=seeds)
         alone = [fit(X[s], y[s], n_classes, params, seed=seeds[s]) for s in range(r)]
     stacked, shared = model.predict(rows), model.predict(rows[0])

@@ -165,12 +165,47 @@ class TestSplit:
                 got = int((train.labels == c).sum())
                 assert abs(got - frac * total_c) <= 1.0
 
-    def test_singleton_class_rejected(self):
+    def test_singleton_class_goes_to_train(self):
         d = make_numeric_dataset(np.arange(5.0), [0, 0, 0, 0, 1])
-        with pytest.raises(ValueError):
-            split(d, SplitSpec(0.7, seed=1), stratified=True)
+        train, test = split(d, SplitSpec(0.7, seed=1), stratified=True)
+        assert 4.0 in train.instances[:, 0] and train.n_rows + test.n_rows == 5
         train, test = split(d, SplitSpec(0.7, seed=1), stratified=False)
         assert train.n_rows + test.n_rows == 5
+        # 20/20/1 rows over three classes: 14 + 14 + 1 train rows
+        y = np.array([0] * 20 + [1] * 20 + [2])
+        train_rows, test_rows = split_indices(y, SplitSpec(0.7, seed=3))
+        assert 40 in train_rows and np.bincount(y[train_rows]).tolist() == [14, 14, 1]
+        assert np.bincount(y[test_rows], minlength=3).tolist() == [6, 6, 0]
+
+    def test_classes_of_two_rows_or_more_split_as_before(self):
+        # pinned before singleton classes were allowed
+        y = np.array([2, 0, 1, 0, 3, 1, 0, 2, 0, 1, 3, 0, 1, 0, 2, 1, 0])
+        pinned = [
+            (0.7, 5, [0, 1, 2, 3, 4, 5, 8, 9, 12, 13, 14, 16]),
+            (0.5, 11, [1, 4, 5, 7, 9, 11, 13, 15, 16]),
+            (0.8, 2**40, [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 14, 15, 16]),
+        ]
+        for fraction, seed, train in pinned:
+            assert split_indices(y, SplitSpec(fraction, seed=seed))[0].tolist() == train
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(min_value=1, max_value=12), min_size=2, max_size=6),
+        frac=st.floats(min_value=0.05, max_value=0.95),
+        seed=st.integers(min_value=0, max_value=2**63),
+        order_seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_stratified_split_properties(self, sizes, frac, seed, order_seed):
+        """Over label distributions with singleton classes among them: the
+        parts are disjoint and cover every row, each class puts within one
+        row of its share into train, and a class of one row goes to train."""
+        y = np.random.default_rng(order_seed).permutation(np.repeat(np.arange(len(sizes)), sizes))
+        train, test = split_indices(y, SplitSpec(frac, seed=seed))
+        assert np.array_equal(np.sort(np.concatenate([train, test])), np.arange(y.size))
+        for c, size in enumerate(sizes):
+            got = int((y[train] == c).sum())
+            assert abs(got - frac * size) <= 1.0
+            assert size > 1 or got == 1
 
     def test_single_class_stratified_rejected(self):
         d = make_numeric_dataset(np.arange(6.0), [0] * 6, class_names=["only"])

@@ -380,6 +380,37 @@ class TestFoldCache:
         for c in candidates:
             assert scores[candidate_key(c)] == mccv_score(c, d, cfg, registry)
 
+    def test_concurrent_callers_of_one_key_score_it_once(self, registry):
+        """Threads asking for a key while it is being scored wait for that
+        one score: one fit per fold and one journal record per key."""
+        fits = []
+        knn = registry.learners["knn"]
+
+        def slow_fit(*args, **kwargs):
+            fits.append(1)
+            time.sleep(0.02)
+            return knn.fit(*args, **kwargs)
+
+        reg = replace(registry, learners={**registry.learners, "knn": replace(knn, fit=slow_fit)})
+        d = make_dataset("separable", 60, 3, 5)
+        ev = Evaluator(registry=reg, dataset=d, cfg=EvalConfig(seed=11))
+        candidates = [Candidate(learner="knn", params={"k": k}) for k in (1, 3)] * 4
+        scores = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lambda c=c: scores.append((candidate_key(c), ev.evaluate(c, "probing"))))
+                       for c in candidates]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert len(fits) == 2 * EvalConfig(seed=11).repeats and len(ev.journal_records()) == 2
+        assert len(scores) == 8 and len({(key, score) for key, score in scores}) == 2
+
     def test_cached_folds_score_like_fresh_folds(self, registry):
         d = make_dataset("madelon_like", 60, 4, 3)
         cfg = EvalConfig(seed=4)
@@ -419,17 +450,18 @@ class TestFoldCache:
             ev.evaluate(c.with_meta("bagging", {"n_estimators": 1}), stage="meta")
         assert built == []
 
-    def test_singleton_class_is_failed_error_not_exception(self, registry):
+    def test_singleton_class_is_in_every_fold_train(self, registry):
         rng = np.random.default_rng(3)
         y = np.array([0] * 20 + [1] * 20 + [2])
-        d = make_numeric_dataset(rng.normal(size=(41, 2)), y)
+        d = make_numeric_dataset(rng.normal(size=(41, 3)), y)
+        for train, _ in evaluation.mccv_splits(d, EvalConfig(seed=1)):
+            assert 40 in train
         ev = Evaluator(registry=registry, dataset=d, cfg=EvalConfig(seed=1))
-        for c in self.CANDIDATES:
-            assert ev.evaluate(c, stage="probing").status == "failed_error"
-        assert ev.evaluate(Candidate(learner="knn"), stage="filtering", cfg=EvalConfig(seed=1, repeats=3)).status == (
-            "failed_error"
-        )
-        assert ev.best_ok() is None
+        for c in self.CANDIDATES[:-1]:
+            assert ev.evaluate(c, stage="probing").status == "ok"
+        assert ev.evaluate(self.CANDIDATES[-1], stage="probing").status == "failed_error"
+        assert ev.evaluate(Candidate(learner="knn"), stage="filtering", cfg=EvalConfig(seed=1, repeats=3)).ok
+        assert ev.best_ok() is not None
 
 
 class TestStackedFolds:

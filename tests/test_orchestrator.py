@@ -16,6 +16,8 @@ from stagedml.orchestrator import (
 from stagedml.stages import ProbingStage, ValidationConfig, ValidationStage
 from stagedml.synth import make_dataset
 
+from conftest import make_numeric_dataset
+
 
 def fast_eval(seed=0):
     return EvalConfig(repeats=5, train_fraction=0.7, seed=seed, per_eval_timeout=30.0)
@@ -184,6 +186,15 @@ class TestHoldoutHygiene:
         assert opt1.equals(opt2) and hold1.equals(hold2)
         assert opt1.n_rows + hold1.n_rows == 60
         assert hold1.n_rows == 6  # 10% holdout
+
+
+    def test_singleton_class_stays_in_optimization_set(self):
+        # 20/20/1 rows over three classes: the lone row cannot be split
+        data = make_numeric_dataset(np.random.default_rng(4).normal(size=(41, 3)), [0] * 20 + [1] * 20 + [2])
+        optimization, holdout = holdout_split(data, presets_for_tests(13)["full"])
+        assert 2 in optimization.labels and 2 not in holdout.labels
+        report = run(data, presets_for_tests(13)["primitive"])
+        assert report.ok
 
 
 class TestBudget:

@@ -1,11 +1,11 @@
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import numpy as np
 
-from stagedml.rng import Rng, derive_seed, randbelow_block, shuffled_block, streams
+from stagedml.rng import Rng, advance, derive_seed, randbelow_block, shuffled_block, streams, tree_draws
 from stagedml.timing import Deadline, DeadlineExceeded
 
 
@@ -67,6 +67,40 @@ def test_block_draws_continue_the_scalar_streams(seeds, n, count, skip):
         rng.shuffle(pool)
         assert shuffles[i].tolist() == pool
         assert floats[i].tolist() == [rng.random() for _ in range(count)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seeds=st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=3),
+    n=st.integers(min_value=1, max_value=40),
+    size=st.integers(min_value=2, max_value=9),
+    data=st.data(),
+)
+def test_tree_draws_continue_the_scalar_streams(seeds, n, size, data):
+    """A forest tree's draws as the grower takes them: its bootstrap with
+    the feature subsets of its first searched nodes, more subsets in
+    chunks looked up ahead of the stream, and the stream moved past the
+    searched nodes only, against a loop of ``randbelow`` and ``shuffle``."""
+    m = data.draw(st.integers(min_value=1, max_value=size - 1), label="m")
+    per_stream = st.lists(st.integers(min_value=0, max_value=12), min_size=len(seeds), max_size=len(seeds))
+    searched = data.draw(per_stream, label="searched")
+    chunk = data.draw(st.integers(min_value=1, max_value=5), label="chunk")
+    states = streams(seeds)
+    boots, subsets = tree_draws(states, n, size, m, chunk)
+    for first in range(chunk, max(searched) + 1, chunk):
+        at = states.copy()
+        advance(at, [first * (size - 1)] * len(seeds))
+        subsets = np.concatenate([subsets, tree_draws(at, 0, size, m, chunk)[1]], axis=1)
+    advance(states, np.array(searched) * (size - 1))
+    for i, seed in enumerate(seeds):
+        rng = Rng(seed)
+        assert boots[i].tolist() == [rng.randbelow(n) for _ in range(n)]
+        for node in range(searched[i]):
+            pool = list(range(size))
+            rng.shuffle(pool)
+            assert subsets[i, node].tolist() == sorted(pool[:m])
+        # the stream continues where the scalar loop is
+        assert Rng(int(states[i])).next_u64() == rng.next_u64()
 
 
 def test_block_bounds_are_checked():
