@@ -156,6 +156,11 @@ def _spec_from_args(args, require_data: bool = True) -> RunSpec:
         if not seconds:
             raise UsageError("--stage-time-limit expects STAGE=SECONDS")
         limits[name] = float(seconds)
+    # full runs every stage; bench shares one spec across presets, so any stage may be named
+    stage_ids = [stage.stage_id for stage in orchestrator.scheme_presets()["full"].stages]
+    misspelled = sorted(set(limits) - set(stage_ids))
+    if misspelled:
+        raise UsageError(f"unknown stage ids in stage time limits: {misspelled}; valid ids: {', '.join(stage_ids)}")
     merged["stage_time_limits"] = limits
     if "data" not in merged:
         if require_data:
@@ -186,6 +191,8 @@ def cmd_bench(args) -> int:
     datasets = args.data_list
     if not datasets:
         raise UsageError("bench needs at least one --data")
+    if args.splits < 1:
+        raise UsageError("--splits must be at least 1")
     outdir = Path(spec.out)
     outdir.mkdir(parents=True, exist_ok=True)
     registry = registry_default()

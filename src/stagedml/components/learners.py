@@ -7,18 +7,18 @@ bit-identical. Long fits cooperate with an optional deadline, checking
 it between coarse work units (per growth step, per epoch, per
 prediction chunk).
 
-Logistic regression, decision trees and random forests also fit a stack
-of equal-sized independent problems in one call: ``X`` (r, n, d), ``y``
-(r, n) and ``seed`` a sequence of r seeds, one per slice (logistic
-regression and decision trees draw nothing and ignore them). Their
-models map (r, m, d) rows to (r, m) predictions, and each slice comes
-out bit-identical to fitting it alone with its seed, so callers with
-many small fits (the folds of one evaluation, the estimators of one
-bagging ensemble) may stack them. ``LearnerSpec.stacks`` marks them.
-Logistic regression serves all r with each numpy call of an epoch;
-trees of all slices grow in lockstep, one split search for the next
-node of every tree, each node carrying its class counts and looking up
-feature subsets drawn in blocks (``_grow``).
+Every fit takes one (n, d) problem or a stack of r equal-sized
+independent problems: ``X`` (r, n, d), ``y`` (r, n) and ``seed`` a
+sequence of r seeds, one per slice (a learner that draws nothing ignores
+them). The model of a stack maps (r, m, d) rows to (r, m) predictions,
+and each slice comes out bit-identical to fitting it alone with its
+seed, so callers with many small fits (the folds of one evaluation, the
+estimators of one bagging ensemble) stack them. Logistic regression
+serves all r with each numpy call of an epoch; trees of all slices grow
+in lockstep, one split search for the next node of every tree, each
+node carrying its class counts and looking up feature subsets drawn in
+blocks (``_grow``); knn and gaussian naive Bayes fit one slice at a time
+through ``per_slice``.
 """
 
 from __future__ import annotations
@@ -50,6 +50,46 @@ def _check_columns(model_columns: int, rows: np.ndarray) -> np.ndarray:
             f"prediction input has {rows.shape[1]} columns, model was trained on {model_columns}"
         )
     return rows
+
+
+# ---------------------------------------------------------------------------
+# stacks
+
+
+def as_stack(X, y, seed) -> tuple[np.ndarray, np.ndarray, list[int], bool]:
+    """``(X, y, seeds, stacked)`` of a fit: a stack (r, n, d) with its
+    sequence of r seeds, or one (n, d) problem as a stack of one."""
+    if X.ndim == 3:
+        return X, y, [int(s) for s in seed], True
+    return X[None], y[None], [int(seed)], False
+
+
+@dataclass
+class SliceModels:
+    """Independent models of a stack's slices: (r, m, d) rows -> (r, m),
+    slice i by model i."""
+
+    models: list
+
+    def predict(self, rows: np.ndarray, deadline: Deadline | None = None) -> np.ndarray:
+        if np.ndim(rows) != 3 or len(rows) != len(self.models):
+            raise ValueError(f"prediction input has shape {np.shape(rows)}, model stack has {len(self.models)} slices")
+        return np.stack([model.predict(part, deadline=deadline) for model, part in zip(self.models, rows)])
+
+
+def per_slice(X, y, deadline, fit_one):
+    """``fit_one(X, y)`` of one (n, d) problem, or a ``SliceModels`` of it
+    on every slice of an (r, n, d) stack, checking the deadline between
+    slices: the stack contract for a fit of one problem that draws
+    nothing."""
+    if X.ndim == 2:
+        return fit_one(X, y)
+    models = []
+    for slice_X, slice_y in zip(X, y):
+        if deadline is not None:
+            deadline.check()
+        models.append(fit_one(slice_X, slice_y))
+    return SliceModels(models)
 
 
 # ---------------------------------------------------------------------------
@@ -94,9 +134,9 @@ class KnnModel:
         return out
 
 
-def fit_knn(X, y, n_classes, params, seed=0, deadline=None) -> KnnModel:
+def fit_knn(X, y, n_classes, params, seed=0, deadline=None):
     k = int(params["k"])
-    return KnnModel(x=X, y=y, k=max(1, min(k, X.shape[0])), n_classes=n_classes)
+    return per_slice(X, y, deadline, lambda X, y: KnnModel(X, y, max(1, min(k, X.shape[0])), n_classes))
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +169,9 @@ class GaussianNbModel:
         return np.argmax(scores, axis=1).astype(np.int64)
 
 
-def fit_gaussian_nb(X, y, n_classes, params, seed=0, deadline=None) -> GaussianNbModel:
+def fit_gaussian_nb(X, y, n_classes, params, seed=0, deadline=None):
+    if X.ndim == 3:
+        return per_slice(X, y, deadline, lambda X, y: fit_gaussian_nb(X, y, n_classes, params))
     n, d = X.shape
     means = np.zeros((n_classes, d))
     variances = np.ones((n_classes, d))
@@ -151,14 +193,6 @@ def fit_gaussian_nb(X, y, n_classes, params, seed=0, deadline=None) -> GaussianN
 
 # ---------------------------------------------------------------------------
 # CART-style decision trees (Gini) and random forests, grown in lockstep
-
-
-def as_stack(X, y, seed) -> tuple[np.ndarray, np.ndarray, list[int], bool]:
-    """``(X, y, seeds, stacked)`` of a fit: a stack (r, n, d) with its
-    sequence of r seeds, or one (n, d) problem as a stack of one."""
-    if X.ndim == 3:
-        return X, y, [int(s) for s in seed], True
-    return X[None], y[None], [int(seed)], False
 
 
 @dataclass
@@ -184,10 +218,6 @@ class ForestModel:
     n_features: int
     n_classes: int
     stacked: bool
-
-    @property
-    def n_columns(self) -> int:
-        return self.n_features
 
     def predict(self, rows: np.ndarray, deadline: Deadline | None = None) -> np.ndarray:
         """Majority vote of the trees, ties to the smaller class index:

@@ -5,13 +5,12 @@ resampling rather than sample-weight-aware base fits, since the base
 learner catalog exposes no weight API; the weighted error is still
 computed on the full training set.
 
-Like a base learner that stacks, both fit one (n, d) problem or a stack
-of r independent ones, ``X`` (r, n, d) and ``y`` (r, n) with a sequence
-of r seeds; slice i comes out exactly as fitting it alone with seed i
-would. A base learner that stacks is fitted on stacks: bagging fits the
-estimators of all slices in stacked chunks, and boosting fits round t of
-every slice still boosting in one call. Any other base learner is fitted
-one problem at a time, so boosting with it takes one problem only.
+Like a base learner, both fit one (n, d) problem or a stack of r
+independent ones, ``X`` (r, n, d) and ``y`` (r, n) with a sequence of r
+seeds; slice i comes out exactly as fitting it alone with seed i would.
+The base learner is fitted on stacks: bagging fits the estimators of all
+slices in stacked chunks, and boosting fits round t of every slice still
+boosting in one call.
 """
 
 from __future__ import annotations
@@ -38,9 +37,8 @@ class VotingModel:
     """Weighted vote of base models over a stack of ``n_slices`` problems.
 
     Each member is ``(model, slices, weights)``: a stacked model whose
-    slice i votes for stack slice ``slices[i]`` with weight ``weights[i]``,
-    or, with an int ``slices``, an unstacked model of that one slice and a
-    list of its one weight. Votes add up in member order.
+    slice i votes for stack slice ``slices[i]`` with weight ``weights[i]``.
+    Votes add up in member order.
     """
 
     members: list
@@ -48,10 +46,6 @@ class VotingModel:
     n_features: int
     n_classes: int
     stacked: bool
-
-    @property
-    def n_columns(self) -> int:
-        return self.n_features
 
     def predict(self, rows: np.ndarray, deadline: Deadline | None = None) -> np.ndarray:
         """(m, d) rows -> (m,) labels; for a stack, (r, m, d) -> (r, m),
@@ -67,10 +61,9 @@ class VotingModel:
         for model, slices, weights in self.members:
             if deadline is not None:
                 deadline.check()
-            # an unstacked vote's members all predict its one slice's rows
-            preds = model.predict(rows[slices] if self.stacked else rows[0], deadline=deadline)
+            preds = model.predict(rows[slices], deadline=deadline)
             # unbuffered, so the votes of one slice add up in estimator order
-            np.add.at(scores, (np.reshape(slices, (-1, 1)), np.arange(m), preds), np.reshape(weights, (-1, 1)))
+            np.add.at(scores, (slices[:, None], np.arange(m), preds), np.reshape(weights, (-1, 1)))
         labels = np.argmax(scores, axis=2).astype(np.int64)
         return labels if self.stacked else labels[0]
 
@@ -79,10 +72,9 @@ def fit_bagging(base: LearnerSpec, base_params, X, y, n_classes, params, seed=0,
     """Unweighted vote of base fits on row samples.
 
     Each slice draws every estimator's rows and fit seed first, in
-    estimator order, from its own stream. A base learner that stacks is
-    then fitted on chunks of the estimators of all slices at once, each
-    holding at most ``_STACK_CELLS`` cells of sampled data; any other base
-    learner is fitted one estimator at a time.
+    estimator order, from its own stream. The base learner is then
+    fitted on chunks of the estimators of all slices at once, each holding
+    at most ``_STACK_CELLS`` cells of sampled data.
     """
     n_estimators = int(params["n_estimators"])
     fraction = float(params["sample_fraction"])
@@ -99,27 +91,16 @@ def fit_bagging(base: LearnerSpec, base_params, X, y, n_classes, params, seed=0,
     else:
         samples = np.sort(shuffled_block(below(raw[:, : n - m], np.arange(n, m, -1)), n)[:, :m], axis=1)
     owner = np.arange(r).repeat(n_estimators)
-    chunk = max(1, _STACK_CELLS // max(1, m * d)) if base.stacks else 1
+    chunk = max(1, _STACK_CELLS // max(1, m * d))
     members = []
     for lo in range(0, r * n_estimators, chunk):
         if deadline is not None:
             deadline.check()
         at = slice(lo, lo + chunk)
         rows = (owner[at, None], samples[at])
-        model, slices = _fit(base, base_params, X[rows], y[rows], n_classes, owner[at], fit_seeds[at], deadline)
-        members.append((model, slices, [1.0] * len(fit_seeds[at])))
+        model = base.fit(X[rows], y[rows], n_classes, base_params, seed=fit_seeds[at], deadline=deadline)
+        members.append((model, owner[at], [1.0] * len(fit_seeds[at])))
     return VotingModel(members=members, n_slices=r, n_features=d, n_classes=n_classes, stacked=stacked)
-
-
-def _fit(base: LearnerSpec, base_params, X, y, n_classes, slices, seeds, deadline):
-    """A base fit of the problems ``X[i], y[i]`` with ``seeds[i]``, which
-    belong to stack slices ``slices``, and the slices of its vote: one
-    stacked call when the base stacks, else one unstacked fit."""
-    if base.stacks:
-        return base.fit(X, y, n_classes, base_params, seed=seeds, deadline=deadline), np.asarray(slices)
-    if len(slices) != 1:
-        raise ValueError(f"base learner {base.id!r} does not stack")
-    return base.fit(X[0], y[0], n_classes, base_params, seed=seeds[0], deadline=deadline), int(slices[0])
 
 
 def _weighted_resample(weights: np.ndarray, n: int, rng: Rng) -> np.ndarray:
@@ -134,9 +115,9 @@ def fit_adaboost(base: LearnerSpec, base_params, X, y, n_classes, params, seed=0
     """Multi-class discrete boosting (SAMME weight updates).
 
     Every slice boosts with its own stream, weights and stopping round.
-    A base learner that stacks fits each round of all slices still
-    boosting in one call; a slice that stops on a round worse than chance
-    votes with weight 0 in that round, which changes no score.
+    The base learner fits each round of all slices still boosting in one
+    call; a slice that stops on a round worse than chance votes with
+    weight 0 in that round, which changes no score.
     """
     n_estimators = int(params["n_estimators"])
     lr = float(params["learning_rate"])
@@ -153,10 +134,11 @@ def fit_adaboost(base: LearnerSpec, base_params, X, y, n_classes, params, seed=0
             break
         if deadline is not None:
             deadline.check()
-        rows = (np.array(boosting)[:, None], np.stack([_weighted_resample(w[i], n, rngs[i]) for i in boosting]))
+        slices = np.array(boosting)
+        rows = (slices[:, None], np.stack([_weighted_resample(w[i], n, rngs[i]) for i in boosting]))
         fit_seeds = [rngs[i].next_u64() for i in boosting]
-        model, slices = _fit(base, base_params, X[rows], y[rows], n_classes, boosting, fit_seeds, deadline)
-        preds = np.reshape(model.predict(X[slices], deadline=deadline), (len(boosting), n))
+        model = base.fit(X[rows], y[rows], n_classes, base_params, seed=fit_seeds, deadline=deadline)
+        preds = model.predict(X[slices], deadline=deadline)
         alphas, still = [], []
         for i, p in zip(boosting, preds):
             incorrect = p != y[i]
@@ -177,9 +159,9 @@ def fit_adaboost(base: LearnerSpec, base_params, X, y, n_classes, params, seed=0
         members.append((model, slices, alphas))
         boosting = still
     # a slice whose every round was rejected falls back to one unweighted base fit
-    fallback = [i for i in range(r) if not voted[i]]
-    if fallback:
+    fallback = np.flatnonzero(~np.array(voted))
+    if fallback.size:
         fit_seeds = [rngs[i].next_u64() for i in fallback]
-        model, slices = _fit(base, base_params, X[fallback], y[fallback], n_classes, fallback, fit_seeds, deadline)
-        members.append((model, slices, [1.0] * len(fallback)))
+        model = base.fit(X[fallback], y[fallback], n_classes, base_params, seed=fit_seeds, deadline=deadline)
+        members.append((model, fallback, [1.0] * fallback.size))
     return VotingModel(members=members, n_slices=r, n_features=d, n_classes=n_classes, stacked=stacked)

@@ -6,6 +6,8 @@ Several ids may share one implementation, so algorithm variants can be
 registered as distinct entries without new code. It answers lookups,
 parameter defaults, validation and sampling, and feature rankings;
 fitting a pipeline from these specs is ``evaluation.fit_pipeline``.
+Every learner's fit takes one problem or a stack of them (see
+``LearnerSpec``), so evaluation has one fit path for all of them.
 """
 
 from __future__ import annotations
@@ -42,14 +44,13 @@ class LearnerSpec:
     A base learner's ``fit(X, y, n_classes, params, seed, deadline)``
     returns a model with ``predict(rows, deadline)``; a meta-learner's
     ``fit(base, base_params, X, y, n_classes, params, seed, deadline)``
-    receives the base learner's spec. A learner that ``stacks`` also fits
-    a stack of equal-sized independent problems in one call: ``X`` of
-    shape (r, n, d), ``y`` of shape (r, n) and ``seed`` a sequence of r
-    seeds, one per slice (a learner that draws nothing ignores them). Its
-    model maps (r, m, d) rows to (r, m) predictions, and slice i of both
-    is exactly what fitting slice i alone with seed i gives. A
-    meta-learner stacks only through its base learner: ``mccv_score``
-    stacks a meta candidate only when both stack.
+    receives the base learner's spec. Every fit takes one (n, d) problem
+    or a stack of equal-sized independent problems: ``X`` of shape
+    (r, n, d), ``y`` of shape (r, n) and ``seed`` a sequence of r seeds,
+    one per slice. The model of a stack maps (r, m, d) rows to (r, m)
+    predictions, and slice i of both is exactly what fitting slice i
+    alone with seed i gives; ``learners.per_slice`` gives a fit of one
+    problem that contract.
     """
 
     id: str
@@ -57,7 +58,6 @@ class LearnerSpec:
     param_space: ParamSpace
     is_meta: bool
     fit: Callable
-    stacks: bool = False
 
 
 @dataclass(frozen=True)
@@ -181,7 +181,6 @@ def registry_default() -> Registry:
             },
             is_meta=False,
             fit=_learners.fit_decision_tree,
-            stacks=True,
         ),
         "logistic_regression": LearnerSpec(
             id="logistic_regression",
@@ -193,7 +192,6 @@ def registry_default() -> Registry:
             },
             is_meta=False,
             fit=_learners.fit_logistic_regression,
-            stacks=True,
         ),
         "random_forest": LearnerSpec(
             id="random_forest",
@@ -205,7 +203,6 @@ def registry_default() -> Registry:
             },
             is_meta=False,
             fit=_learners.fit_random_forest,
-            stacks=True,
         ),
         "bagging": LearnerSpec(
             id="bagging",
@@ -217,7 +214,6 @@ def registry_default() -> Registry:
             },
             is_meta=True,
             fit=_meta.fit_bagging,
-            stacks=True,
         ),
         "adaboost": LearnerSpec(
             id="adaboost",
@@ -228,7 +224,6 @@ def registry_default() -> Registry:
             },
             is_meta=True,
             fit=_meta.fit_adaboost,
-            stacks=True,
         ),
     }
     scalers = {

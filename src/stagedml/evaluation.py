@@ -3,20 +3,22 @@
 A candidate is the tuple (scaler, feature set, learner, params), with an
 optional homogeneous meta-learner wrapped around the learner. Blank
 slots are real absent values (``None``), never sentinel strings.
-``fit_pipeline`` is the one place where a candidate becomes a fitted
-model: it checks the candidate against the registry, fits the scaler on
-the training matrix, takes the feature columns as an array slice and
-calls the learner's (or meta-learner's) fit on ``(X, y, n_classes)``.
+A candidate becomes a fitted model in one way: it is checked against the
+registry, the scaler is fitted on the training matrix, the feature
+columns are taken as an array slice and the learner's (or
+meta-learner's) fit runs on ``(X, y, n_classes)``. ``fit_pipeline`` does
+that for one training set; ``mccv_score`` scales every fold the same way
+and fits all folds as one stack.
 
 Scoring runs ``repeats`` stratified splits of the optimization data.
 The split seeds derive from (seed, repeat index) only, so every
 candidate in a run is scored on the *same* folds (paired comparisons);
 fit seeds additionally mix in the candidate key, so stochastic learners
-stay decorrelated without depending on evaluation order. An
-``Evaluator`` builds the fold datasets once per (seed, repeats,
-train_fraction) and shares them, read-only, across all its candidates.
-Scores are cached by (candidate key, dataset hash, config); lower is
-better.
+stay decorrelated without depending on evaluation order. A fold is a
+pair of row-index arrays over the one optimization matrix; an
+``Evaluator`` draws the folds once per (seed, repeats, train_fraction)
+and shares them across all its candidates. Scores are cached by
+(candidate key, dataset hash, config); lower is better.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from stagedml.components.registry import LearnerSpec, Registry, ScalerSpec
+from stagedml.components.registry import Registry, ScalerSpec
 from stagedml.data import Dataset, FeatureSet, SplitSpec, split_indices
 from stagedml.data import project  # noqa: F401  (kept importable from this module)
 from stagedml.rng import derive_seed
@@ -193,10 +195,10 @@ class FittedPipeline:
         return rows
 
 
-def _resolve_candidate(
-    candidate: Candidate, registry: Registry
-) -> tuple[ScalerSpec | None, LearnerSpec, dict, LearnerSpec | None, dict | None]:
-    """The candidate's scaler and learner specs with merged params.
+def _resolve_candidate(candidate: Candidate, registry: Registry) -> tuple[ScalerSpec | None, Callable]:
+    """The candidate's scaler spec and the fit of its model,
+    ``fit(X, y, n_classes, seed, deadline)``: the learner's fit with
+    merged params, wrapped in its meta-learner's if it has one.
 
     Raises ``UnknownComponentError`` for an unknown id and ``ValueError``
     for a bare meta-learner, a meta-of-meta, a non-meta learner in the
@@ -215,22 +217,28 @@ def _resolve_candidate(
         raise ValueError(f"{candidate.learner!r} is a meta-learner and needs a base learner")
     params = registry.effective_params(candidate.learner, candidate.params)
     scaler = registry.scaler(candidate.scaler) if candidate.scaler is not None else None
-    return scaler, base, params, meta, meta_params
+
+    def fit(X, y, n_classes, seed, deadline):
+        if meta is None:
+            return base.fit(X, y, n_classes, params, seed=seed, deadline=deadline)
+        return meta.fit(base, params, X, y, n_classes, meta_params, seed=seed, deadline=deadline)
+
+    return scaler, fit
 
 
 def _prepare(
-    candidate: Candidate, scaler_spec: ScalerSpec | None, train: Dataset
+    candidate: Candidate, scaler_spec: ScalerSpec | None, X: np.ndarray
 ) -> tuple[FittedPipeline, np.ndarray]:
-    """The candidate's pipeline on ``train`` with its scaler fitted but no
-    model yet, and the training matrix of that model: ``train`` scaled,
-    then restricted to the candidate's features.
+    """The candidate's pipeline on the training matrix ``X`` with its
+    scaler fitted but no model yet, and the training matrix of that model:
+    ``X`` scaled, then restricted to the candidate's features.
 
     Raises ``ValueError`` for empty training data, scaled training data
     that are not finite or a feature index out of range.
     """
-    if train.n_rows == 0:
+    n_columns = X.shape[1]
+    if X.shape[0] == 0:
         raise ValueError("cannot fit on an empty dataset")
-    X = train.instances
     scaler = None
     if scaler_spec is not None:
         scaler = scaler_spec.fit(X)
@@ -242,7 +250,7 @@ def _prepare(
         if cols[-1] >= X.shape[1]:
             raise ValueError(f"feature index {cols[-1]} out of range for {X.shape[1]} columns")
         X = X[:, cols]
-    return FittedPipeline(scaler=scaler, features=candidate.features, model=None, n_columns=train.n_columns), X
+    return FittedPipeline(scaler=scaler, features=candidate.features, model=None, n_columns=n_columns), X
 
 
 def fit_pipeline(
@@ -260,13 +268,9 @@ def fit_pipeline(
     a feature index out of range or scaled training data that are not
     finite.
     """
-    scaler_spec, base, params, meta, meta_params = _resolve_candidate(candidate, registry)
-    pipeline, X = _prepare(candidate, scaler_spec, train)
-    n_classes = len(train.class_names)
-    if meta is None:
-        pipeline.model = base.fit(X, train.labels, n_classes, params, seed=seed, deadline=deadline)
-    else:
-        pipeline.model = meta.fit(base, params, X, train.labels, n_classes, meta_params, seed=seed, deadline=deadline)
+    scaler_spec, fit = _resolve_candidate(candidate, registry)
+    pipeline, X = _prepare(candidate, scaler_spec, train.instances)
+    pipeline.model = fit(X, train.labels, len(train.class_names), seed, deadline)
     return pipeline
 
 
@@ -278,7 +282,9 @@ def mccv_splits(dataset: Dataset, cfg: EvalConfig) -> list[tuple[np.ndarray, np.
     """The stratified (train, validation) row partitions of one run.
 
     Split seeds mix (cfg.seed, repeat index) only, so all candidates
-    evaluated under one config share folds pairwise.
+    evaluated under one config share folds pairwise. Train sizes depend
+    only on the labels and the train fraction, so every fold has as many
+    train rows (and validation rows) as every other.
     """
     out = []
     for r in range(cfg.repeats):
@@ -287,72 +293,55 @@ def mccv_splits(dataset: Dataset, cfg: EvalConfig) -> list[tuple[np.ndarray, np.
     return out
 
 
-def _fold_pairs(dataset: Dataset, cfg: EvalConfig) -> list[tuple[Dataset, Dataset]]:
-    return [(dataset.subset_rows(tr), dataset.subset_rows(va)) for tr, va in mccv_splits(dataset, cfg)]
-
-
 def mccv_score(
     candidate: Candidate,
     dataset: Dataset,
     cfg: EvalConfig,
     registry: Registry,
     deadline: Deadline | None = None,
-    folds: Sequence[tuple[Dataset, Dataset]] | None = None,
+    folds: Sequence[tuple[np.ndarray, np.ndarray]] | None = None,
     fold_listener: Callable | None = None,
 ) -> Score:
     """Average validation error over `repeats` stratified splits.
 
-    ``folds`` are the (train, validation) datasets of ``mccv_splits``
-    when the caller already holds them; by default they are built here.
-    ``fold_listener(key, r, train, val)``, if given, sees every fold
-    before it is fitted; an invalid candidate is rejected before the
-    first fold. Fold r is fitted with seed ``derive_seed(cfg.seed, "fit",
-    key, r)``. Each fold is fitted by ``fit_pipeline``, except for a
-    candidate whose learner stacks (and whose meta-learner, if any,
-    stacks too) and whose folds all have equal train sizes and equal
-    validation sizes (as ``mccv_splits`` makes them): its folds are
-    scaled one by one as ``fit_pipeline`` would, then fitted in one
-    stacked call with the r fold seeds and predicted in one stacked call
-    of the model, with the same scores.
+    ``folds`` are the (train, validation) row indices of ``mccv_splits``
+    when the caller already holds them; by default they are drawn here.
+    ``fold_listener(key, r, train, val)``, if given, sees the raw train
+    and validation matrices of every fold before any fit; an invalid
+    candidate is rejected before the first fold. Each fold is scaled and
+    restricted to the candidate's features as ``fit_pipeline`` would do
+    it, then all folds are fitted in one stacked call, fold r with seed
+    ``derive_seed(cfg.seed, "fit", key, r)``, and predicted in one
+    stacked call of the model.
 
     Failures are statuses, not exceptions: a lapsed deadline yields
     ``failed_timeout`` (partial folds discarded), an invalid candidate,
     a learner error or labels that cannot be split yield
-    ``failed_error``. Single-class
-    data scores 0 trivially.
+    ``failed_error``. Single-class data scores 0 trivially.
     """
     if len(np.unique(dataset.labels)) < 2:
         return Score(mean=0.0, std=0.0, per_fold=(0.0,) * cfg.repeats, status=STATUS_OK)
     key = candidate_key(candidate)
     effective = Deadline.earliest(deadline, Deadline(cfg.per_eval_timeout))
     try:
-        scaler_spec, base, params, meta, meta_params = _resolve_candidate(candidate, registry)  # reject before any fold
+        scaler_spec, fit = _resolve_candidate(candidate, registry)  # reject before any fold
         if folds is None:
-            folds = _fold_pairs(dataset, cfg)
-        stacked = base.stacks and (meta is None or meta.stacks) and len({(t.n_rows, v.n_rows) for t, v in folds}) == 1
-        seeds = [derive_seed(cfg.seed, "fit", key, r) for r in range(len(folds))]
-        per_fold, train_X, val_X = [], [], []
+            folds = mccv_splits(dataset, cfg)
+        X, y = dataset.instances, dataset.labels
+        train_X, val_X = [], []
         for r, (train, val) in enumerate(folds):
             effective.check()
+            train_rows, val_rows = X[train], X[val]
             if fold_listener is not None:
-                fold_listener(key, r, train, val)
-            if stacked:
-                pipeline, X = _prepare(candidate, scaler_spec, train)
-                train_X.append(X)
-                val_X.append(pipeline.transform(val.instances))
-            else:
-                fitted = fit_pipeline(candidate, train, registry, seed=seeds[r], deadline=effective)
-                preds = fitted.predict(val.instances, deadline=effective)
-                per_fold.append(error_rate(val.labels, preds))
-        if stacked:
-            X, y = np.stack(train_X), np.stack([train.labels for train, _ in folds])
-            n_classes = len(folds[0][0].class_names)
-            if meta is None:
-                model = base.fit(X, y, n_classes, params, seed=seeds, deadline=effective)
-            else:
-                model = meta.fit(base, params, X, y, n_classes, meta_params, seed=seeds, deadline=effective)
-            preds = model.predict(np.stack(val_X), deadline=effective)
-            per_fold = [error_rate(val.labels, p) for (_, val), p in zip(folds, preds)]
+                fold_listener(key, r, train_rows, val_rows)
+            pipeline, model_X = _prepare(candidate, scaler_spec, train_rows)
+            train_X.append(model_X)
+            val_X.append(pipeline.transform(val_rows))
+        train_y = y[np.stack([train for train, _ in folds])]
+        seeds = [derive_seed(cfg.seed, "fit", key, r) for r in range(len(folds))]
+        model = fit(np.stack(train_X), train_y, len(dataset.class_names), seeds, effective)
+        preds = model.predict(np.stack(val_X), deadline=effective)
+        per_fold = [error_rate(y[val], p) for (_, val), p in zip(folds, preds)]
     except DeadlineExceeded:
         return Score(mean=None, std=None, per_fold=(), status=STATUS_TIMEOUT)
     except Exception:
@@ -400,10 +389,10 @@ class JournalRecord:
 class Evaluator:
     """Scores candidates on one optimization dataset, with caching.
 
-    The fold datasets of each (seed, repeats, train_fraction) are built
-    once, on first use, and reused for every later candidate; their
-    arrays are write-protected and ``dataset`` never changes, so sharing
-    them cannot leak state between candidates.
+    The folds of each (seed, repeats, train_fraction), row-index pairs
+    into ``dataset``, are drawn once, on first use, and shared by every
+    later candidate; ``dataset`` is write-protected and never changes, so
+    sharing them cannot leak state between candidates.
 
     ``evaluate`` is safe to call concurrently: the cache, fold cache and
     journal are lock-protected and seeds derive from candidate keys,
@@ -446,7 +435,10 @@ class Evaluator:
                 if cache_key in self._cache:
                     return self._cache[cache_key]
             started = time.monotonic()
-            score = self._score(candidate, cfg_eff, deadline)
+            score = mccv_score(
+                candidate, self.dataset, cfg_eff, self.registry, deadline=deadline,
+                folds=self._folds(cfg_eff), fold_listener=self.fold_listener,
+            )
             record = JournalRecord(
                 candidate_key=key,
                 stage=stage,
@@ -465,26 +457,15 @@ class Evaluator:
                 del self._scoring[cache_key]
         return score
 
-    def _score(self, candidate: Candidate, cfg: EvalConfig, deadline: Deadline | None) -> Score:
-        return mccv_score(
-            candidate,
-            self.dataset,
-            cfg,
-            self.registry,
-            deadline=deadline,
-            folds=self._folds(cfg),
-            fold_listener=self.fold_listener,
-        )
-
-    def _folds(self, cfg: EvalConfig) -> list[tuple[Dataset, Dataset]] | None:
-        """The fold datasets of ``cfg``, built on first use. None when the
-        labels cannot be split; ``mccv_score`` then reports that for each
+    def _folds(self, cfg: EvalConfig) -> list[tuple[np.ndarray, np.ndarray]] | None:
+        """The folds of ``cfg``, drawn on first use. None when the labels
+        cannot be split; ``mccv_score`` then reports that for each
         candidate."""
         fold_key = (cfg.seed, cfg.repeats, cfg.train_fraction)
         with self._lock:
             if fold_key not in self._fold_cache:
                 try:
-                    self._fold_cache[fold_key] = _fold_pairs(self.dataset, cfg)
+                    self._fold_cache[fold_key] = mccv_splits(self.dataset, cfg)
                 except ValueError:
                     self._fold_cache[fold_key] = None
             return self._fold_cache[fold_key]

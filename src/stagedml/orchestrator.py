@@ -16,6 +16,8 @@ import warnings
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Sequence
 
+import numpy as np
+
 from stagedml.data import Dataset, SplitSpec, split
 from stagedml.evaluation import Candidate, EvalConfig, Evaluator, candidate_to_dict
 from stagedml.rng import derive_seed
@@ -124,15 +126,16 @@ class RunReport:
 
 def holdout_split(dataset: Dataset, cfg: SchemeConfig) -> tuple[Dataset, Dataset | None]:
     """Carve the holdout off first whenever validation is configured,
-    regardless of whether the validation stage is in the stage list."""
+    regardless of whether the validation stage is in the stage list.
+    Data of one class is split unstratified, which takes the rows a
+    stratified split of its one class would."""
     if cfg.validation is None:
         return dataset, None
     spec = SplitSpec(
         train_fraction=1.0 - cfg.validation.holdout_fraction,
         seed=derive_seed(cfg.seed, "holdout"),
     )
-    optimization, holdout = split(dataset, spec, stratified=True)
-    return optimization, holdout
+    return split(dataset, spec, stratified=len(np.unique(dataset.labels)) > 1)
 
 
 def run(

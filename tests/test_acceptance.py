@@ -110,7 +110,7 @@ def test_c02_mccv_protocol():
                 dataset=d,
                 cfg=EvalConfig(seed=seed),
                 fold_listener=lambda key, r, tr, va: folds.setdefault(key, []).append(
-                    tuple(tr.instances[:, 0])
+                    tuple(tr[:, 0])
                 ),
             )
             ev.evaluate(Candidate(learner="knn"), stage="probing")
@@ -353,7 +353,7 @@ def test_c09_leakage_and_holdout_hygiene():
             run(
                 tagged,
                 cfg,
-                fold_listener=lambda key, r, tr, va: seen.append(set(tr.instances[:, 0])),
+                fold_listener=lambda key, r, tr, va: seen.append(set(tr[:, 0])),
             )
             _, holdout = holdout_split(tagged, cfg)
             holdout_ids = set(holdout.instances[:, 0])

@@ -83,6 +83,18 @@ class TestRun:
         assert echo["preset"] == "primitive"
         assert echo["seed"] == 1  # file value survived where no flag given
 
+    def test_misspelled_stage_time_limit_is_usage_error(self, synth_csv, tmp_path, capsys):
+        assert main(run_args(synth_csv, tmp_path / "o", "--stage-time-limit", "probng=0")) == EXIT_USAGE
+        assert "probng" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"stage_time_limits": {"tunning": 5}}), encoding="utf-8")
+        assert main(run_args(synth_csv, tmp_path / "o", "--config", str(cfg))) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "tunning" in err and all(s in err for s in ("probing", "meta", "tuning", "validation"))
+        assert not (tmp_path / "o").exists()
+        # a stage id the preset does not run stays allowed
+        assert main(run_args(synth_csv, tmp_path / "o", "--stage-time-limit", "tuning=5")) == EXIT_OK
+
     def test_config_echo_reruns_identically(self, synth_csv, tmp_path):
         from stagedml.cli import RunSpec, run_from_spec
 
@@ -118,6 +130,22 @@ class TestBench:
         ])
         m = ResultMatrix.from_reports(outdir)
         assert m.get("sep", "primitive") is not None
+
+    @pytest.mark.parametrize("splits", ["0", "-1"])
+    def test_no_splits_is_usage_error(self, synth_csv, tmp_path, splits):
+        outdir = tmp_path / "bench"
+        code = main([
+            "bench", "--data", str(synth_csv), "--label", "label", "--preset", "primitive",
+            "--splits", splits, "--seed", "5", "--out", str(outdir),
+        ])
+        assert code == EXIT_USAGE and not (outdir / "results.csv").exists()
+
+    def test_misspelled_stage_time_limit_is_usage_error(self, synth_csv, tmp_path):
+        code = main([
+            "bench", "--data", str(synth_csv), "--label", "label", "--preset", "primitive",
+            "--splits", "1", "--stage-time-limit", "tunning=5", "--out", str(tmp_path / "bench"),
+        ])
+        assert code == EXIT_USAGE
 
     def test_singleton_class_outer_split(self, tmp_path):
         # 20/20/1 rows over three classes: the lone row goes to the train side

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -508,6 +507,42 @@ def test_stacked_logistic_predict_checks_shapes():
             model.predict(rows)
 
 
+@pytest.mark.parametrize("lid", ["knn", "gaussian_nb"])
+def test_per_slice_learners_fit_each_slice_alone(reg, lid):
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(3, 12, 2))
+    y = rng.integers(0, 3, size=(3, 12))
+    rows = rng.normal(size=(3, 5, 2))
+    spec = reg.learner(lid)
+    stacked = spec.fit(X, y, 3, spec.default_params, seed=[1, 2, 3]).predict(rows)
+    assert stacked.shape == (3, 5)
+    for i in range(3):
+        alone = spec.fit(X[i], y[i], 3, spec.default_params, seed=i)
+        assert not isinstance(alone, learners.SliceModels)
+        assert np.array_equal(alone.predict(rows[i]), stacked[i])
+    model = spec.fit(X, y, 3, spec.default_params, seed=[1, 2, 3])
+    for bad in (rows[:2], rows[0]):
+        with pytest.raises(ValueError):
+            model.predict(bad)
+
+
+def test_per_slice_checks_the_deadline_between_slices():
+    class LapsesAfter:
+        def __init__(self, checks):
+            self.checks = checks
+
+        def check(self):
+            self.checks -= 1
+            if self.checks < 0:
+                raise DeadlineExceeded("lapsed")
+
+    X, y = np.zeros((3, 4, 2)), np.zeros((3, 4), dtype=np.int64)
+    fits = []
+    with pytest.raises(DeadlineExceeded):
+        learners.per_slice(X, y, LapsesAfter(2), lambda X, y: fits.append(X.shape))
+    assert fits == [(4, 2), (4, 2)]
+
+
 def _bagging_reference(fit, base_params, X, y, n_classes, params, seed, rows):
     """Bagging one problem as a loop: each estimator's rows and seed from
     scalar draws, one fit each, votes added in estimator order."""
@@ -569,7 +604,7 @@ def _adaboost_reference(fit, base_params, X, y, n_classes, params, seed, rows):
     n=st.integers(min_value=2, max_value=30),
     d_cols=st.integers(min_value=1, max_value=4),
     n_classes=st.integers(min_value=1, max_value=3),
-    base_id=st.sampled_from(["decision_tree", "random_forest", "logistic_regression"]),
+    base_id=st.sampled_from(["decision_tree", "random_forest", "logistic_regression", "knn", "gaussian_nb"]),
     boosting=st.booleans(),
     n_estimators=st.sampled_from([1, 3, 8]),
     replace_rows=st.booleans(),
@@ -581,8 +616,8 @@ def test_stacked_meta_learners_match_loop_reference(
     r, n, d_cols, n_classes, base_id, boosting, n_estimators, replace_rows, fraction, learning_rate, seed
 ):
     """Bagging and boosting of a stack give, slice by slice, the loop over
-    one problem, with a stacking base (one fit per chunk or round) and
-    with the same base unstacked; boosting stops early on perfect and on
+    one problem (the base fitted once per chunk or round), and so does each
+    slice fitted alone; boosting stops early on perfect and on
     worse-than-chance rounds in some slices."""
     rng = np.random.default_rng(seed)
     X = rng.integers(-2, 3, size=(r, n, d_cols)).astype(np.float64)
@@ -594,6 +629,8 @@ def test_stacked_meta_learners_match_loop_reference(
         "decision_tree": {"max_depth": 2, "min_split": 2},
         "random_forest": {"n_trees": 3, "max_depth": 0, "feature_subsample": 0.5},
         "logistic_regression": {"learning_rate": 0.5, "epochs": 20, "l2": 0.0},
+        "knn": {"k": 5},
+        "gaussian_nb": {},
     }[base_id]
     if boosting:
         fit_meta, reference = meta.fit_adaboost, _adaboost_reference
@@ -605,9 +642,8 @@ def test_stacked_meta_learners_match_loop_reference(
     for i in range(r):
         expected = reference(base.fit, base_params, X[i], y[i], n_classes, params, seeds[i], rows[i])
         assert np.array_equal(stacked[i], expected)
-        for spec in (base, replace(base, stacks=False)):
-            alone = fit_meta(spec, base_params, X[i], y[i], n_classes, params, seed=seeds[i])
-            assert np.array_equal(alone.predict(rows[i]), expected)
+        alone = fit_meta(base, base_params, X[i], y[i], n_classes, params, seed=seeds[i])
+        assert np.array_equal(alone.predict(rows[i]), expected)
 
 
 class TestMetaLearners:

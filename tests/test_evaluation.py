@@ -5,9 +5,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from stagedml import evaluation
+from stagedml.components.learners import per_slice
 from stagedml.components.registry import UnknownComponentError
 from stagedml.data import Dataset, FeatureSet
 from stagedml.evaluation import (
@@ -22,6 +23,7 @@ from stagedml.evaluation import (
     mccv_score,
     mccv_splits,
 )
+from stagedml.rng import derive_seed
 from stagedml.synth import make_dataset
 from stagedml.timing import Deadline
 
@@ -216,8 +218,10 @@ class TestMccv:
                 return np.full(rows.shape[0], self.label, dtype=np.int64)
 
         def fit_majority(X, y, n_classes, params, seed=0, deadline=None):
-            counts = np.bincount(y, minlength=n_classes)
-            return MajorityModel(int(np.argmax(counts)), X.shape[1])
+            def fit_one(X, y):
+                return MajorityModel(int(np.argmax(np.bincount(y, minlength=n_classes))), X.shape[1])
+
+            return per_slice(X, y, deadline, fit_one)
 
         reg = Registry(
             learners={
@@ -242,7 +246,7 @@ class TestMccv:
     def test_non_finite_scaler_output_is_failed_error(self, registry):
         cfg = EvalConfig(seed=0)
         datasets = (_huge_first_column(), _alternating_huge_first_column(), _lopsided_huge_first_column())
-        for lid in ("knn", "logistic_regression"):  # per-fold and stacked folds
+        for lid in ("knn", "logistic_regression"):  # fitted slice by slice and as one stack
             with np.errstate(over="ignore", invalid="ignore"):
                 statuses = [
                     {s: mccv_score(Candidate(lid, scaler=s), d, cfg, registry).status for s in registry.scaler_ids()}
@@ -382,7 +386,7 @@ class TestFoldCache:
 
     def test_concurrent_callers_of_one_key_score_it_once(self, registry):
         """Threads asking for a key while it is being scored wait for that
-        one score: one fit per fold and one journal record per key."""
+        one score: one stacked fit and one journal record per key."""
         fits = []
         knn = registry.learners["knn"]
 
@@ -408,7 +412,7 @@ class TestFoldCache:
         finally:
             sys.setswitchinterval(switch)
         assert not any(t.is_alive() for t in threads)
-        assert len(fits) == 2 * EvalConfig(seed=11).repeats and len(ev.journal_records()) == 2
+        assert len(fits) == 2 and len(ev.journal_records()) == 2
         assert len(scores) == 8 and len({(key, score) for key, score in scores}) == 2
 
     def test_cached_folds_score_like_fresh_folds(self, registry):
@@ -427,7 +431,7 @@ class TestFoldCache:
             registry=registry,
             dataset=d,
             cfg=cfg,
-            fold_listener=lambda key, r, train, val: seen.append((key, r, train.n_rows, val.n_rows)),
+            fold_listener=lambda key, r, train, val: seen.append((key, r, train.shape, val.shape)),
         )
         for ev in (plain, listened):
             for c in self.CANDIDATES:
@@ -435,7 +439,7 @@ class TestFoldCache:
         assert self._journal(plain) == self._journal(listened)
         # k=2 lies outside knn's domain, so it is rejected before its first fold
         assert seen == [
-            (candidate_key(c), r, 42, 18) for c in self.CANDIDATES[:-1] for r in range(cfg.repeats)
+            (candidate_key(c), r, (42, 3), (18, 3)) for c in self.CANDIDATES[:-1] for r in range(cfg.repeats)
         ]
 
     def test_no_dataset_built_per_candidate(self, registry, monkeypatch):
@@ -465,9 +469,8 @@ class TestFoldCache:
 
 
 class TestStackedFolds:
-    """A candidate whose learner stacks (and whose meta-learner, if any,
-    stacks too) fits all its folds in one stacked call; every other
-    candidate fits fold by fold."""
+    """Every candidate fits all its folds in one stacked call, and its
+    journal is the one of fitting each fold alone."""
 
     CANDIDATES = [
         Candidate(learner="logistic_regression"),
@@ -478,6 +481,7 @@ class TestStackedFolds:
         Candidate("logistic_regression", params={"epochs": 50}, meta="bagging", meta_params={"n_estimators": 5}),
         Candidate("logistic_regression", params={"epochs": 50}, meta="adaboost", meta_params={"n_estimators": 5}),
         Candidate(learner="knn"),
+        Candidate(learner="gaussian_nb", scaler="minmax", features=FeatureSet([1, 3])),
     ]
     TREE_CANDIDATES = [
         Candidate(learner="decision_tree"),
@@ -493,11 +497,13 @@ class TestStackedFolds:
         Candidate("random_forest", meta="adaboost", meta_params={"n_estimators": 5}),
         Candidate("decision_tree", meta="adaboost", meta_params={"n_estimators": 10, "learning_rate": 0.5}),
         Candidate("knn", meta="bagging", meta_params={"n_estimators": 5}),
+        Candidate("knn", params={"k": 3}, meta="adaboost", meta_params={"n_estimators": 5}),
         Candidate("gaussian_nb", meta="adaboost", meta_params={"n_estimators": 5}),
+        Candidate("gaussian_nb", meta="bagging", meta_params={"n_estimators": 5, "replace": False}),
     ]
 
     @staticmethod
-    def _registry(registry, events=None, stacks=True, before_fit=None):
+    def _registry(registry, events=None, before_fit=None):
         """A copy of ``registry`` whose learners log each fit as
         ("fit", learner id, X.ndim) in ``events``."""
         learners = {}
@@ -510,12 +516,31 @@ class TestStackedFolds:
                     before_fit(kwargs["deadline"])
                 return _fit(X, *args, **kwargs)
 
-            learners[lid] = replace(spec, fit=fit, stacks=spec.stacks and stacks)
+            learners[lid] = replace(spec, fit=fit)
         return replace(registry, learners=learners)
 
     @staticmethod
-    def _journal(ev):
-        return [{k: v for k, v in r.to_dict().items() if k != "wall_ms"} for r in ev.journal_records()]
+    def _outcomes(ev):
+        return [
+            {k: r.to_dict()[k] for k in ("candidate_key", "status", "mean", "std", "per_fold")}
+            for r in ev.journal_records()
+        ]
+
+    @staticmethod
+    def _per_fold_reference(c, d, cfg, registry):
+        """The journal outcome of ``c`` with each fold fitted alone:
+        ``fit_pipeline`` on the fold's train rows with the fold's seed."""
+        key = candidate_key(c)
+        per_fold = []
+        try:
+            for r, (train, val) in enumerate(mccv_splits(d, cfg)):
+                fitted = fit_pipeline(c, d.subset_rows(train), registry, seed=derive_seed(cfg.seed, "fit", key, r))
+                per_fold.append(error_rate(d.labels[val], fitted.predict(d.instances[val])))
+        except Exception:
+            return {"candidate_key": key, "status": "failed_error", "mean": None, "std": None, "per_fold": []}
+        scores = np.array(per_fold)
+        return {"candidate_key": key, "status": "ok", "mean": float(scores.mean()), "std": float(scores.std()),
+                "per_fold": per_fold}
 
     def test_one_stacked_fit_per_logistic_evaluation(self, registry):
         d = make_dataset("madelon_like", 60, 4, 3)
@@ -523,45 +548,39 @@ class TestStackedFolds:
         events = []
         reg = self._registry(registry, events)
         listener = lambda key, r, train, val: events.append(("fold", r))  # noqa: E731
-        assert mccv_score(Candidate(learner="logistic_regression"), d, cfg, reg, fold_listener=listener).ok
-        # the listener sees every fold before the one fit
-        assert events == [("fold", r) for r in range(5)] + [("fit", "logistic_regression", 3)]
-        events.clear()
-        assert mccv_score(Candidate(learner="knn"), d, cfg, reg, fold_listener=listener).ok
-        assert events == [e for r in range(5) for e in (("fold", r), ("fit", "knn", 2))]
+        for lid in ("logistic_regression", "knn", "gaussian_nb"):
+            events.clear()
+            assert mccv_score(Candidate(learner=lid), d, cfg, reg, fold_listener=listener).ok
+            # the listener sees every fold before the one fit
+            assert events == [("fold", r) for r in range(5)] + [("fit", lid, 3)]
 
     def test_stacked_folds_give_the_per_fold_journal(self, registry):
         d = make_dataset("madelon_like", 60, 4, 3)
-        journals, fits = [], []
-        for stacks in (True, False):
-            events = []
-            ev = Evaluator(registry=self._registry(registry, events, stacks), dataset=d, cfg=EvalConfig(seed=4))
-            for c in self.CANDIDATES:
-                ev.evaluate(c, stage="probing")
-            journals.append(self._journal(ev))
-            fits.append([events.count(("fit", "logistic_regression", ndim)) for ndim in (2, 3)])
-        assert journals[0] == journals[1]
-        assert [r["status"] for r in journals[0]].count("failed_error") == 1
-        # stacked: one fit for each of four plain candidates that reach a fit, one for
-        # the bagging estimators of all folds and one per boosting round (five) of the
-        # folds still boosting; unstacked: every fold, estimator and round (16) alone
-        (flat, stack), (flat_alone, stack_alone) = fits
-        assert (flat, stack, stack_alone, flat_alone) == (0, 4 + 1 + 5, 0, 4 * 5 + 5 * 5 + 16)
+        cfg = EvalConfig(seed=4)
+        events = []
+        ev = Evaluator(registry=self._registry(registry, events), dataset=d, cfg=cfg)
+        for c in self.CANDIDATES:
+            ev.evaluate(c, stage="probing")
+        journal = self._outcomes(ev)
+        assert journal == [self._per_fold_reference(c, d, cfg, registry) for c in self.CANDIDATES]
+        assert [r["status"] for r in journal].count("failed_error") == 1
+        # one fit for each of four plain candidates that reach a fit, one for
+        # the bagging estimators of all folds and one per boosting round (five)
+        # of the folds still boosting; no fit of one problem
+        assert [events.count(("fit", "logistic_regression", ndim)) for ndim in (2, 3)] == [0, 4 + 1 + 5]
+        assert events.count(("fit", "knn", 3)) == events.count(("fit", "gaussian_nb", 3)) == 1
 
     def test_stacked_tree_and_meta_folds_give_the_per_fold_journal(self, registry):
         d = make_dataset("madelon_like", 60, 4, 3)
         grid = make_numeric_dataset(np.round(d.instances), d.labels)
-        journals = []
-        for stacks in (True, False):
-            journal = []
-            for data in (d, grid):
-                ev = Evaluator(registry=self._registry(registry, stacks=stacks), dataset=data, cfg=EvalConfig(seed=4))
-                for c in self.TREE_CANDIDATES:
-                    ev.evaluate(c, stage="meta")
-                journal += self._journal(ev)
-            journals.append(journal)
-        assert journals[0] == journals[1]
-        assert all(r["status"] == "ok" for r in journals[0])
+        cfg = EvalConfig(seed=4)
+        for data in (d, grid):
+            ev = Evaluator(registry=registry, dataset=data, cfg=cfg)
+            for c in self.TREE_CANDIDATES:
+                ev.evaluate(c, stage="meta")
+            journal = self._outcomes(ev)
+            assert journal == [self._per_fold_reference(c, data, cfg, registry) for c in self.TREE_CANDIDATES]
+            assert all(r["status"] == "ok" for r in journal)
 
     @pytest.mark.parametrize("candidate", [
         Candidate(learner="random_forest"),
@@ -601,29 +620,22 @@ class TestStackedFolds:
 
     def test_one_non_finite_fold_is_failed_error(self, registry):
         d = make_dataset("madelon_like", 40, 2, 3)
-        folds = evaluation._fold_pairs(d, EvalConfig(seed=4))
+        cfg = EvalConfig(seed=4)
+        folds = mccv_splits(d, cfg)
+        # fold 2 trains on copies of its train rows, appended below the data,
+        # whose first column standardize maps to -inf
         train, val = folds[2]
-        x = train.instances.copy()
-        x[:, 0] = np.tile([1.5e308, 1.5e308, -1.5e308], train.n_rows)[: train.n_rows]
-        folds[2] = (make_numeric_dataset(x, train.labels), val)
+        x = d.instances[train].copy()
+        x[:, 0] = np.tile([1.5e308, 1.5e308, -1.5e308], train.size)[: train.size]
+        poisoned = make_numeric_dataset(np.concatenate([d.instances, x]), np.concatenate([d.labels, d.labels[train]]))
+        folds[2] = (d.n_rows + np.arange(train.size), val)
         events = []
         reg = self._registry(registry, events)
         c = Candidate(learner="logistic_regression", scaler="standardize")
+        assert mccv_score(c, poisoned, cfg, reg, folds=mccv_splits(d, cfg)).ok
         with np.errstate(over="ignore", invalid="ignore"):
-            s = mccv_score(c, d, EvalConfig(seed=4), reg, folds=folds)
-        assert s.status == "failed_error" and events == []
-
-    def test_unequal_folds_fit_one_by_one(self, registry):
-        d = make_dataset("madelon_like", 60, 4, 3)
-        cfg = EvalConfig(seed=4)
-        folds = evaluation._fold_pairs(d, cfg)
-        train, val = folds[1]
-        folds[1] = (train.subset_rows(np.arange(1, train.n_rows)), val)
-        c = Candidate(learner="logistic_regression", scaler="standardize")
-        events = []
-        stacked = mccv_score(c, d, cfg, self._registry(registry, events), folds=folds)
-        assert stacked.ok and events == [("fit", "logistic_regression", 2)] * 5
-        assert stacked == mccv_score(c, d, cfg, self._registry(registry, stacks=False), folds=folds)
+            s = mccv_score(c, poisoned, cfg, reg, folds=folds)
+        assert s.status == "failed_error" and events == [("fit", "logistic_regression", 3)]
 
     def test_bagging_chunks_predict_like_one_stack(self, registry, monkeypatch):
         from stagedml.components import meta
@@ -639,9 +651,8 @@ class TestStackedFolds:
             fitted = fit_pipeline(c, d, self._registry(registry, events), seed=5)
             assert events[1:] == [("fit", "logistic_regression", 3)] * chunks
             preds.append(fitted.predict(probe))
-        plain = fit_pipeline(c, d, self._registry(registry, stacks=False), seed=5).predict(probe)
-        for p in preds:
-            assert np.array_equal(p, plain)
+        for p in preds[:-1]:
+            assert np.array_equal(p, preds[-1])
 
 
 class TestLeakageCanary:
@@ -681,3 +692,22 @@ def test_candidate_key_injective_over_distinct_candidates(k, scaler, features):
     )
     if (other.params, other.scaler, other.features) != (base.params, base.scaler, base.features):
         assert candidate_key(other) != candidate_key(base)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    counts=st.lists(st.integers(min_value=0, max_value=12), min_size=2, max_size=5),
+    repeats=st.integers(min_value=1, max_value=6),
+    train_fraction=st.floats(min_value=0.05, max_value=0.95),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    order=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_mccv_fold_sizes_equal_across_repeats(counts, repeats, train_fraction, seed, order):
+    """Fold sizes depend on the labels and the train fraction only, never on
+    the split seed, so the folds of any label distribution (singleton
+    classes and absent class ids included) stack."""
+    assume(sum(c > 0 for c in counts) >= 2)
+    y = np.random.default_rng(order).permutation(np.repeat(np.arange(len(counts)), counts))
+    d = make_numeric_dataset(np.zeros((y.size, 1)), y, class_names=[f"c{k}" for k in range(len(counts))])
+    splits = mccv_splits(d, EvalConfig(repeats=repeats, train_fraction=train_fraction, seed=seed))
+    assert len({(train.size, val.size) for train, val in splits}) == 1

@@ -147,7 +147,7 @@ class TestHoldoutHygiene:
             validation=ValidationConfig(m=3, holdout_fraction=0.2),
         )
         seen_train_ids = []
-        run(tagged, cfg, fold_listener=lambda key, r, train, val: seen_train_ids.append(set(train.instances[:, 0])))
+        run(tagged, cfg, fold_listener=lambda key, r, train, val: seen_train_ids.append(set(train[:, 0])))
         optimization, holdout = holdout_split(tagged, cfg)
         holdout_ids = set(holdout.instances[:, 0])
         assert holdout_ids
@@ -196,6 +196,18 @@ class TestHoldoutHygiene:
         report = run(data, presets_for_tests(13)["primitive"])
         assert report.ok
 
+
+    @pytest.mark.parametrize("preset", ["full", "single-validation"])
+    def test_one_class_data_gets_a_holdout(self, preset):
+        # one class cannot be split stratified: its holdout is an unstratified split
+        x = np.column_stack([np.arange(30.0), np.random.default_rng(5).normal(size=(30, 2))])
+        data = make_numeric_dataset(x, [0] * 30, class_names=["only"])
+        cfg = scheme_presets(seed=1)[preset]
+        optimization, holdout = holdout_split(data, cfg)
+        assert holdout.n_rows == 3 and optimization.n_rows == 27
+        assert sorted(np.concatenate([optimization.instances[:, 0], holdout.instances[:, 0]])) == list(range(30))
+        report = run(data, cfg)
+        assert report.ok and report.best_score == 0.0 and report.holdout_rows == 3
 
 class TestBudget:
     def test_budget_enforced_with_partial_results(self):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stagedml.components.learners import per_slice
 from stagedml.components.registry import LearnerSpec, Registry
 from stagedml.data import FeatureSet
 from stagedml.evaluation import Candidate, EvalConfig, Evaluator, Score, candidate_key
@@ -574,7 +575,10 @@ class TestValidationStage:
                     deadline.check()
                 return np.zeros(rows.shape[0], dtype=np.int64)
 
-        slow = Registry(learners={"slow": LearnerSpec("slow", {}, {}, False, lambda *a, **kw: SlowModel())})
+        def fit_slow(X, y, n_classes, params, seed=0, deadline=None):
+            return per_slice(X, y, deadline, lambda X, y: SlowModel())
+
+        slow = Registry(learners={"slow": LearnerSpec("slow", {}, {}, False, fit_slow)})
         pool = CandidatePool([entry(0.1, learner="slow")])
         ctx = ctx_for(
             StubEvaluator(), data, slow, holdout=holdout, validation=ValidationConfig(m=1), deadline=stage_deadline
