@@ -161,6 +161,10 @@ def _spec_from_args(args, require_data: bool = True) -> RunSpec:
     misspelled = sorted(set(limits) - set(stage_ids))
     if misspelled:
         raise UsageError(f"unknown stage ids in stage time limits: {misspelled}; valid ids: {', '.join(stage_ids)}")
+    for name, seconds in limits.items():
+        # NaN fails every comparison, so "not >= 0" rejects it with the negatives
+        if isinstance(seconds, bool) or not isinstance(seconds, (int, float)) or not seconds >= 0:
+            raise UsageError(f"stage time limit {name}={seconds!r} is not a number of seconds >= 0")
     merged["stage_time_limits"] = limits
     if "data" not in merged:
         if require_data:
@@ -193,6 +197,8 @@ def cmd_bench(args) -> int:
         raise UsageError("bench needs at least one --data")
     if args.splits < 1:
         raise UsageError("--splits must be at least 1")
+    for preset in presets:
+        replace(spec, preset=preset).scheme()  # type-check every preset before any work
     outdir = Path(spec.out)
     outdir.mkdir(parents=True, exist_ok=True)
     registry = registry_default()

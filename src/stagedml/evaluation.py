@@ -19,12 +19,20 @@ pair of row-index arrays over the one optimization matrix; an
 ``Evaluator`` draws the folds once per (seed, repeats, train_fraction)
 and shares them across all its candidates. Scores are cached by
 (candidate key, dataset hash, config); lower is better.
+
+``Evaluator.evaluate_many`` scores a batch of candidates on ``WORKERS``
+forked processes and journals them as ``evaluate`` called once per
+candidate, in submission order, would.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
@@ -34,11 +42,14 @@ from stagedml.components.registry import Registry, ScalerSpec
 from stagedml.data import Dataset, FeatureSet, SplitSpec, split_indices
 from stagedml.data import project  # noqa: F401  (kept importable from this module)
 from stagedml.rng import derive_seed
-from stagedml.timing import Deadline, DeadlineExceeded
+from stagedml.timing import Budget, Deadline, DeadlineExceeded
 
 STATUS_OK = "ok"
 STATUS_TIMEOUT = "failed_timeout"
 STATUS_ERROR = "failed_error"
+
+# processes ``Evaluator.evaluate_many`` scores a batch on: the CPUs this process may use
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -385,6 +396,33 @@ class JournalRecord:
         }
 
 
+def _dispatches(candidates: Sequence[Candidate], deadline, budgets: Sequence[Budget] | None, ready=None):
+    """(index, candidate, deadline) of each candidate to score, in
+    submission order, each checked just before it is scored (after
+    ``ready()``, the caller's wait for a free worker): nothing once
+    ``deadline`` has lapsed, and no candidate whose own budget
+    (``budgets[i]``, started here) has lapsed."""
+    for i, candidate in enumerate(candidates):
+        if ready is not None:
+            ready()
+        if deadline is not None and deadline.expired():
+            return
+        own = budgets[i].start() if budgets is not None else deadline
+        if own is None or not own.expired():
+            yield i, candidate, own
+
+
+def evaluate_serially(
+    evaluator, candidates: Sequence[Candidate], stage: str, deadline=None, budgets: Sequence[Budget] | None = None
+) -> list[Score | None]:
+    """``evaluate_many`` as a loop over ``evaluator.evaluate`` in this
+    process."""
+    scores: list[Score | None] = [None] * len(candidates)
+    for i, candidate, own in _dispatches(candidates, deadline, budgets):
+        scores[i] = evaluator.evaluate(candidate, stage, deadline=own)
+    return scores
+
+
 @dataclass
 class Evaluator:
     """Scores candidates on one optimization dataset, with caching.
@@ -394,11 +432,16 @@ class Evaluator:
     later candidate; ``dataset`` is write-protected and never changes, so
     sharing them cannot leak state between candidates.
 
-    ``evaluate`` is safe to call concurrently: the cache, fold cache and
-    journal are lock-protected and seeds derive from candidate keys,
-    never from arrival order; a key being scored is waited for, never
-    scored twice. ``fold_listener`` (if set) observes every fitted fold;
-    tests use it for leakage bookkeeping.
+    ``evaluate`` and ``evaluate_many`` are safe to call concurrently: the
+    cache, fold cache and journal are lock-protected and seeds derive from
+    candidate keys, never from arrival order; a key being scored is waited
+    for, never scored twice. Batches run one at a time. ``fold_listener``
+    (if set) observes every fitted fold; tests use it for leakage
+    bookkeeping.
+
+    ``evaluate_many`` forks its worker processes on the first batch that
+    needs them; ``close`` stops them (``orchestrator.run`` does when it
+    returns or raises), and so does dropping the evaluator.
     """
 
     registry: Registry
@@ -411,9 +454,15 @@ class Evaluator:
     _fold_cache: dict = field(default_factory=dict)
     _lock: threading.Lock = field(default_factory=threading.Lock)
     _scoring: dict = field(default_factory=dict)  # cache key -> lock held while it is scored
+    _batch_lock: threading.Lock = field(default_factory=threading.Lock)  # one batch at a time uses the workers
+    _workers: "_Workers | None" = None
+    _stop_workers: weakref.finalize | None = None
 
     def __post_init__(self) -> None:
         self._dataset_hash = self.dataset.content_hash()
+
+    def _cache_key(self, candidate: Candidate, cfg: EvalConfig) -> tuple[str, str, str]:
+        return candidate_key(candidate), self._dataset_hash, cfg.key()
 
     def evaluate(
         self,
@@ -422,10 +471,10 @@ class Evaluator:
         cfg: EvalConfig | None = None,
         deadline: Deadline | None = None,
     ) -> Score:
-        cfg_eff = cfg if cfg is not None else self.cfg
-        auxiliary = cfg is not None and cfg.key() != self.cfg.key()
-        key = candidate_key(candidate)
-        cache_key = (key, self._dataset_hash, cfg_eff.key())
+        """The score of ``candidate``, cached or scored here. A ``cfg``
+        other than the evaluator's own is journaled as auxiliary."""
+        cfg = cfg if cfg is not None else self.cfg
+        cache_key = self._cache_key(candidate, cfg)
         with self._lock:
             if cache_key in self._cache:
                 return self._cache[cache_key]
@@ -436,26 +485,126 @@ class Evaluator:
                     return self._cache[cache_key]
             started = time.monotonic()
             score = mccv_score(
-                candidate, self.dataset, cfg_eff, self.registry, deadline=deadline,
-                folds=self._folds(cfg_eff), fold_listener=self.fold_listener,
+                candidate, self.dataset, cfg, self.registry, deadline=deadline,
+                folds=self._folds(cfg), fold_listener=self.fold_listener,
             )
-            record = JournalRecord(
-                candidate_key=key,
-                stage=stage,
-                mean=score.mean,
-                std=score.std,
-                per_fold=score.per_fold,
-                status=score.status,
-                wall_ms=(time.monotonic() - started) * 1000.0,
-                seed=cfg_eff.seed,
-                auxiliary=auxiliary,
-            )
-            with self._lock:
-                self._cache[cache_key] = score
-                self._journal.append(record)
-                self._by_key[key] = candidate
-                del self._scoring[cache_key]
+            self._record(cache_key, candidate, stage, score, (time.monotonic() - started) * 1000.0, cfg)
         return score
+
+    def evaluate_many(
+        self,
+        candidates: Sequence[Candidate],
+        stage: str,
+        deadline: Deadline | None = None,
+        budgets: Sequence[Budget] | None = None,
+    ) -> list[Score | None]:
+        """The scores of ``candidates`` under the evaluator's config, as
+        ``evaluate`` called on each in turn would give them; None for a
+        candidate left unscored because ``deadline``, or its own budget
+        ``budgets[i]`` (started when it is dispatched), lapsed first.
+
+        Cached and repeated keys are not scored again. The others go to
+        ``WORKERS`` worker processes, one candidate in flight per worker.
+        ``deadline`` is checked before each dispatch; once it lapses,
+        nothing more is dispatched and the tasks in flight are waited
+        for. Cache entries and journal records are written in submission
+        order, so the journal does not depend on the worker count. The
+        batch runs in this process, as ``evaluate_serially``, when fewer
+        than two keys are left to score, when one CPU is usable, when the
+        context cannot go to workers by value (any ``fold_listener``, or
+        a registry that does not pickle), or when workers would have to
+        be forked from a process that runs other threads.
+        """
+        with self._batch_lock:
+            workers = self._workers_for(candidates)
+            if workers is None:
+                return evaluate_serially(self, candidates, stage, deadline, budgets)
+            return self._evaluate_on(workers, candidates, stage, deadline, budgets)
+
+    def _evaluate_on(self, workers: "_Workers", candidates, stage, deadline, budgets) -> list[Score | None]:
+        """``evaluate_many`` on ``workers``."""
+        scores: list[Score | None] = [None] * len(candidates)
+        firsts: dict = {}  # cache key -> index of the task that scores it, in submission order
+        repeats, deferred, results = [], [], {}
+        claimed: dict = {}  # cache key -> its single-flight lock, held until it is recorded
+        try:
+            for i, candidate, own in _dispatches(candidates, deadline, budgets, lambda: workers.ready(results)):
+                cache_key = self._cache_key(candidate, self.cfg)
+                with self._lock:
+                    if cache_key in self._cache:
+                        scores[i] = self._cache[cache_key]
+                        continue
+                    if cache_key in firsts:
+                        repeats.append((i, firsts[cache_key]))
+                        continue
+                    scoring = self._scoring.setdefault(cache_key, threading.Lock())
+                if not scoring.acquire(blocking=False):
+                    deferred.append((i, candidate, own))  # another caller is scoring it
+                    continue
+                claimed[cache_key] = scoring
+                firsts[cache_key] = i
+                workers.submit(i, candidate, own)
+            workers.drain(results)
+            for cache_key, i in firsts.items():
+                scores[i], wall_ms = results[i]
+                self._record(cache_key, candidates[i], stage, scores[i], wall_ms, self.cfg)
+                claimed.pop(cache_key).release()
+        finally:
+            for cache_key, scoring in claimed.items():  # the batch was cut short
+                with self._lock:
+                    del self._scoring[cache_key]
+                scoring.release()
+        for i, first in repeats:
+            scores[i] = scores[first]
+        for i, candidate, own in deferred:
+            scores[i] = self.evaluate(candidate, stage, deadline=own)
+        return scores
+
+    def _record(self, cache_key, candidate: Candidate, stage: str, score: Score, wall_ms: float, cfg: EvalConfig) -> None:
+        """Cache and journal one scoring; its key is no longer being scored."""
+        record = JournalRecord(
+            candidate_key=cache_key[0],
+            stage=stage,
+            mean=score.mean,
+            std=score.std,
+            per_fold=score.per_fold,
+            status=score.status,
+            wall_ms=wall_ms,
+            seed=cfg.seed,
+            auxiliary=cfg.key() != self.cfg.key(),
+        )
+        with self._lock:
+            self._cache[cache_key] = score
+            self._journal.append(record)
+            self._by_key[cache_key[0]] = candidate
+            del self._scoring[cache_key]
+
+    def _workers_for(self, candidates: Sequence[Candidate]) -> "_Workers | None":
+        """The worker processes for a batch of ``candidates``, forked on
+        the first batch that needs them, after the fold cache is built;
+        None when the batch runs in this process."""
+        if WORKERS < 2 or self.fold_listener is not None:
+            return None
+        with self._lock:
+            left = {key for c in candidates if (key := self._cache_key(c, self.cfg)) not in self._cache}
+        if len(left) < 2:
+            return None
+        if self._workers is None:
+            if threading.active_count() > 1:
+                return None  # forking a process that runs other threads can deadlock the child
+            try:
+                context = pickle.dumps((self.dataset, self.registry, self.cfg, self._folds(self.cfg)))
+            except (pickle.PicklingError, AttributeError, TypeError):  # local functions, locks
+                return None
+            self._workers = _Workers(WORKERS, context)
+            self._stop_workers = weakref.finalize(self, self._workers.close)
+        return self._workers
+
+    def close(self) -> None:
+        """Stop the worker processes, if any; a later batch forks new ones."""
+        if self._stop_workers is not None:
+            self._stop_workers()
+        self._workers = self._stop_workers = None
 
     def _folds(self, cfg: EvalConfig) -> list[tuple[np.ndarray, np.ndarray]] | None:
         """The folds of ``cfg``, drawn on first use. None when the labels
@@ -493,3 +642,91 @@ class Evaluator:
             if best is None or rec.mean < best[1]:
                 best = (rec.candidate_key, rec.mean)
         return best
+
+
+# ---------------------------------------------------------------------------
+# worker processes
+
+
+class _Workers:
+    """Forked processes that score candidates against one evaluator context.
+
+    The context (dataset, registry, config and folds), pickled by the
+    parent, reaches each worker once, by value. A task is a candidate and
+    its absolute deadline (the monotonic clock is system-wide), and each
+    worker holds one task at a time. A worker that dies in a task is
+    replaced, and its candidate ends ``failed_error``.
+    """
+
+    def __init__(self, n: int, context: bytes) -> None:
+        import multiprocessing  # here, so that runs which never batch do not import it
+
+        self._mp = multiprocessing.get_context("fork")
+        self._context = context
+        self._procs: dict = {}  # parent end of a worker's pipe -> the worker
+        self._busy: dict = {}  # parent end -> index of the task in flight
+        self._idle = [self._fork() for _ in range(n)]
+
+    def _fork(self):
+        ours, theirs = self._mp.Pipe()
+        proc = self._mp.Process(target=_serve, args=(theirs, self._context), daemon=True)
+        proc.start()
+        theirs.close()
+        self._procs[ours] = proc
+        return ours
+
+    def ready(self, results: dict) -> None:
+        """Wait until some worker is idle."""
+        if not self._idle:
+            self._collect(results)
+
+    def submit(self, index: int, candidate: Candidate, deadline: Deadline | None) -> None:
+        """Send task ``index`` to an idle worker (``ready`` waits for one)."""
+        conn = self._idle.pop()
+        conn.send((candidate, deadline))
+        self._busy[conn] = index
+
+    def drain(self, results: dict) -> None:
+        """Wait for every task in flight."""
+        while self._busy:
+            self._collect(results)
+
+    def _collect(self, results: dict) -> None:
+        """Wait for at least one task to end; ``results[index]`` becomes
+        its (score, wall_ms)."""
+        from multiprocessing.connection import wait
+
+        for conn in wait(list(self._busy)):
+            index = self._busy.pop(conn)
+            try:
+                results[index] = conn.recv()
+            except (EOFError, OSError):  # the worker died in this task
+                results[index] = (Score(mean=None, std=None, per_fold=(), status=STATUS_ERROR), 0.0)
+                conn.close()
+                self._procs.pop(conn).join()
+                conn = self._fork()
+            self._idle.append(conn)
+
+    def close(self) -> None:
+        """Terminate every worker and wait for it to exit."""
+        for conn, proc in self._procs.items():
+            proc.terminate()
+            conn.close()
+        for proc in self._procs.values():
+            proc.join()
+        self._procs.clear()
+
+
+def _serve(conn, context: bytes) -> None:
+    """A worker's loop: score each (candidate, deadline) that arrives on
+    ``conn``, until the parent closes it."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's to handle
+    dataset, registry, cfg, folds = pickle.loads(context)
+    while True:
+        try:
+            candidate, deadline = conn.recv()
+        except EOFError:
+            return
+        started = time.monotonic()
+        score = mccv_score(candidate, dataset, cfg, registry, deadline=deadline, folds=folds)
+        conn.send((score, (time.monotonic() - started) * 1000.0))

@@ -143,6 +143,14 @@ def run(
     cfg: SchemeConfig,
     fold_listener: Callable | None = None,
 ) -> RunReport:
+    """Search ``dataset`` under ``cfg`` and report the best pipeline.
+
+    The meta and tuning stages score their batches on worker processes
+    forked from this one (see ``Evaluator.evaluate_many``); they are
+    stopped when the run returns or raises. The journal is the same for
+    any number of workers. ``fold_listener`` sees every fitted fold, and
+    having one keeps every evaluation in this process.
+    """
     started = time.monotonic()
     global_deadline = Deadline(cfg.global_timeout)
 
@@ -154,63 +162,66 @@ def run(
         fold_listener=fold_listener,
     )
 
-    pool = CandidatePool()
-    stage_traces: list[dict] = []
-    pool_snapshots: list[dict] = []
-    validation_ran = False
-    for stage in cfg.stages:
-        if global_deadline.expired():
-            stage_traces.append(
-                {"stage_id": stage.stage_id, "started": None, "ended": None,
-                 "evaluations": 0, "added": 0, "removed": 0, "deadline_hit": True,
-                 "skipped": "global budget exhausted"}
+    try:
+        pool = CandidatePool()
+        stage_traces: list[dict] = []
+        pool_snapshots: list[dict] = []
+        validation_ran = False
+        for stage in cfg.stages:
+            if global_deadline.expired():
+                stage_traces.append(
+                    {"stage_id": stage.stage_id, "started": None, "ended": None,
+                     "evaluations": 0, "added": 0, "removed": 0, "deadline_hit": True,
+                     "skipped": "global budget exhausted"}
+                )
+                continue
+            stage_deadline = global_deadline.clipped(stage.time_limit)
+            ctx = StageContext(
+                evaluator=evaluator,
+                registry=evaluator.registry,
+                data=optimization,
+                holdout=holdout if stage.stage_id == "validation" else None,
+                seed=derive_seed(cfg.seed, stage.stage_id),
+                deadline=stage_deadline,
+                validation=cfg.validation,
             )
-            continue
-        stage_deadline = global_deadline.clipped(stage.time_limit)
-        ctx = StageContext(
-            evaluator=evaluator,
-            registry=evaluator.registry,
-            data=optimization,
-            holdout=holdout if stage.stage_id == "validation" else None,
-            seed=derive_seed(cfg.seed, stage.stage_id),
-            deadline=stage_deadline,
-            validation=cfg.validation,
-        )
-        evals_before = evaluator.evaluation_count
-        keys_before = set(pool.keys())
-        t0 = time.time()
-        pool = stage.run(pool, ctx)
-        t1 = time.time()
-        keys_after = set(pool.keys())
-        if stage.stage_id == "validation" and "skipped" not in ctx.trace:
-            validation_ran = True
-        stage_traces.append(
-            {
-                "stage_id": stage.stage_id,
-                "started": t0,
-                "ended": t1,
-                "evaluations": evaluator.evaluation_count - evals_before,
-                "added": len(keys_after - keys_before),
-                "removed": len(keys_before - keys_after),
-                "deadline_hit": bool(ctx.trace.get("deadline_hit", False)),
-                "detail": ctx.trace,
-            }
-        )
-        pool_snapshots.append(
-            {
-                "stage_id": stage.stage_id,
-                "pool": [
-                    {
-                        "key": e.key,
-                        "mean": e.score.mean,
-                        "origin": e.stage_id,
-                        "phi_validate": e.phi_validate,
-                        "final_score": e.final_score,
-                    }
-                    for e in pool
-                ],
-            }
-        )
+            evals_before = evaluator.evaluation_count
+            keys_before = set(pool.keys())
+            t0 = time.time()
+            pool = stage.run(pool, ctx)
+            t1 = time.time()
+            keys_after = set(pool.keys())
+            if stage.stage_id == "validation" and "skipped" not in ctx.trace:
+                validation_ran = True
+            stage_traces.append(
+                {
+                    "stage_id": stage.stage_id,
+                    "started": t0,
+                    "ended": t1,
+                    "evaluations": evaluator.evaluation_count - evals_before,
+                    "added": len(keys_after - keys_before),
+                    "removed": len(keys_before - keys_after),
+                    "deadline_hit": bool(ctx.trace.get("deadline_hit", False)),
+                    "detail": ctx.trace,
+                }
+            )
+            pool_snapshots.append(
+                {
+                    "stage_id": stage.stage_id,
+                    "pool": [
+                        {
+                            "key": e.key,
+                            "mean": e.score.mean,
+                            "origin": e.stage_id,
+                            "phi_validate": e.phi_validate,
+                            "final_score": e.final_score,
+                        }
+                        for e in pool
+                    ],
+                }
+            )
+    finally:
+        evaluator.close()  # no worker outlives its run
 
     internal_best = evaluator.best_ok()
     journal = [rec.to_dict() for rec in evaluator.journal_records()]

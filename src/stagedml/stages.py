@@ -7,11 +7,16 @@ alone. Stages respect a cooperative deadline and return whatever they
 completed when it lapses.
 
 The protocol the stages share is written once, in ``StageContext``:
-``try_add`` returns a candidate's pool entry, scoring the candidate and
-adding it first when the pool lacks it (tuning adds only candidates that
-beat the incumbent, so it keeps its own add), and ``expired`` is the
-stage-deadline check that records ``deadline_hit`` in the trace when it
-stops a stage. Settings no caller varies are module constants:
+``try_add_many`` returns the pool entries of a batch of candidates,
+scoring the ones the pool lacks as one ``Evaluator.evaluate_many`` batch
+and adding each whose score is ok (and, for tuning, beats its
+incumbent), in submission order; ``try_add`` is its one-candidate case.
+``expired`` is the stage-deadline check that records ``deadline_hit`` in
+the trace when it stops a stage. The meta and tuning stages build their
+whole candidate lists up front and submit each as one batch, so their
+candidates are scored on every usable CPU; probing, scaling and
+filtering decide each next candidate from the scores before it and add
+one at a time. Settings no caller varies are module constants:
 ``SCALING_EPSILON`` for the scaling stage, and ``FILTER_PILOT``,
 ``CHEAP_REPEATS``, ``CURVE_TOL`` and ``CURVE_PATIENCE`` for the feature
 curves of the filtering stage.
@@ -35,7 +40,7 @@ from stagedml.evaluation import (
     fit_pipeline,
 )
 from stagedml.rng import Rng, derive_seed
-from stagedml.timing import Deadline
+from stagedml.timing import Budget, Deadline
 
 PILOT_LEARNERS = ("knn", "gaussian_nb")
 SCALING_EPSILON = 0.0  # a scaler expands when it beats some pilot's raw score by more
@@ -141,20 +146,46 @@ class StageContext:
         return True
 
     def try_add(self, pool: CandidatePool, candidate: Candidate, stage_id: str) -> ScoredCandidate | None:
-        """The pool's entry for ``candidate``. A candidate the pool lacks
-        is scored under the stage deadline first and added when its score
-        is ok; returns None when that scoring failed. A scoring that fails
-        once the stage deadline has lapsed was cut off by it, so it records
-        ``deadline_hit`` like the check that stops the stage."""
-        entry = pool.get(candidate_key(candidate))
-        if entry is None:
-            score = self.evaluator.evaluate(candidate, stage=stage_id, deadline=self.deadline)
-            if score.ok:
-                entry = ScoredCandidate(candidate, score, stage_id)
-                pool.add(entry)
-            else:
-                self.expired()
-        return entry
+        """``try_add_many`` of one candidate."""
+        return self.try_add_many(pool, [candidate], stage_id)[0]
+
+    def try_add_many(
+        self,
+        pool: CandidatePool,
+        candidates: Sequence[Candidate],
+        stage_id: str,
+        budgets: Sequence[Budget] | None = None,
+        accept: Callable[[int, Score], bool] | None = None,
+    ) -> list[ScoredCandidate | None]:
+        """The pool's entry for each candidate. The candidates the pool
+        lacks are scored as one batch under the stage deadline (and
+        candidate i under ``budgets[i]`` too, if given); then, in
+        submission order, each whose score is ok and that ``accept(i,
+        score)`` takes (if given) is added, unless an earlier one of the
+        batch already added its key. None marks a candidate that was not
+        added. A scoring that failed or never ran once the stage deadline
+        has lapsed was cut off by it, so it records ``deadline_hit`` like
+        the check that stops the stage."""
+        todo = [i for i, c in enumerate(candidates) if candidate_key(c) not in pool]
+        scores = self.evaluator.evaluate_many(
+            [candidates[i] for i in todo], stage_id, self.deadline,
+            budgets=[budgets[i] for i in todo] if budgets is not None else None,
+        )
+        score_of = dict(zip(todo, scores))
+        entries, missed = [], False
+        for i, candidate in enumerate(candidates):
+            entry = pool.get(candidate_key(candidate))
+            score = score_of.get(i)
+            if entry is None and score is not None and score.ok:
+                if accept is None or accept(i, score):
+                    entry = ScoredCandidate(candidate, score, stage_id)
+                    pool.add(entry)
+            elif entry is None:
+                missed = True
+            entries.append(entry)
+        if missed:
+            self.expired()
+        return entries
 
 
 # ---------------------------------------------------------------------------
@@ -391,20 +422,26 @@ class MetaStage:
 
     def run(self, pool: CandidatePool, ctx: StageContext) -> CandidatePool:
         metas = ctx.registry.meta_learner_ids()
-        for entry in pool.sorted_by_score():
-            if entry.candidate.meta is not None:
-                continue
-            for meta_id in metas:
-                if ctx.expired():
-                    return pool
-                ctx.try_add(pool, entry.candidate.with_meta(meta_id), self.stage_id)
+        wrapped = [
+            entry.candidate.with_meta(meta_id)
+            for entry in pool.sorted_by_score()
+            if entry.candidate.meta is None
+            for meta_id in metas
+        ]
+        ctx.try_add_many(pool, wrapped, self.stage_id)
         return pool
 
 
 @dataclass
 class TuningStage:
     """Random-search (or small-grid enumeration) over learner params,
-    candidates visited best-first under per-candidate budgets."""
+    candidates visited best-first under per-candidate budgets.
+
+    Each pool entry's samples come from ``Rng(derive_seed(seed, "tuning",
+    key))`` (or its grid), never from scores, so the samples of all
+    entries go to the evaluator as one batch. An entry's budget of
+    ``per_candidate_seconds`` starts when its first sample is dispatched;
+    a sample is added when it beats its entry."""
 
     stage_id: ClassVar[str] = "tuning"
     time_limit: float | None = None
@@ -412,37 +449,31 @@ class TuningStage:
     per_candidate_seconds: float = 120.0
 
     def run(self, pool: CandidatePool, ctx: StageContext) -> CandidatePool:
+        tuned, budgets, incumbents = [], [], []
         for entry in pool.sorted_by_score():
-            if ctx.expired():
-                break
-            self._tune_one(entry, pool, ctx)
+            samples = self._samples(entry, ctx)
+            budget = Budget(ctx.deadline, self.per_candidate_seconds)
+            tuned += [entry.candidate.with_params(params) for params in samples]
+            budgets += [budget] * len(samples)
+            incumbents += [entry.score.mean] * len(samples)
+        ctx.try_add_many(pool, tuned, self.stage_id, budgets, accept=lambda i, score: score.mean < incumbents[i])
         return pool
 
-    def _tune_one(self, entry: ScoredCandidate, pool: CandidatePool, ctx: StageContext) -> None:
+    def _samples(self, entry: ScoredCandidate, ctx: StageContext) -> list[dict]:
+        """At most ``max_evals`` parameter sets for ``entry``'s learner: its
+        whole grid when that is small enough, else random draws; the
+        entry's own parameterization is left out."""
         learner_id = entry.candidate.learner
         space = ctx.registry.learner(learner_id).param_space
         if not space:
-            return
-        budget = (ctx.deadline or Deadline.unlimited()).clipped(self.per_candidate_seconds)
+            return []
         effective = ctx.registry.effective_params(learner_id, entry.candidate.params)
         if space_is_enumerable(space) and space_grid_size(space) <= self.max_evals:
-            samples = enumerate_grid(space)
+            samples = list(enumerate_grid(space))
         else:
             rng = Rng(derive_seed(ctx.seed, "tuning", entry.key))
-            samples = (ctx.registry.sample_params(learner_id, rng) for _ in range(self.max_evals))
-        evaluated = 0
-        for params in samples:
-            if evaluated >= self.max_evals or budget.expired():
-                break
-            if params == effective:
-                continue  # the incumbent parameterization is already scored
-            tuned = entry.candidate.with_params(params)
-            if candidate_key(tuned) in pool:
-                continue
-            score = ctx.evaluator.evaluate(tuned, stage=self.stage_id, deadline=budget)
-            evaluated += 1
-            if score.ok and score.mean < entry.score.mean:
-                pool.add(ScoredCandidate(tuned, score, self.stage_id))
+            samples = [ctx.registry.sample_params(learner_id, rng) for _ in range(self.max_evals)]
+        return [params for params in samples if params != effective]
 
 
 @dataclass

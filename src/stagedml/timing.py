@@ -64,3 +64,22 @@ class Deadline:
             if best is None or d._at < best:
                 best = d._at
         return Deadline(at=best) if best is not None else Deadline.unlimited()
+
+
+class Budget:
+    """``seconds`` of wall-clock time within ``deadline``, counted from the
+    first ``start``: a budget that begins when its first piece of work
+    does, not when it is made."""
+
+    __slots__ = ("_within", "_seconds", "_started")
+
+    def __init__(self, deadline: Deadline | None, seconds: float | None) -> None:
+        self._within = deadline if deadline is not None else Deadline.unlimited()
+        self._seconds = seconds
+        self._started: Deadline | None = None
+
+    def start(self) -> Deadline:
+        """The budget's deadline; the first call fixes it."""
+        if self._started is None:
+            self._started = self._within.clipped(self._seconds)
+        return self._started

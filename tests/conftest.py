@@ -1,4 +1,7 @@
+import multiprocessing
+import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +12,8 @@ if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
 from stagedml.components import registry_default  # noqa: E402
+from stagedml.components.learners import fit_gaussian_nb  # noqa: E402
+from stagedml.components.registry import LearnerSpec  # noqa: E402
 from stagedml.data import ColumnOrigin, Dataset  # noqa: E402
 
 
@@ -43,3 +48,17 @@ def random_dataset(rng: np.random.Generator, n=None, d=None, n_classes=None):
     y = np.concatenate([np.arange(n_classes), np.arange(n_classes), rng.integers(0, n_classes, n - 2 * n_classes)])
     rng.shuffle(y)
     return make_numeric_dataset(x, y, class_names=[f"c{k}" for k in range(n_classes)])
+
+
+def _exit_in_worker_fit(X, y, n_classes, params, seed=0, deadline=None):
+    """Gaussian NB in the main process; kills the process in a worker."""
+    if multiprocessing.parent_process() is not None:
+        os._exit(3)
+    return fit_gaussian_nb(X, y, n_classes, params, seed=seed, deadline=deadline)
+
+
+def exiting_registry(registry):
+    """``registry`` plus the base learner ``exits``, which kills any
+    worker process that fits it."""
+    spec = LearnerSpec(id="exits", default_params={}, param_space={}, is_meta=False, fit=_exit_in_worker_fit)
+    return replace(registry, learners={**registry.learners, "exits": spec})

@@ -95,6 +95,18 @@ class TestRun:
         # a stage id the preset does not run stays allowed
         assert main(run_args(synth_csv, tmp_path / "o", "--stage-time-limit", "tuning=5")) == EXIT_OK
 
+    @pytest.mark.parametrize("seconds", ["nan", "-1"])
+    def test_nan_or_negative_stage_time_limit_is_usage_error(self, synth_csv, tmp_path, capsys, seconds):
+        out = tmp_path / "o"
+        assert main(run_args(synth_csv, out, "--stage-time-limit", f"probing={seconds}")) == EXIT_USAGE
+        assert "probing" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        # json writes NaN for float("nan"), and json.load reads it back
+        cfg.write_text(json.dumps({"stage_time_limits": {"probing": float(seconds)}}), encoding="utf-8")
+        assert main(run_args(synth_csv, out, "--config", str(cfg))) == EXIT_USAGE
+        assert "probing" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_echo_reruns_identically(self, synth_csv, tmp_path):
         from stagedml.cli import RunSpec, run_from_spec
 
@@ -146,6 +158,17 @@ class TestBench:
             "--splits", "1", "--stage-time-limit", "tunning=5", "--out", str(tmp_path / "bench"),
         ])
         assert code == EXIT_USAGE
+
+    def test_unknown_preset_writes_nothing(self, synth_csv, tmp_path, capsys):
+        outdir = tmp_path / "bench"
+        code = main([
+            "bench", "--data", str(tmp_path / "missing.csv"), "--data", str(synth_csv), "--label", "label",
+            "--preset", "primitive", "--preset", "bogus", "--splits", "1", "--out", str(outdir),
+        ])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "bogus" in err and "primitive" in err  # the preset is named, not the missing file
+        assert not outdir.exists()
 
     def test_singleton_class_outer_split(self, tmp_path):
         # 20/20/1 rows over three classes: the lone row goes to the train side

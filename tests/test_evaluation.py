@@ -1,3 +1,4 @@
+import multiprocessing
 import sys
 import threading
 import time
@@ -8,10 +9,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from stagedml import evaluation
-from stagedml.components.learners import per_slice
-from stagedml.components.registry import UnknownComponentError
+from stagedml.components.learners import fit_gaussian_nb, per_slice
+from stagedml.components.registry import LearnerSpec, UnknownComponentError
 from stagedml.data import Dataset, FeatureSet
 from stagedml.evaluation import (
+    STATUS_ERROR,
     Candidate,
     EvalConfig,
     Evaluator,
@@ -27,7 +29,7 @@ from stagedml.rng import derive_seed
 from stagedml.synth import make_dataset
 from stagedml.timing import Deadline
 
-from conftest import make_numeric_dataset
+from conftest import exiting_registry, make_numeric_dataset
 
 
 def _huge_first_column():
@@ -711,3 +713,114 @@ def test_mccv_fold_sizes_equal_across_repeats(counts, repeats, train_fraction, s
     d = make_numeric_dataset(np.zeros((y.size, 1)), y, class_names=[f"c{k}" for k in range(len(counts))])
     splits = mccv_splits(d, EvalConfig(repeats=repeats, train_fraction=train_fraction, seed=seed))
     assert len({(train.size, val.size) for train, val in splits}) == 1
+
+
+# ---------------------------------------------------------------------------
+# batches on worker processes
+
+
+def _batch():
+    """Nine candidates: two repeated keys among them."""
+    batch = [Candidate("knn", params={"k": k}) for k in (1, 3, 5)]
+    batch += [Candidate(lid, scaler="standardize") for lid in ("gaussian_nb", "logistic_regression", "decision_tree")]
+    batch += [Candidate("decision_tree", meta="bagging"), batch[0], batch[3]]
+    return batch
+
+
+def _stripped(ev):
+    return [{k: v for k, v in r.to_dict().items() if k != "wall_ms"} for r in ev.journal_records()]
+
+
+class TestEvaluateMany:
+    @pytest.fixture(autouse=True)
+    def no_stray_workers(self):
+        yield
+        assert multiprocessing.active_children() == []
+
+    def test_journal_and_scores_independent_of_worker_count(self, registry, monkeypatch):
+        data = make_dataset("madelon_like", 60, 4, 3)
+        out = []
+        for workers in (1, 2):
+            monkeypatch.setattr(evaluation, "WORKERS", workers)
+            ev = Evaluator(registry=registry, dataset=data, cfg=EvalConfig(seed=4))
+            first = ev.evaluate(Candidate("gaussian_nb", scaler="standardize"), stage="probing")  # cached
+            scores = ev.evaluate_many(_batch(), stage="meta")
+            assert (ev._workers is not None) == (workers == 2)
+            assert scores[3] is first and scores[7] == scores[0] and scores[8] is first
+            again = ev.evaluate_many(_batch(), stage="meta")
+            assert again == scores and ev.evaluation_count == 7  # one cached, two repeats
+            out.append((scores, _stripped(ev)))
+            ev.close()
+        assert out[0] == out[1]
+        assert [r["stage"] for r in out[1][1]] == ["probing"] + ["meta"] * 6
+
+    def test_batches_of_one_key_and_listeners_stay_in_process(self, registry, monkeypatch):
+        monkeypatch.setattr(evaluation, "WORKERS", 2)
+        data = make_dataset("separable", 40, 3, 0)
+        ev = Evaluator(registry=registry, dataset=data, cfg=EvalConfig(seed=1))
+        assert ev.evaluate_many([Candidate("knn"), Candidate("knn")], stage="probing")[0].ok
+        assert ev._workers is None
+        seen = []
+        ev = Evaluator(registry=registry, dataset=data, cfg=EvalConfig(seed=1), fold_listener=lambda *a: seen.append(a))
+        assert all(s.ok for s in ev.evaluate_many(_batch(), stage="meta"))
+        assert ev._workers is None and len(seen) == 7 * 5
+
+    def test_unpicklable_registry_runs_in_process(self, registry, monkeypatch):
+        monkeypatch.setattr(evaluation, "WORKERS", 2)
+        local = LearnerSpec(id="local", default_params={}, param_space={}, is_meta=False,
+                            fit=lambda X, y, n_classes, params, seed=0, deadline=None: fit_gaussian_nb(X, y, n_classes, params))
+        reg = replace(registry, learners={**registry.learners, "local": local})
+        ev = Evaluator(registry=reg, dataset=make_dataset("separable", 40, 3, 0), cfg=EvalConfig(seed=1))
+        scores = ev.evaluate_many([Candidate("local"), Candidate("knn")], stage="meta")
+        assert ev._workers is None and all(s.ok for s in scores)
+
+    def test_lapsed_deadline_dispatches_nothing(self, registry, monkeypatch):
+        monkeypatch.setattr(evaluation, "WORKERS", 2)
+        ev = Evaluator(registry=registry, dataset=make_dataset("separable", 40, 3, 0), cfg=EvalConfig(seed=1))
+        assert ev.evaluate_many(_batch(), stage="meta", deadline=Deadline(0.0)) == [None] * 9
+        assert ev.evaluation_count == 0
+        ev.close()
+
+    def test_concurrent_batches_and_calls_score_each_key_once(self, registry, monkeypatch):
+        monkeypatch.setattr(evaluation, "WORKERS", 2)
+        data = make_dataset("separable", 40, 3, 0)
+        reference = Evaluator(registry=registry, dataset=data, cfg=EvalConfig(seed=1))
+        expected = {candidate_key(c): reference.evaluate(c, stage="meta") for c in _batch()}
+        ev = Evaluator(registry=registry, dataset=data, cfg=EvalConfig(seed=1))
+        ev.evaluate_many([Candidate("knn", params={"k": 7}), Candidate("knn", params={"k": 9})], stage="probing")
+        assert ev._workers is not None  # forked before any thread starts
+        batch = _batch()
+        jobs = [batch, batch[::-1]] + [[c] for c in batch[:6]]  # two batches, six single calls
+        out = {}
+
+        def work(i, cands):
+            out[i] = ev.evaluate_many(cands, stage="meta") if i < 2 else [ev.evaluate(cands[0], stage="meta")]
+
+        threads = [threading.Thread(target=work, args=(i, cands)) for i, cands in enumerate(jobs)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        ev.close()
+        assert not any(t.is_alive() for t in threads) and len(out) == len(jobs)
+        for i, cands in enumerate(jobs):
+            assert out[i] == [expected[candidate_key(c)] for c in cands]
+        keys = [r.candidate_key for r in ev.journal_records() if r.stage == "meta"]
+        assert sorted(keys) == sorted(expected)  # every key journaled once
+
+    def test_worker_that_dies_fails_its_candidate(self, registry, monkeypatch):
+        monkeypatch.setattr(evaluation, "WORKERS", 2)
+        ev = Evaluator(registry=exiting_registry(registry), dataset=make_dataset("separable", 40, 3, 0),
+                       cfg=EvalConfig(seed=1))
+        batch = [Candidate("exits"), Candidate("knn"), Candidate("exits", scaler="minmax"), Candidate("gaussian_nb")]
+        statuses = [s.status for s in ev.evaluate_many(batch, stage="meta")]
+        assert statuses == [STATUS_ERROR, "ok", STATUS_ERROR, "ok"]
+        assert [r.candidate_key for r in ev.journal_records()] == [candidate_key(c) for c in batch]
+        # the replaced workers keep scoring
+        assert all(s.ok for s in ev.evaluate_many([Candidate("knn", params={"k": 1}), Candidate("decision_tree")], stage="meta"))
+        ev.close()

@@ -7,7 +7,8 @@ traces and pool snapshots, the config of every preset, and the journal
 of fixed lists of logistic-regression and tree candidates, plain and
 wrapped in a meta-learner, that cover the stacked fits. A change that alters search behaviour on
 purpose re-pins the hash and says why; a change meant to be a pure
-refactor or speed-up must leave it alone.
+refactor or speed-up must leave it alone. Every pinned output is made
+with one worker process and with two, and both must agree.
 """
 
 import hashlib
@@ -18,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stagedml import orchestrator
+from stagedml import evaluation, orchestrator
 from stagedml.components.registry import registry_default
 from stagedml.data import FeatureSet
 from stagedml.evaluation import Candidate, EvalConfig, Evaluator
@@ -57,6 +58,22 @@ def _journal(report: orchestrator.RunReport) -> list[dict]:
     return [{k: v for k, v in rec.items() if k != "wall_ms"} for rec in report.journal]
 
 
+def _traces(report: orchestrator.RunReport) -> list[dict]:
+    return [{k: v for k, v in t.items() if k not in ("started", "ended")} for t in report.stage_traces]
+
+
+def _under_each_worker_count(make, pinned):
+    """``make()`` with one worker and with two: the two must agree on
+    ``pinned(output)``; returns the output with two."""
+    outs = []
+    for workers in (1, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evaluation, "WORKERS", workers)
+            outs.append(make())
+    assert pinned(outs[0]) == pinned(outs[1])
+    return outs[1]
+
+
 def _grid_dataset():
     # features on an integer grid, so knn sees many exact distance ties
     d = make_dataset("scale_sensitive", 160, 4, 5)
@@ -67,12 +84,19 @@ def _grid_dataset():
 def reports() -> list[orchestrator.RunReport]:
     """The fixed-work runs every pin below reads, each run once."""
     madelon = make_dataset("madelon_like", 60, 4, 3)
+    runs = [
+        (_grid_dataset(), "primitive", 3),
+        (_grid_dataset(), "monotone-filtering", 4),
+        (make_dataset("scale_sensitive", 150, 5, 11), "monotone-filtering", 11),
+        (madelon, "single-meta", 3),
+        (madelon, "single-validation", 3),
+    ]
     return [
-        _report(_grid_dataset(), "primitive", 3),
-        _report(_grid_dataset(), "monotone-filtering", 4),
-        _report(make_dataset("scale_sensitive", 150, 5, 11), "monotone-filtering", 11),
-        _report(madelon, "single-meta", 3),
-        _report(madelon, "single-validation", 3),
+        _under_each_worker_count(
+            lambda: _report(*run),
+            lambda r: (_journal(r), r.best_key, r.best_score, _traces(r), r.pool_snapshots),
+        )
+        for run in runs
     ]
 
 
@@ -111,7 +135,7 @@ def test_meta_and_validation_journals_unchanged(reports):
 def test_stage_traces_and_configs_unchanged(reports):
     runs = [
         {
-            "stage_traces": [{k: v for k, v in t.items() if k not in ("started", "ended")} for t in r.stage_traces],
+            "stage_traces": _traces(r),
             "pool_snapshots": r.pool_snapshots,
         }
         for r in reports
@@ -120,6 +144,13 @@ def test_stage_traces_and_configs_unchanged(reports):
     # no sort_keys: the key order of traces and configs is pinned too
     blob = json.dumps({"runs": runs, "configs": configs}).encode("utf-8")
     assert hashlib.sha256(blob).hexdigest() == TRACES_CONFIGS_SHA256
+
+
+def _scored(ev: Evaluator, candidates) -> list[dict]:
+    """The journal of ``candidates`` scored as one batch."""
+    ev.evaluate_many(candidates, stage="probing")
+    ev.close()
+    return [{k: v for k, v in r.to_dict().items() if k != "wall_ms"} for r in ev.journal_records()]
 
 
 def test_logistic_journal_unchanged():
@@ -144,10 +175,10 @@ def test_logistic_journal_unchanged():
         for n in (1, 25)
     ]
     cfg = EvalConfig(seed=3, per_eval_timeout=math.inf)
-    ev = Evaluator(registry=reg, dataset=make_dataset("madelon_like", 60, 4, 3), cfg=cfg)
-    for c in candidates:
-        ev.evaluate(c, stage="probing")
-    journal = [{k: v for k, v in r.to_dict().items() if k != "wall_ms"} for r in ev.journal_records()]
+    journal = _under_each_worker_count(
+        lambda: _scored(Evaluator(registry=reg, dataset=make_dataset("madelon_like", 60, 4, 3), cfg=cfg), candidates),
+        lambda journal: journal,
+    )
     assert len(journal) == 52 and all(r["status"] == "ok" for r in journal)
     blob = json.dumps(journal, sort_keys=True).encode("utf-8")
     assert hashlib.sha256(blob).hexdigest() == LOGISTIC_SHA256
@@ -185,10 +216,10 @@ def test_forest_journal_unchanged():
     cfg = EvalConfig(seed=3, per_eval_timeout=math.inf)
     journal = []
     for dataset in (madelon, grid):
-        ev = Evaluator(registry=registry_default(), dataset=dataset, cfg=cfg)
-        for c in candidates:
-            ev.evaluate(c, stage="probing")
-        journal += [{k: v for k, v in r.to_dict().items() if k != "wall_ms"} for r in ev.journal_records()]
+        journal += _under_each_worker_count(
+            lambda: _scored(Evaluator(registry=registry_default(), dataset=dataset, cfg=cfg), candidates),
+            lambda journal: journal,
+        )
     assert len(journal) == 2 * 46 and all(r["status"] == "ok" for r in journal)
     blob = json.dumps(journal, sort_keys=True).encode("utf-8")
     assert hashlib.sha256(blob).hexdigest() == FOREST_SHA256

@@ -1,10 +1,12 @@
 import json
+import multiprocessing
 import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from stagedml import evaluation, orchestrator
 from stagedml.evaluation import Candidate, EvalConfig, candidate_key, mccv_score
 from stagedml.orchestrator import (
     SchemeConfig,
@@ -13,10 +15,10 @@ from stagedml.orchestrator import (
     run,
     scheme_presets,
 )
-from stagedml.stages import ProbingStage, ValidationConfig, ValidationStage
+from stagedml.stages import MetaStage, ProbingStage, TuningStage, ValidationConfig, ValidationStage
 from stagedml.synth import make_dataset
 
-from conftest import make_numeric_dataset
+from conftest import exiting_registry, make_numeric_dataset
 
 
 def fast_eval(seed=0):
@@ -257,3 +259,52 @@ class TestBudget:
         full_report = run(data, full)
         probe_report = run(data, probing_only)
         assert full_report.internal_best_score <= probe_report.internal_best_score + 1e-12
+
+
+class TestWorkers:
+    """Meta and tuning batches run on forked workers; none outlives its run."""
+
+    @pytest.fixture(autouse=True)
+    def two_workers(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "WORKERS", 2)
+
+    def test_learner_killing_its_worker_ends_failed_error(self, registry, monkeypatch):
+        monkeypatch.setattr(orchestrator, "_registry", lambda: exiting_registry(registry))
+        cfg = presets_for_tests(2)["single-meta"]
+        report = run(make_dataset("separable", 40, 3, 0), cfg)
+        assert report.ok and multiprocessing.active_children() == []
+        status = {r["candidate_key"]: r["status"] for r in report.journal}
+        assert status["-|-|exits|default"] == "ok"  # probing scored it in this process
+        assert status["-|-|bagging{default}(exits)|default"] == "failed_error"
+        assert status["-|-|bagging{default}(knn)|default"] == "ok"
+
+    def test_run_that_raises_stops_its_workers(self):
+        class Boom:
+            stage_id = "boom"
+            time_limit = None
+
+            def run(self, pool, ctx):
+                assert ctx.evaluator._workers is not None  # the meta stage forked them
+                raise RuntimeError("boom")
+
+        cfg = replace(presets_for_tests(2)["single-meta"], stages=[ProbingStage(), MetaStage(), Boom()])
+        with pytest.raises(RuntimeError, match="boom"):
+            run(make_dataset("separable", 40, 3, 0), cfg)
+        assert multiprocessing.active_children() == []
+
+    def test_presets_without_meta_or_tuning_fork_nothing(self, monkeypatch):
+        def no_fork(*args):
+            raise AssertionError("a worker was forked")
+
+        monkeypatch.setattr(evaluation, "_Workers", no_fork)
+        assert run(make_dataset("scale_sensitive", 60, 4, 1), presets_for_tests(1)["monotone-filtering"]).ok
+
+    def test_journal_independent_of_worker_count(self, monkeypatch):
+        data = make_dataset("madelon_like", 40, 4, 6)
+        cfg = replace(presets_for_tests(6)["single-meta"], stages=[ProbingStage(), MetaStage(), TuningStage(max_evals=2)])
+        journals = []
+        for workers in (1, 2):
+            monkeypatch.setattr(evaluation, "WORKERS", workers)
+            journals.append([{k: v for k, v in r.items() if k != "wall_ms"} for r in run(data, cfg).journal])
+        assert journals[0] == journals[1]
+        assert {r["stage"] for r in journals[0]} >= {"meta", "tuning"}

@@ -1,3 +1,4 @@
+import multiprocessing
 import time
 from dataclasses import replace
 
@@ -8,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from stagedml.components.learners import per_slice
 from stagedml.components.registry import LearnerSpec, Registry
 from stagedml.data import FeatureSet
-from stagedml.evaluation import Candidate, EvalConfig, Evaluator, Score, candidate_key
+from stagedml import evaluation
+from stagedml.evaluation import Candidate, EvalConfig, Evaluator, Score, candidate_key, evaluate_serially
 from stagedml.stages import (
     CandidatePool,
     FilteringStage,
@@ -57,6 +59,9 @@ class StubEvaluator:
         key = candidate_key(candidate)
         self.calls.append((key, stage))
         return ok_score(self.table.get(key, 0.5) + self.offset)
+
+    def evaluate_many(self, candidates, stage, deadline=None, budgets=None):
+        return evaluate_serially(self, candidates, stage, deadline, budgets)
 
 
 def ctx_for(evaluator, data, registry, **kw):
@@ -632,3 +637,57 @@ def test_pool_min_never_worsens_across_stages(registry):
         current = pool.best().score.mean
         assert current <= best + 1e-12
         best = min(best, current)
+
+
+# ---------------------------------------------------------------------------
+# meta and tuning batches on worker processes
+
+META_SECONDS = 0.2
+
+
+def _slow_meta_fit(base, base_params, X, y, n_classes, params, seed=None, deadline=None):
+    """One plain fit of the base learner, after META_SECONDS of sleep."""
+    time.sleep(META_SECONDS)
+    return base.fit(X, y, n_classes, base_params, seed=seed, deadline=deadline)
+
+
+def test_stage_deadline_lapsing_mid_batch_stops_dispatch(registry, monkeypatch):
+    monkeypatch.setattr(evaluation, "WORKERS", 2)
+    slow = LearnerSpec(id="slow", default_params={}, param_space={}, is_meta=True, fit=_slow_meta_fit)
+    base = {lid: spec for lid, spec in registry.learners.items() if not spec.is_meta}
+    reg = replace(registry, learners={**base, "slow": slow})
+    data = make_dataset("separable", 40, 3, 0)
+    ev = Evaluator(registry=reg, dataset=data, cfg=EvalConfig(seed=0))
+    ev.evaluate_many([Candidate("knn"), Candidate("gaussian_nb")], stage="probing")  # forks the workers
+    pool = CandidatePool([
+        entry(0.1 + 0.01 * i, learner=lid, scaler=scaler)
+        for i, (lid, scaler) in enumerate((l, s) for s in (None, "standardize") for l in ("knn", "gaussian_nb", "decision_tree", "logistic_regression"))
+    ])
+    submitted = [candidate_key(e.candidate.with_meta("slow")) for e in pool.sorted_by_score()]
+    ctx = ctx_for(ev, data, reg, deadline=Deadline(2.5 * META_SECONDS))
+    MetaStage().run(pool, ctx)
+    ev.close()
+    journaled = [r.candidate_key for r in ev.journal_records() if r.stage == "meta"]
+    # two workers: at least the first two went out before the deadline,
+    # and eight candidates of META_SECONDS each outlast it
+    assert 2 <= len(journaled) < len(submitted)
+    assert journaled == submitted[: len(journaled)]
+    assert ctx.trace["deadline_hit"] is True
+    assert multiprocessing.active_children() == []
+
+
+def test_second_tuning_stage_journal_independent_of_worker_count(registry, monkeypatch):
+    data = make_dataset("scale_sensitive", 60, 4, 2)
+    runs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(evaluation, "WORKERS", workers)
+        ev = Evaluator(registry=registry, dataset=data, cfg=EvalConfig(seed=5))
+        pool = ProbingStage().run(CandidatePool(), ctx_for(ev, data, registry, seed=1))
+        for _ in range(2):  # the second stage tunes the first one's additions too
+            pool = TuningStage(max_evals=4).run(pool, ctx_for(ev, data, registry, seed=2))
+        ev.close()
+        journal = [{k: v for k, v in r.to_dict().items() if k != "wall_ms"} for r in ev.journal_records()]
+        runs.append((journal, [(e.key, e.stage_id) for e in pool]))
+    assert runs[0] == runs[1]
+    assert sum(1 for key, stage in runs[1][1] if stage == "tuning") > 0
+    assert multiprocessing.active_children() == []
