@@ -22,7 +22,10 @@ and shares them across all its candidates. Scores are cached by
 
 ``Evaluator.evaluate_many`` scores a batch of candidates on ``WORKERS``
 forked processes and journals them as ``evaluate`` called once per
-candidate, in submission order, would.
+candidate, in submission order, would. Candidates of a batch that differ
+only in scaler and features (of one width) go to a worker together and
+are fitted as one stack across candidates and folds
+(``mccv_score_group``).
 """
 
 from __future__ import annotations
@@ -50,6 +53,8 @@ STATUS_ERROR = "failed_error"
 
 # processes ``Evaluator.evaluate_many`` scores a batch on: the CPUs this process may use
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+# most (candidate, fold, row, column) training cells of one group scored as a stack
+_GROUP_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -304,6 +309,14 @@ def mccv_splits(dataset: Dataset, cfg: EvalConfig) -> list[tuple[np.ndarray, np.
     return out
 
 
+def stack_signature(candidate: Candidate, n_columns: int) -> tuple[str, int]:
+    """What candidates must share to be scored as one stack: the key
+    with scaler and features blanked (learner, params, meta-learner and
+    meta params), and the width of the model's input."""
+    width = len(candidate.features) if candidate.features is not None else n_columns
+    return candidate_key(replace(candidate, scaler=None, features=None)), width
+
+
 def mccv_score(
     candidate: Candidate,
     dataset: Dataset,
@@ -313,7 +326,8 @@ def mccv_score(
     folds: Sequence[tuple[np.ndarray, np.ndarray]] | None = None,
     fold_listener: Callable | None = None,
 ) -> Score:
-    """Average validation error over `repeats` stratified splits.
+    """Average validation error over `repeats` stratified splits: the
+    one-candidate case of ``mccv_score_group``.
 
     ``folds`` are the (train, validation) row indices of ``mccv_splits``
     when the caller already holds them; by default they are drawn here.
@@ -330,33 +344,86 @@ def mccv_score(
     a learner error or labels that cannot be split yield
     ``failed_error``. Single-class data scores 0 trivially.
     """
+    return mccv_score_group([candidate], dataset, cfg, registry, [deadline], folds, fold_listener)[0]
+
+
+def mccv_score_group(
+    candidates: Sequence[Candidate],
+    dataset: Dataset,
+    cfg: EvalConfig,
+    registry: Registry,
+    deadlines: Sequence[Deadline | None] | None = None,
+    folds: Sequence[tuple[np.ndarray, np.ndarray]] | None = None,
+    fold_listener: Callable | None = None,
+) -> list[Score]:
+    """The ``mccv_score`` of each of ``candidates``, which share one
+    ``stack_signature``, candidate i under ``deadlines[i]``.
+
+    Every candidate's folds are scaled and projected on their own, then
+    the folds of all of them are fitted as one (candidates x folds) stack
+    and predicted in one call: by the stack contract of the learners,
+    each slice comes out as fitting it alone would. A candidate that is
+    invalid, or whose scaled training data are not finite, fails alone and
+    leaves the stack. The stacked attempt runs under the earliest of the
+    candidates' deadlines and one ``per_eval_timeout``; if it raises or
+    that deadline lapses, every candidate left is scored alone under its
+    own deadline, so each status is the one scoring it alone gives.
+    """
+    n = len(candidates)
+    deadlines = list(deadlines) if deadlines is not None else [None] * n
     if len(np.unique(dataset.labels)) < 2:
-        return Score(mean=0.0, std=0.0, per_fold=(0.0,) * cfg.repeats, status=STATUS_OK)
-    key = candidate_key(candidate)
-    effective = Deadline.earliest(deadline, Deadline(cfg.per_eval_timeout))
+        return [Score(mean=0.0, std=0.0, per_fold=(0.0,) * cfg.repeats, status=STATUS_OK)] * n
+    if n > 1 and len({stack_signature(c, dataset.n_columns) for c in candidates}) > 1:
+        raise ValueError("candidates of one group must share a stack signature")
+    stack = Deadline.earliest(*deadlines, Deadline(cfg.per_eval_timeout))
+    scores: list[Score | None] = [None] * n
+    X, y = dataset.instances, dataset.labels
+    stacked, train_X, val_X, seeds = [], [], [], []  # candidates in the stack, and its slices
     try:
-        scaler_spec, fit = _resolve_candidate(candidate, registry)  # reject before any fold
-        if folds is None:
-            folds = mccv_splits(dataset, cfg)
-        X, y = dataset.instances, dataset.labels
-        train_X, val_X = [], []
-        for r, (train, val) in enumerate(folds):
-            effective.check()
-            train_rows, val_rows = X[train], X[val]
-            if fold_listener is not None:
-                fold_listener(key, r, train_rows, val_rows)
-            pipeline, model_X = _prepare(candidate, scaler_spec, train_rows)
-            train_X.append(model_X)
-            val_X.append(pipeline.transform(val_rows))
-        train_y = y[np.stack([train for train, _ in folds])]
-        seeds = [derive_seed(cfg.seed, "fit", key, r) for r in range(len(folds))]
-        model = fit(np.stack(train_X), train_y, len(dataset.class_names), seeds, effective)
-        preds = model.predict(np.stack(val_X), deadline=effective)
-        per_fold = [error_rate(y[val], p) for (_, val), p in zip(folds, preds)]
-    except DeadlineExceeded:
-        return Score(mean=None, std=None, per_fold=(), status=STATUS_TIMEOUT)
-    except Exception:
-        return Score(mean=None, std=None, per_fold=(), status=STATUS_ERROR)
+        for i, candidate in enumerate(candidates):
+            key = candidate_key(candidate)
+            try:
+                scaler_spec, fit = _resolve_candidate(candidate, registry)  # reject before any fold
+                if folds is None:
+                    folds = mccv_splits(dataset, cfg)
+                own_train, own_val = [], []
+                for r, (train, val) in enumerate(folds):
+                    stack.check()
+                    train_rows, val_rows = X[train], X[val]
+                    if fold_listener is not None:
+                        fold_listener(key, r, train_rows, val_rows)
+                    pipeline, model_X = _prepare(candidate, scaler_spec, train_rows)
+                    own_train.append(model_X)
+                    own_val.append(pipeline.transform(val_rows))
+            except DeadlineExceeded:
+                raise
+            except Exception:
+                scores[i] = Score(mean=None, std=None, per_fold=(), status=STATUS_ERROR)
+                continue
+            stacked.append(i)
+            fit_stack = fit
+            train_X += own_train
+            val_X += own_val
+            seeds += [derive_seed(cfg.seed, "fit", key, r) for r in range(len(folds))]
+        if stacked:
+            train_y = y[np.stack([train for train, _ in folds] * len(stacked))]
+            model = fit_stack(np.stack(train_X), train_y, len(dataset.class_names), seeds, stack)
+            preds = model.predict(np.stack(val_X), deadline=stack)
+            per_fold = [error_rate(y[val], p) for (_, val), p in zip(folds * len(stacked), preds)]
+            for j, i in enumerate(stacked):
+                scores[i] = _fold_score(per_fold[j * len(folds) : (j + 1) * len(folds)])
+    except Exception as exc:
+        if n > 1:  # score each candidate left alone, under its own deadline
+            return [
+                score if score is not None else mccv_score(c, dataset, cfg, registry, d, folds, fold_listener)
+                for c, d, score in zip(candidates, deadlines, scores)
+            ]
+        status = STATUS_TIMEOUT if isinstance(exc, DeadlineExceeded) else STATUS_ERROR
+        return [Score(mean=None, std=None, per_fold=(), status=status)]
+    return scores
+
+
+def _fold_score(per_fold: Sequence[float]) -> Score:
     scores = np.array(per_fold)
     return Score(
         mean=float(scores.mean()),
@@ -396,20 +463,26 @@ class JournalRecord:
         }
 
 
-def _dispatches(candidates: Sequence[Candidate], deadline, budgets: Sequence[Budget] | None, ready=None):
-    """(index, candidate, deadline) of each candidate to score, in
-    submission order, each checked just before it is scored (after
-    ``ready()``, the caller's wait for a free worker): nothing once
-    ``deadline`` has lapsed, and no candidate whose own budget
-    (``budgets[i]``, started here) has lapsed."""
-    for i, candidate in enumerate(candidates):
+def _dispatches(
+    candidates: Sequence[Candidate], deadline, budgets: Sequence[Budget] | None, groups=None, ready=None
+):
+    """Each group of ``candidates`` to dispatch, as its (index, candidate,
+    deadline) list; ``groups`` are lists of indices (by default each
+    candidate alone, in submission order). A group is checked just before
+    it is dispatched (after ``ready()``, the caller's wait for a free
+    worker): nothing once ``deadline`` has lapsed, and no candidate whose
+    own budget (``budgets[i]``, started here) has lapsed."""
+    for group in groups if groups is not None else ([i] for i in range(len(candidates))):
         if ready is not None:
             ready()
         if deadline is not None and deadline.expired():
             return
-        own = budgets[i].start() if budgets is not None else deadline
-        if own is None or not own.expired():
-            yield i, candidate, own
+        members = []
+        for i in group:
+            own = budgets[i].start() if budgets is not None else deadline
+            if own is None or not own.expired():
+                members.append((i, candidates[i], own))
+        yield members
 
 
 def evaluate_serially(
@@ -418,8 +491,9 @@ def evaluate_serially(
     """``evaluate_many`` as a loop over ``evaluator.evaluate`` in this
     process."""
     scores: list[Score | None] = [None] * len(candidates)
-    for i, candidate, own in _dispatches(candidates, deadline, budgets):
-        scores[i] = evaluator.evaluate(candidate, stage, deadline=own)
+    for group in _dispatches(candidates, deadline, budgets):
+        for i, candidate, own in group:
+            scores[i] = evaluator.evaluate(candidate, stage, deadline=own)
     return scores
 
 
@@ -504,16 +578,20 @@ class Evaluator:
         ``budgets[i]`` (started when it is dispatched), lapsed first.
 
         Cached and repeated keys are not scored again. The others go to
-        ``WORKERS`` worker processes, one candidate in flight per worker.
-        ``deadline`` is checked before each dispatch; once it lapses,
-        nothing more is dispatched and the tasks in flight are waited
-        for. Cache entries and journal records are written in submission
-        order, so the journal does not depend on the worker count. The
-        batch runs in this process, as ``evaluate_serially``, when fewer
-        than two keys are left to score, when one CPU is usable, when the
-        context cannot go to workers by value (any ``fold_listener``, or
-        a registry that does not pickle), or when workers would have to
-        be forked from a process that runs other threads.
+        ``WORKERS`` worker processes in groups of one ``stack_signature``
+        (``_stack_groups``), each group one task scored as one stack by
+        ``mccv_score_group``, one task in flight per worker. ``deadline``
+        is checked before each group's dispatch, and each member's budget
+        starts there; once ``deadline`` lapses, nothing more is dispatched
+        and the tasks in flight are waited for. Cache entries and journal
+        records are written in submission order, so the journal does not
+        depend on the worker count; a group's wall time is split evenly
+        among its members. The batch runs in this process, one candidate
+        at a time, as ``evaluate_serially``, when fewer than two keys are
+        left to score, when one CPU is usable, when the context cannot go
+        to workers by value (any ``fold_listener``, or a registry that
+        does not pickle), or when workers would have to be forked from a
+        process that runs other threads.
         """
         with self._batch_lock:
             workers = self._workers_for(candidates)
@@ -524,28 +602,33 @@ class Evaluator:
     def _evaluate_on(self, workers: "_Workers", candidates, stage, deadline, budgets) -> list[Score | None]:
         """``evaluate_many`` on ``workers``."""
         scores: list[Score | None] = [None] * len(candidates)
-        firsts: dict = {}  # cache key -> index of the task that scores it, in submission order
+        firsts: dict = {}  # cache key -> index of the member that scores it
         repeats, deferred, results = [], [], {}
         claimed: dict = {}  # cache key -> its single-flight lock, held until it is recorded
+        groups = self._stack_groups(candidates)
         try:
-            for i, candidate, own in _dispatches(candidates, deadline, budgets, lambda: workers.ready(results)):
-                cache_key = self._cache_key(candidate, self.cfg)
-                with self._lock:
-                    if cache_key in self._cache:
-                        scores[i] = self._cache[cache_key]
+            for group in _dispatches(candidates, deadline, budgets, groups, lambda: workers.ready(results)):
+                task = []
+                for i, candidate, own in group:
+                    cache_key = self._cache_key(candidate, self.cfg)
+                    with self._lock:
+                        if cache_key in self._cache:
+                            scores[i] = self._cache[cache_key]
+                            continue
+                        if cache_key in firsts:
+                            repeats.append((i, firsts[cache_key]))
+                            continue
+                        scoring = self._scoring.setdefault(cache_key, threading.Lock())
+                    if not scoring.acquire(blocking=False):
+                        deferred.append((i, candidate, own))  # another caller is scoring it
                         continue
-                    if cache_key in firsts:
-                        repeats.append((i, firsts[cache_key]))
-                        continue
-                    scoring = self._scoring.setdefault(cache_key, threading.Lock())
-                if not scoring.acquire(blocking=False):
-                    deferred.append((i, candidate, own))  # another caller is scoring it
-                    continue
-                claimed[cache_key] = scoring
-                firsts[cache_key] = i
-                workers.submit(i, candidate, own)
+                    claimed[cache_key] = scoring
+                    firsts[cache_key] = i
+                    task.append((i, candidate, own))
+                if task:
+                    workers.submit(task)
             workers.drain(results)
-            for cache_key, i in firsts.items():
+            for cache_key, i in sorted(firsts.items(), key=lambda item: item[1]):  # submission order
                 scores[i], wall_ms = results[i]
                 self._record(cache_key, candidates[i], stage, scores[i], wall_ms, self.cfg)
                 claimed.pop(cache_key).release()
@@ -559,6 +642,35 @@ class Evaluator:
         for i, candidate, own in deferred:
             scores[i] = self.evaluate(candidate, stage, deadline=own)
         return scores
+
+    def _stack_groups(self, candidates: Sequence[Candidate]) -> list[list[int]]:
+        """The indices of ``candidates`` in dispatch groups, ordered by
+        their first index. A group holds candidates of one
+        ``stack_signature``: at most ceil(keys left / ``WORKERS``) keys to
+        score, so every worker gets work, whose stacked training cells
+        stay within ``_GROUP_CELLS`` (one key alone may exceed it). Cached
+        and repeated keys go with a group of their signature and take no
+        room in it."""
+        folds = self._folds(self.cfg)
+        n_train = len(folds[0][0]) if folds else 0
+        keys = [self._cache_key(c, self.cfg) for c in candidates]
+        with self._lock:
+            left = {key for key in keys if key not in self._cache}
+        cap = -(-len(left) // WORKERS)
+        groups, open_groups = [], {}  # signature -> [indices, keys to score, cells]
+        for i, (candidate, key) in enumerate(zip(candidates, keys)):
+            signature = stack_signature(candidate, self.dataset.n_columns)
+            scores, cells = key in left, self.cfg.repeats * n_train * signature[1]
+            left.discard(key)
+            group = open_groups.get(signature)
+            if group is None or (scores and group[1] and (group[1] >= cap or group[2] + cells > _GROUP_CELLS)):
+                group = open_groups[signature] = [[], 0, 0]
+                groups.append(group[0])
+            group[0].append(i)
+            if scores:
+                group[1] += 1
+                group[2] += cells
+        return groups
 
     def _record(self, cache_key, candidate: Candidate, stage: str, score: Score, wall_ms: float, cfg: EvalConfig) -> None:
         """Cache and journal one scoring; its key is no longer being scored."""
@@ -652,10 +764,13 @@ class _Workers:
     """Forked processes that score candidates against one evaluator context.
 
     The context (dataset, registry, config and folds), pickled by the
-    parent, reaches each worker once, by value. A task is a candidate and
-    its absolute deadline (the monotonic clock is system-wide), and each
-    worker holds one task at a time. A worker that dies in a task is
-    replaced, and its candidate ends ``failed_error``.
+    parent, reaches each worker once, by value. A task is a group of
+    candidates, each with its absolute deadline (the monotonic clock is
+    system-wide), scored by ``mccv_score_group``; each worker holds one
+    task at a time. A worker that dies in a task is replaced: the
+    candidate of a task of one ends ``failed_error``, and the members of
+    a larger task are sent again one by one, so that only the one that
+    kills a worker fails.
     """
 
     def __init__(self, n: int, context: bytes) -> None:
@@ -664,7 +779,8 @@ class _Workers:
         self._mp = multiprocessing.get_context("fork")
         self._context = context
         self._procs: dict = {}  # parent end of a worker's pipe -> the worker
-        self._busy: dict = {}  # parent end -> index of the task in flight
+        self._busy: dict = {}  # parent end -> the task in flight
+        self._resend: list = []  # tasks to send again, one member each
         self._idle = [self._fork() for _ in range(n)]
 
     def _fork(self):
@@ -676,35 +792,47 @@ class _Workers:
         return ours
 
     def ready(self, results: dict) -> None:
-        """Wait until some worker is idle."""
-        if not self._idle:
-            self._collect(results)
+        """Wait until some worker is idle and no task waits to be sent again."""
+        self._wait(results, lambda: self._idle and not self._resend)
 
-    def submit(self, index: int, candidate: Candidate, deadline: Deadline | None) -> None:
-        """Send task ``index`` to an idle worker (``ready`` waits for one)."""
+    def submit(self, task: list) -> None:
+        """Send ``task``, a list of (index, candidate, deadline) to score as
+        one group, to an idle worker (``ready`` waits for one)."""
         conn = self._idle.pop()
-        conn.send((candidate, deadline))
-        self._busy[conn] = index
+        conn.send([(candidate, deadline) for _, candidate, deadline in task])
+        self._busy[conn] = task
 
     def drain(self, results: dict) -> None:
-        """Wait for every task in flight."""
-        while self._busy:
-            self._collect(results)
+        """Wait for every task in flight or waiting to be sent again."""
+        self._wait(results, lambda: not self._busy and not self._resend)
+
+    def _wait(self, results: dict, done) -> None:
+        while not done():
+            if self._resend and self._idle:
+                self.submit(self._resend.pop(0))
+            else:
+                self._collect(results)
 
     def _collect(self, results: dict) -> None:
         """Wait for at least one task to end; ``results[index]`` becomes
-        its (score, wall_ms)."""
+        the (score, wall_ms) of each of its members."""
         from multiprocessing.connection import wait
 
         for conn in wait(list(self._busy)):
-            index = self._busy.pop(conn)
+            task = self._busy.pop(conn)
             try:
-                results[index] = conn.recv()
+                outcomes = conn.recv()
             except (EOFError, OSError):  # the worker died in this task
-                results[index] = (Score(mean=None, std=None, per_fold=(), status=STATUS_ERROR), 0.0)
                 conn.close()
                 self._procs.pop(conn).join()
                 conn = self._fork()
+                if len(task) > 1:
+                    self._resend += [[member] for member in task]
+                    outcomes = []
+                else:
+                    outcomes = [(Score(mean=None, std=None, per_fold=(), status=STATUS_ERROR), 0.0)]
+            for (index, _, _), outcome in zip(task, outcomes):
+                results[index] = outcome
             self._idle.append(conn)
 
     def close(self) -> None:
@@ -718,15 +846,16 @@ class _Workers:
 
 
 def _serve(conn, context: bytes) -> None:
-    """A worker's loop: score each (candidate, deadline) that arrives on
-    ``conn``, until the parent closes it."""
+    """A worker's loop: score each group of (candidate, deadline) that
+    arrives on ``conn``, until the parent closes it."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's to handle
     dataset, registry, cfg, folds = pickle.loads(context)
     while True:
         try:
-            candidate, deadline = conn.recv()
+            members = conn.recv()
         except EOFError:
             return
         started = time.monotonic()
-        score = mccv_score(candidate, dataset, cfg, registry, deadline=deadline, folds=folds)
-        conn.send((score, (time.monotonic() - started) * 1000.0))
+        scores = mccv_score_group([c for c, _ in members], dataset, cfg, registry, [d for _, d in members], folds)
+        wall_ms = (time.monotonic() - started) * 1000.0 / len(members)
+        conn.send([(score, wall_ms) for score in scores])

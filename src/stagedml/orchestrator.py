@@ -7,6 +7,9 @@ clipped to the remaining global budget so late stages degrade
 gracefully, and the whole run is a deterministic function of
 (dataset bytes, config): stage seeds derive from (run seed, stage id)
 and evaluation seeds from (run seed, candidate key, repeat index).
+A deadline breaks that: which work finishes before it depends on the
+machine, so ``RunReport.reproducible`` is false when a stage deadline
+lapsed or an evaluation timed out.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from stagedml.data import Dataset, SplitSpec, split
-from stagedml.evaluation import Candidate, EvalConfig, Evaluator, candidate_to_dict
+from stagedml.evaluation import STATUS_TIMEOUT, Candidate, EvalConfig, Evaluator, candidate_to_dict
 from stagedml.rng import derive_seed
 from stagedml.stages import (
     CandidatePool,
@@ -97,6 +100,10 @@ class RunReport:
     config: dict
     total_wall_s: float
     holdout_rows: int
+    # false when a deadline cut some work short: a stage deadline lapsed,
+    # or an evaluation ran out of time, so the same (data, config) may
+    # give another result
+    reproducible: bool
 
     @property
     def ok(self) -> bool:
@@ -118,6 +125,7 @@ class RunReport:
             "config": self.config,
             "total_wall_s": self.total_wall_s,
             "holdout_rows": self.holdout_rows,
+            "reproducible": self.reproducible,
         }
         if include_journal:
             doc["journal"] = self.journal
@@ -260,6 +268,8 @@ def run(
         config=cfg.describe(),
         total_wall_s=total_wall,
         holdout_rows=holdout.n_rows if holdout is not None else 0,
+        reproducible=not any(t["deadline_hit"] for t in stage_traces)
+        and all(r["status"] != STATUS_TIMEOUT for r in journal),
     )
 
 

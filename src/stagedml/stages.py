@@ -14,9 +14,11 @@ incumbent), in submission order; ``try_add`` is its one-candidate case.
 ``expired`` is the stage-deadline check that records ``deadline_hit`` in
 the trace when it stops a stage. The meta and tuning stages build their
 whole candidate lists up front and submit each as one batch, so their
-candidates are scored on every usable CPU; probing, scaling and
-filtering decide each next candidate from the scores before it and add
-one at a time. Settings no caller varies are module constants:
+candidates are scored on every usable CPU. Probing, scaling and
+filtering add one candidate at a time in this process: scaling and
+filtering decide later candidates from earlier scores, and probing's
+few cheap candidates cost more to send to workers than to score here.
+Settings no caller varies are module constants:
 ``SCALING_EPSILON`` for the scaling stage, and ``FILTER_PILOT``,
 ``CHEAP_REPEATS``, ``CURVE_TOL`` and ``CURVE_PATIENCE`` for the feature
 curves of the filtering stage.

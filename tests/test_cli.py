@@ -51,6 +51,7 @@ class TestRun:
         report = json.loads((outdir / "report.json").read_text())
         assert report["schema_version"] == "run-report/1"
         assert report["selection_basis"] == "any-stage-best"
+        assert report["reproducible"] is True
         journal_lines = (outdir / "journal.jsonl").read_text().strip().splitlines()
         assert len(journal_lines) == 5
         assert {json.loads(l)["stage"] for l in journal_lines} == {"probing"}

@@ -3,6 +3,7 @@ import sys
 import threading
 import time
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +30,19 @@ from stagedml.rng import derive_seed
 from stagedml.synth import make_dataset
 from stagedml.timing import Deadline
 
-from conftest import exiting_registry, make_numeric_dataset
+from conftest import exiting_registry, make_numeric_dataset, random_dataset
+
+
+SLOW_STACK_TIMEOUT = 0.25
+
+
+def _slow_stack_fit(X, y, n_classes, params, seed=0, deadline=None):
+    """Gaussian NB; a stack of more than five slices sleeps past
+    SLOW_STACK_TIMEOUT first."""
+    if np.ndim(X) == 3 and len(X) > 5:
+        time.sleep(2 * SLOW_STACK_TIMEOUT)
+        deadline.check()
+    return fit_gaussian_nb(X, y, n_classes, params, seed=seed, deadline=deadline)
 
 
 def _huge_first_column():
@@ -715,6 +728,51 @@ def test_mccv_fold_sizes_equal_across_repeats(counts, repeats, train_fraction, s
     assert len({(train.size, val.size) for train, val in splits}) == 1
 
 
+GROUP_BASE_IDS = ("knn", "gaussian_nb", "decision_tree", "random_forest", "logistic_regression")
+GROUP_META = {None: None, "bagging": {"n_estimators": 5}, "adaboost": {"n_estimators": 5}}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    learner=st.sampled_from(GROUP_BASE_IDS),
+    meta=st.sampled_from(sorted(GROUP_META, key=str)),
+    kind=st.sampled_from(["normal", "grid", "lopsided"]),
+    seed=st.integers(min_value=0, max_value=2**16),
+    data=st.data(),
+)
+def test_group_scores_equal_scores_alone(registry, learner, meta, kind, seed, data):
+    """A group of candidates of one stack signature scores each member as
+    ``mccv_score`` does alone: mixed scalers (none included) and feature
+    sets of one width, on normal, integer-grid and overflowing data. On
+    the overflowing data standardize yields non-finite values, so its
+    member fails alone and the rest stay one stack."""
+    if kind == "lopsided":
+        d = _lopsided_huge_first_column()
+    else:
+        d = random_dataset(np.random.default_rng(seed), d=4)
+        if kind == "grid":
+            d = make_numeric_dataset(np.round(2.0 * d.instances), d.labels, d.class_names)
+    width = data.draw(st.integers(1, d.n_columns), label="width")
+    n = data.draw(st.integers(1, 5), label="members")
+    scalers = data.draw(st.lists(st.sampled_from([None, *registry.scaler_ids()]), min_size=n, max_size=n), label="scalers")
+    if kind == "lopsided":
+        scalers[data.draw(st.integers(0, n - 1), label="poisoned")] = "standardize"
+    members = []
+    for scaler in scalers:
+        columns = data.draw(st.permutations(range(d.n_columns)), label="columns")[:width]
+        features = None if width == d.n_columns and data.draw(st.booleans(), label="all") else FeatureSet(columns)
+        c = Candidate(learner, scaler=scaler, features=features)
+        members.append(c.with_meta(meta, GROUP_META[meta]) if meta is not None else c)
+    cfg = EvalConfig(seed=seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        alone = [mccv_score(c, d, cfg, registry) for c in members]
+        with mock.patch.object(evaluation, "mccv_score", side_effect=AssertionError("scored alone")):
+            grouped = evaluation.mccv_score_group(members, d, cfg, registry)
+    assert grouped == alone
+    if kind == "lopsided":
+        assert [s.status for s in grouped] == [STATUS_ERROR if s == "standardize" else "ok" for s in scalers]
+
+
 # ---------------------------------------------------------------------------
 # batches on worker processes
 
@@ -812,6 +870,21 @@ class TestEvaluateMany:
             assert out[i] == [expected[candidate_key(c)] for c in cands]
         keys = [r.candidate_key for r in ev.journal_records() if r.stage == "meta"]
         assert sorted(keys) == sorted(expected)  # every key journaled once
+
+    def test_stack_past_its_timeout_scores_each_member_alone(self, registry, monkeypatch):
+        monkeypatch.setattr(evaluation, "WORKERS", 2)
+        spec = LearnerSpec(id="slow_stack", default_params={}, param_space={}, is_meta=False, fit=_slow_stack_fit)
+        reg = replace(registry, learners={**registry.learners, "slow_stack": spec})
+        data = make_dataset("separable", 40, 3, 0)
+        cfg = EvalConfig(seed=1, per_eval_timeout=SLOW_STACK_TIMEOUT)
+        batch = [Candidate("slow_stack", scaler=s) for s in (None, "standardize", "minmax", "quantile_rank")]
+        ev = Evaluator(registry=reg, dataset=data, cfg=cfg)
+        scores = ev.evaluate_many(batch, stage="meta")
+        ev.close()
+        alone = [mccv_score(c, data, cfg, reg) for c in batch]
+        assert all(s.ok for s in alone) and scores == alone
+        # two stacks of two went out and each slept out its timeout first
+        assert all(r.wall_ms >= 1000.0 * SLOW_STACK_TIMEOUT for r in ev.journal_records())
 
     def test_worker_that_dies_fails_its_candidate(self, registry, monkeypatch):
         monkeypatch.setattr(evaluation, "WORKERS", 2)

@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+import os
 import time
 from dataclasses import replace
 
@@ -15,7 +16,9 @@ from stagedml.orchestrator import (
     run,
     scheme_presets,
 )
-from stagedml.stages import MetaStage, ProbingStage, TuningStage, ValidationConfig, ValidationStage
+from stagedml.components.learners import fit_gaussian_nb
+from stagedml.components.registry import LearnerSpec
+from stagedml.stages import MetaStage, ProbingStage, ScalingStage, TuningStage, ValidationConfig, ValidationStage
 from stagedml.synth import make_dataset
 
 from conftest import exiting_registry, make_numeric_dataset
@@ -102,6 +105,15 @@ class TestRun:
         assert not report.ok
         assert report.failure == "no_model_found"
         assert report.best_key is None
+        assert not report.reproducible  # the deadline cut every stage
+
+    def test_evaluation_timeouts_make_a_run_not_reproducible(self):
+        data = make_dataset("separable", 40, 3, 0)
+        cfg = presets_for_tests(1)["primitive"]
+        report = run(data, replace(cfg, eval=replace(cfg.eval, per_eval_timeout=1e-9)))
+        assert not any(t["deadline_hit"] for t in report.stage_traces)
+        assert {r["status"] for r in report.journal} == {"failed_timeout"}
+        assert not report.reproducible and report.to_json_dict()["reproducible"] is False
 
     def test_reports_are_reproducible(self):
         data = make_dataset("scale_sensitive", 80, 4, 2)
@@ -111,6 +123,7 @@ class TestRun:
         assert a.best_key == b.best_key
         strip = lambda recs: [{k: v for k, v in r.items() if k != "wall_ms"} for r in recs]
         assert strip(a.journal) == strip(b.journal)
+        assert a.reproducible and b.reproducible  # no deadline fired
 
     def test_best_candidate_exists_in_journal_ok(self):
         data = make_dataset("separable", 50, 3, 3)
@@ -261,6 +274,37 @@ class TestBudget:
         assert full_report.internal_best_score <= probe_report.internal_best_score + 1e-12
 
 
+def _exit_on_negative_fit(X, y, n_classes, params, seed=0, deadline=None):
+    """Gaussian NB in the main process; kills a worker that gets negative
+    values, which on positive data only standardize yields."""
+    if multiprocessing.parent_process() is not None and (np.asarray(X) < 0).any():
+        os._exit(3)
+    return fit_gaussian_nb(X, y, n_classes, params, seed=seed, deadline=deadline)
+
+
+def _positive_madelon():
+    """``madelon_like`` shifted to positive values, with one noise column
+    1000x larger, so that every scaler improves knn and the scaling stage
+    expands all of them."""
+    d = make_dataset("madelon_like", 40, 4, 7, informative=2)
+    x = d.instances - d.instances.min(axis=0) + 1.0
+    x[:, 3] *= 1000.0
+    return make_numeric_dataset(x, d.labels)
+
+
+def _spy_on_tasks(monkeypatch) -> list:
+    """The tasks ``_Workers.submit`` sends, from now on."""
+    tasks = []
+    submit = evaluation._Workers.submit
+
+    def spy(self, task):
+        tasks.append([candidate_key(candidate) for _, candidate, _ in task])
+        submit(self, task)
+
+    monkeypatch.setattr(evaluation._Workers, "submit", spy)
+    return tasks
+
+
 class TestWorkers:
     """Meta and tuning batches run on forked workers; none outlives its run."""
 
@@ -277,6 +321,41 @@ class TestWorkers:
         assert status["-|-|exits|default"] == "ok"  # probing scored it in this process
         assert status["-|-|bagging{default}(exits)|default"] == "failed_error"
         assert status["-|-|bagging{default}(knn)|default"] == "ok"
+
+    def test_member_killing_its_worker_fails_alone(self, registry, monkeypatch):
+        spec = LearnerSpec(id="exits", default_params={}, param_space={}, is_meta=False, fit=_exit_on_negative_fit)
+        monkeypatch.setattr(orchestrator, "_registry", lambda: replace(registry, learners={**registry.learners, "exits": spec}))
+        cfg = replace(presets_for_tests(7)["monotone-meta"], stages=[ProbingStage(), ScalingStage(), MetaStage()])
+        tasks = _spy_on_tasks(monkeypatch)
+        statuses = []
+        for workers in (1, 2):  # one worker scores everything in this process
+            monkeypatch.setattr(evaluation, "WORKERS", workers)
+            report = run(_positive_madelon(), cfg)
+            assert multiprocessing.active_children() == []
+            statuses.append({r["candidate_key"]: (r["status"], r["per_fold"]) for r in report.journal})
+        # each meta-learner's four scalings of ``exits`` went out as one stack
+        assert sum(len(task) == 4 and "(exits)" in task[0] for task in tasks) == 2
+        killed = {key for key in statuses[0] if key.startswith("standardize|") and "(exits)" in key}
+        assert len(killed) == 2
+        assert {key for key, (status, _) in statuses[1].items() if status != "ok"} == killed
+        assert {k: v for k, v in statuses[1].items() if k not in killed} == {
+            k: v for k, v in statuses[0].items() if k not in killed
+        }
+
+    def test_meta_batch_goes_out_in_stacks(self, monkeypatch):
+        tasks = _spy_on_tasks(monkeypatch)
+        cfg = presets_for_tests(7)["full"]
+        cfg = replace(cfg, stages=[replace(s, max_evals=1) if s.stage_id == "tuning" else s for s in cfg.stages])
+        journals = []
+        for workers in (1, 2):
+            monkeypatch.setattr(evaluation, "WORKERS", workers)
+            report = run(_positive_madelon(), cfg)
+            journals.append([{k: v for k, v in r.items() if k != "wall_ms"} for r in report.journal])
+        assert journals[0] == journals[1]
+        meta = {r["candidate_key"] for r in journals[1] if r["stage"] == "meta"}
+        meta_tasks = [task for task in tasks if task[0] in meta]
+        assert 0 < len(meta_tasks) < len(meta)
+        assert sum(len(task) for task in meta_tasks) == len(meta)
 
     def test_run_that_raises_stops_its_workers(self):
         class Boom:
