@@ -39,6 +39,9 @@ _SPLIT_BLOCK = 1 << 14
 _SUBSET_NODES = 32
 # most (tree, row) pairs descending a stacked forest at once
 _DESCENT_CELLS = 1 << 16
+# most (slice, row, column) training cells a caller fits as one stack: the
+# estimators of a bagging chunk, the candidates of an evaluation group
+STACK_CELLS = 1 << 16
 
 
 def _check_columns(model_columns: int, rows: np.ndarray) -> np.ndarray:

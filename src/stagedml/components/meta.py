@@ -21,15 +21,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from stagedml.components.learners import as_stack
+from stagedml.components.learners import STACK_CELLS, as_stack
 from stagedml.rng import Rng, below, next_u64_block, shuffled_block, streams
 from stagedml.timing import Deadline
 
 if TYPE_CHECKING:
     from stagedml.components.registry import LearnerSpec
-
-# most (row, column) cells of sampled data fitted in one stacked base fit
-_STACK_CELLS = 1 << 16
 
 
 @dataclass
@@ -74,7 +71,7 @@ def fit_bagging(base: LearnerSpec, base_params, X, y, n_classes, params, seed=0,
     Each slice draws every estimator's rows and fit seed first, in
     estimator order, from its own stream. The base learner is then
     fitted on chunks of the estimators of all slices at once, each holding
-    at most ``_STACK_CELLS`` cells of sampled data.
+    at most ``STACK_CELLS`` cells of sampled data.
     """
     n_estimators = int(params["n_estimators"])
     fraction = float(params["sample_fraction"])
@@ -91,7 +88,7 @@ def fit_bagging(base: LearnerSpec, base_params, X, y, n_classes, params, seed=0,
     else:
         samples = np.sort(shuffled_block(below(raw[:, : n - m], np.arange(n, m, -1)), n)[:, :m], axis=1)
     owner = np.arange(r).repeat(n_estimators)
-    chunk = max(1, _STACK_CELLS // max(1, m * d))
+    chunk = max(1, STACK_CELLS // max(1, m * d))
     members = []
     for lo in range(0, r * n_estimators, chunk):
         if deadline is not None:

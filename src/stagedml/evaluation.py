@@ -41,6 +41,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from stagedml.components.learners import STACK_CELLS
 from stagedml.components.registry import Registry, ScalerSpec
 from stagedml.data import Dataset, FeatureSet, SplitSpec, split_indices
 from stagedml.data import project  # noqa: F401  (kept importable from this module)
@@ -53,8 +54,6 @@ STATUS_ERROR = "failed_error"
 
 # processes ``Evaluator.evaluate_many`` scores a batch on: the CPUs this process may use
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-# most (candidate, fold, row, column) training cells of one group scored as a stack
-_GROUP_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -373,8 +372,6 @@ def mccv_score_group(
     deadlines = list(deadlines) if deadlines is not None else [None] * n
     if len(np.unique(dataset.labels)) < 2:
         return [Score(mean=0.0, std=0.0, per_fold=(0.0,) * cfg.repeats, status=STATUS_OK)] * n
-    if n > 1 and len({stack_signature(c, dataset.n_columns) for c in candidates}) > 1:
-        raise ValueError("candidates of one group must share a stack signature")
     stack = Deadline.earliest(*deadlines, Deadline(cfg.per_eval_timeout))
     scores: list[Score | None] = [None] * n
     X, y = dataset.instances, dataset.labels
@@ -648,7 +645,7 @@ class Evaluator:
         their first index. A group holds candidates of one
         ``stack_signature``: at most ceil(keys left / ``WORKERS``) keys to
         score, so every worker gets work, whose stacked training cells
-        stay within ``_GROUP_CELLS`` (one key alone may exceed it). Cached
+        stay within ``STACK_CELLS`` (one key alone may exceed it). Cached
         and repeated keys go with a group of their signature and take no
         room in it."""
         folds = self._folds(self.cfg)
@@ -663,7 +660,7 @@ class Evaluator:
             scores, cells = key in left, self.cfg.repeats * n_train * signature[1]
             left.discard(key)
             group = open_groups.get(signature)
-            if group is None or (scores and group[1] and (group[1] >= cap or group[2] + cells > _GROUP_CELLS)):
+            if group is None or (scores and group[1] and (group[1] >= cap or group[2] + cells > STACK_CELLS)):
                 group = open_groups[signature] = [[], 0, 0]
                 groups.append(group[0])
             group[0].append(i)

@@ -9,7 +9,8 @@ gracefully, and the whole run is a deterministic function of
 and evaluation seeds from (run seed, candidate key, repeat index).
 A deadline breaks that: which work finishes before it depends on the
 machine, so ``RunReport.reproducible`` is false when a stage deadline
-lapsed or an evaluation timed out.
+lapsed, a tuning budget left a candidate unscored or an evaluation
+timed out.
 """
 
 from __future__ import annotations
@@ -101,8 +102,9 @@ class RunReport:
     total_wall_s: float
     holdout_rows: int
     # false when a deadline cut some work short: a stage deadline lapsed,
-    # or an evaluation ran out of time, so the same (data, config) may
-    # give another result
+    # a candidate's own budget lapsed before it was scored, or an
+    # evaluation ran out of time, so the same (data, config) may give
+    # another result
     reproducible: bool
 
     @property
@@ -174,7 +176,7 @@ def run(
         pool = CandidatePool()
         stage_traces: list[dict] = []
         pool_snapshots: list[dict] = []
-        validation_ran = False
+        validation_ran = cut_short = False
         for stage in cfg.stages:
             if global_deadline.expired():
                 stage_traces.append(
@@ -198,6 +200,7 @@ def run(
             t0 = time.time()
             pool = stage.run(pool, ctx)
             t1 = time.time()
+            cut_short |= ctx.cut_short
             keys_after = set(pool.keys())
             if stage.stage_id == "validation" and "skipped" not in ctx.trace:
                 validation_ran = True
@@ -268,7 +271,8 @@ def run(
         config=cfg.describe(),
         total_wall_s=total_wall,
         holdout_rows=holdout.n_rows if holdout is not None else 0,
-        reproducible=not any(t["deadline_hit"] for t in stage_traces)
+        reproducible=not cut_short
+        and not any(t["deadline_hit"] for t in stage_traces)
         and all(r["status"] != STATUS_TIMEOUT for r in journal),
     )
 

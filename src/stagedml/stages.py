@@ -138,6 +138,9 @@ class StageContext:
     deadline: Deadline | None = None
     validation: ValidationConfig | None = None
     trace: dict = field(default_factory=dict)
+    # whether a deadline (the stage's, or a candidate's own budget) left
+    # some candidate of a batch unscored; the trace does not record it
+    cut_short: bool = False
 
     def expired(self) -> bool:
         """Whether the stage deadline has lapsed. A stage stops when this
@@ -165,15 +168,17 @@ class StageContext:
         submission order, each whose score is ok and that ``accept(i,
         score)`` takes (if given) is added, unless an earlier one of the
         batch already added its key. None marks a candidate that was not
-        added. A scoring that failed or never ran once the stage deadline
-        has lapsed was cut off by it, so it records ``deadline_hit`` like
-        the check that stops the stage."""
+        added. A candidate left unscored was cut off by a deadline, which
+        sets ``cut_short``; a scoring that failed or never ran once the
+        stage deadline has lapsed was cut off by it, so it also records
+        ``deadline_hit`` like the check that stops the stage."""
         todo = [i for i, c in enumerate(candidates) if candidate_key(c) not in pool]
         scores = self.evaluator.evaluate_many(
             [candidates[i] for i in todo], stage_id, self.deadline,
             budgets=[budgets[i] for i in todo] if budgets is not None else None,
         )
         score_of = dict(zip(todo, scores))
+        self.cut_short |= any(score is None for score in scores)
         entries, missed = [], False
         for i, candidate in enumerate(candidates):
             entry = pool.get(candidate_key(candidate))

@@ -660,8 +660,8 @@ class TestStackedFolds:
         probe = np.random.default_rng(2).normal(size=(30, 4))
         preds = []
         # one chunk; chunks of three 60x4 samples; one estimator each
-        for cells, chunks in ((meta._STACK_CELLS, 1), (3 * 60 * 4, 4), (1, 10)):
-            monkeypatch.setattr(meta, "_STACK_CELLS", cells)
+        for cells, chunks in ((meta.STACK_CELLS, 1), (3 * 60 * 4, 4), (1, 10)):
+            monkeypatch.setattr(meta, "STACK_CELLS", cells)
             events = []
             fitted = fit_pipeline(c, d, self._registry(registry, events), seed=5)
             assert events[1:] == [("fit", "logistic_regression", 3)] * chunks

@@ -16,7 +16,7 @@ from stagedml.orchestrator import (
     run,
     scheme_presets,
 )
-from stagedml.components.learners import fit_gaussian_nb
+from stagedml.components.learners import fit_decision_tree, fit_gaussian_nb
 from stagedml.components.registry import LearnerSpec
 from stagedml.stages import MetaStage, ProbingStage, ScalingStage, TuningStage, ValidationConfig, ValidationStage
 from stagedml.synth import make_dataset
@@ -30,6 +30,27 @@ def fast_eval(seed=0):
 
 def presets_for_tests(seed, **kw):
     return scheme_presets(seed=seed, eval_config=fast_eval(seed), **kw)
+
+
+SLOW_SECONDS = 0.6
+
+
+class _Plain:
+    """A model whose predictions ignore their deadline."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def predict(self, rows, deadline=None):
+        return self.model.predict(rows)
+
+
+def _slow_tuned_fit(X, y, n_classes, params, seed=0, deadline=None):
+    """A decision tree that ignores its deadline, after SLOW_SECONDS of
+    sleep unless its params are the defaults."""
+    if params != {"max_depth": 0, "min_split": 2}:
+        time.sleep(SLOW_SECONDS)
+    return _Plain(fit_decision_tree(X, y, n_classes, params, seed=seed))
 
 
 class TestPresets:
@@ -114,6 +135,21 @@ class TestRun:
         assert not any(t["deadline_hit"] for t in report.stage_traces)
         assert {r["status"] for r in report.journal} == {"failed_timeout"}
         assert not report.reproducible and report.to_json_dict()["reproducible"] is False
+
+    def test_lapsed_tuning_budget_makes_a_run_not_reproducible(self, registry, monkeypatch):
+        # in process: the entry's budget starts at its first sample, which
+        # outlasts it without timing out; the later samples go unscored
+        monkeypatch.setattr(evaluation, "WORKERS", 1)
+        spec = replace(registry.learners["decision_tree"], id="slow", fit=_slow_tuned_fit)
+        monkeypatch.setattr(orchestrator, "_registry", lambda: replace(registry, learners={"slow": spec}))
+        cfg = replace(
+            presets_for_tests(4)["primitive"],
+            stages=[ProbingStage(), TuningStage(max_evals=3, per_candidate_seconds=SLOW_SECONDS / 2)],
+        )
+        report = run(make_dataset("separable", 40, 3, 0), cfg)
+        assert [(r["stage"], r["status"]) for r in report.journal] == [("probing", "ok"), ("tuning", "ok")]
+        assert not any(t["deadline_hit"] for t in report.stage_traces)
+        assert not report.reproducible
 
     def test_reports_are_reproducible(self):
         data = make_dataset("scale_sensitive", 80, 4, 2)

@@ -646,9 +646,9 @@ META_SECONDS = 0.2
 
 
 def _slow_meta_fit(base, base_params, X, y, n_classes, params, seed=None, deadline=None):
-    """One plain fit of the base learner, after META_SECONDS of sleep for
-    each candidate in the stack (five folds each)."""
-    time.sleep(META_SECONDS * len(X) / 5)
+    """One plain fit of the base learner, after 2 * META_SECONDS of sleep
+    for each candidate in the stack (five folds each)."""
+    time.sleep(2 * META_SECONDS * len(X) / 5)
     return base.fit(X, y, n_classes, base_params, seed=seed, deadline=deadline)
 
 
@@ -665,12 +665,12 @@ def test_stage_deadline_lapsing_mid_batch_stops_dispatch(registry, monkeypatch):
         for i, (lid, scaler) in enumerate((l, s) for s in (None, "standardize") for l in ("knn", "gaussian_nb", "decision_tree", "logistic_regression"))
     ])
     submitted = [candidate_key(e.candidate.with_meta("slow")) for e in pool.sorted_by_score()]
-    ctx = ctx_for(ev, data, reg, deadline=Deadline(1.5 * META_SECONDS))
+    ctx = ctx_for(ev, data, reg, deadline=Deadline(2.5 * META_SECONDS))
     MetaStage().run(pool, ctx)
     ev.close()
     journaled = [r.candidate_key for r in ev.journal_records() if r.stage == "meta"]
     # each learner's raw and standardized entries go out as one stack of
-    # 2 * META_SECONDS: two workers take the first two stacks before the
+    # 4 * META_SECONDS: two workers take the first two stacks before the
     # deadline, and it lapses before either is done
     stacks = [[submitted[i], submitted[i + 4]] for i in range(4)]
     sent = [stack for stack in stacks if stack[0] in journaled]
