@@ -17,8 +17,9 @@ estimators of one bagging ensemble) stack them. Logistic regression
 serves all r with each numpy call of an epoch; trees of all slices grow
 in lockstep, one split search for the next node of every tree, each
 node carrying its class counts and looking up feature subsets drawn in
-blocks (``_grow``); knn and gaussian naive Bayes fit one slice at a time
-through ``per_slice``.
+blocks (``_grow``); knn keeps the stack and predicts it slice by slice
+into distance buffers that one call reuses. ``per_slice`` gives a fit of
+one problem, such as gaussian naive Bayes, the stack contract.
 """
 
 from __future__ import annotations
@@ -101,45 +102,75 @@ def per_slice(X, y, deadline, fit_one):
 
 @dataclass
 class KnnModel:
-    x: np.ndarray
-    y: np.ndarray
+    x: np.ndarray  # (n, d) train rows, or a stack (r, n, d)
+    y: np.ndarray  # (n,) labels, or (r, n)
     k: int
     n_classes: int
 
     @property
     def n_columns(self) -> int:
-        return self.x.shape[1]
+        return self.x.shape[-1]
 
     def predict(self, rows: np.ndarray, deadline: Deadline | None = None) -> np.ndarray:
         """Majority vote of the k nearest train rows; distance ties at
         the k-th place go to the earlier train row, class ties to the
-        smaller class index."""
-        rows = _check_columns(self.n_columns, rows)
-        out = np.empty(rows.shape[0], dtype=np.int64)
-        train_sq = np.einsum("ij,ij->i", self.x, self.x)
+        smaller class index. (m, d) rows -> (m,); a stack maps (r, m, d)
+        rows to (r, m), slice i by train slice i.
+
+        Slices go one at a time and rows in chunks of ``_PREDICT_CHUNK``,
+        so a chunk's distances are the product a model of that slice alone
+        computes. They land in one distance and one partition buffer that
+        this call allocates and every slice and chunk reuses: fresh
+        temporaries of a few MiB cost more in page faults than the matmul
+        that fills them."""
+        stacked = self.x.ndim == 3
+        if not stacked:
+            rows = _check_columns(self.n_columns, rows)[None]
+        else:
+            rows = np.asarray(rows, dtype=np.float64)
+            if rows.ndim != 3 or len(rows) != len(self.x) or rows.shape[2] != self.n_columns:
+                raise ValueError(
+                    f"prediction input has shape {rows.shape}, model stack is "
+                    f"{len(self.x)} models on {self.n_columns} columns"
+                )
+        x, y = (self.x, self.y) if stacked else (self.x[None], self.y[None])
+        r, m, _ = rows.shape
+        n = x.shape[1]
         k, n_classes = self.k, self.n_classes
-        for start in range(0, rows.shape[0], _PREDICT_CHUNK):
-            if deadline is not None:
-                deadline.check()
-            chunk = rows[start : start + _PREDICT_CHUNK]
-            d2 = train_sq[None, :] - 2.0 * chunk @ self.x.T
-            kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
-            near = d2 <= kth
-            # rows tied at the k-th distance select more than k train rows;
-            # keep the earliest tied ones, as a stable sort would
-            selected = np.count_nonzero(near, axis=1)
-            for i in np.flatnonzero(selected > k):
-                tied = np.flatnonzero(d2[i] == kth[i, 0])
-                near[i, tied[tied.size - (selected[i] - k) :]] = False
-            q, t = np.divmod(np.flatnonzero(near), near.shape[1])
-            votes = np.bincount(q * n_classes + self.y[t], minlength=chunk.shape[0] * n_classes)
-            out[start : start + chunk.shape[0]] = np.argmax(votes.reshape(-1, n_classes), axis=1)
-        return out
+        out = np.empty((r, m), dtype=np.int64)
+        d2_buffer = np.empty((min(m, _PREDICT_CHUNK), n))
+        part_buffer = np.empty_like(d2_buffer)
+        for s in range(r):
+            train_sq = np.einsum("ij,ij->i", x[s], x[s])
+            train_t = x[s].T
+            for start in range(0, m, _PREDICT_CHUNK):
+                if deadline is not None:
+                    deadline.check()
+                chunk = rows[s, start : start + _PREDICT_CHUNK]
+                d2, part = d2_buffer[: len(chunk)], part_buffer[: len(chunk)]
+                np.matmul(2.0 * chunk, train_t, out=d2)
+                np.subtract(train_sq, d2, out=d2)
+                np.copyto(part, d2)
+                part.partition(k - 1, axis=1)
+                kth = part[:, k - 1 : k]
+                near = d2 <= kth
+                # rows tied at the k-th distance select more than k train rows;
+                # keep the earliest tied ones, as a stable sort would
+                selected = np.count_nonzero(near, axis=1)
+                for i in np.flatnonzero(selected > k):
+                    tied = np.flatnonzero(d2[i] == kth[i, 0])
+                    near[i, tied[tied.size - (selected[i] - k) :]] = False
+                q, t = np.divmod(np.flatnonzero(near), n)
+                votes = np.bincount(q * n_classes + y[s, t], minlength=len(chunk) * n_classes)
+                out[s, start : start + len(chunk)] = np.argmax(votes.reshape(-1, n_classes), axis=1)
+        return out if stacked else out[0]
 
 
 def fit_knn(X, y, n_classes, params, seed=0, deadline=None):
-    k = int(params["k"])
-    return per_slice(X, y, deadline, lambda X, y: KnnModel(X, y, max(1, min(k, X.shape[0])), n_classes))
+    """Stores the train rows of one problem or of a whole stack: a fit
+    draws nothing and does no work, so ``seed`` and ``deadline`` go
+    unused."""
+    return KnnModel(X, y, max(1, min(int(params["k"]), X.shape[-2])), n_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +291,10 @@ class ForestModel:
 
 def _sum_classes(q: np.ndarray) -> np.ndarray:
     """``q`` summed over its first (class) axis with the rounding of
-    numpy's sum over a contiguous last axis, which the split search has
-    always used: numpy adds fewer than 8 terms in order and more pairwise,
-    so only those go through a class-last copy."""
+    numpy's sum over a contiguous last axis, which the split search and
+    the logistic-regression softmax have always used: numpy adds fewer
+    than 8 terms in order and more pairwise, so only those go through a
+    class-last copy."""
     if q.shape[0] >= 8:
         return np.ascontiguousarray(np.moveaxis(q, 0, -1)).sum(axis=-1)
     total = q[0]
@@ -597,6 +629,12 @@ def fit_logistic_regression(X, y, n_classes, params, seed=0, deadline=None) -> L
     returned weights is bit-identical to fitting that slice alone. A
     problem whose step turns non-finite keeps its last finite weights
     (the others go on). The fit draws no randomness and ignores ``seed``.
+
+    The softmax of an epoch takes each row's maximum and sum over the
+    classes as elementwise passes over class columns, not as reductions
+    along a class axis of a few entries. A maximum is exact in any order;
+    the sum rounds as numpy's sum over a contiguous last axis does, in
+    class order below 8 classes and pairwise from 8 on (``_sum_classes``).
     """
     lr = float(params["learning_rate"])
     epochs = int(params["epochs"])
@@ -614,9 +652,13 @@ def fit_logistic_regression(X, y, n_classes, params, seed=0, deadline=None) -> L
         if deadline is not None and epoch % 8 == 0:
             deadline.check()
         logits = Xb @ W
-        logits -= logits.max(axis=2, keepdims=True)
+        classes = logits.transpose(2, 0, 1)  # views: class c of every row is classes[c]
+        peak = classes[0]
+        for column in classes[1:]:
+            peak = np.maximum(peak, column)
+        logits -= peak[..., None]
         expl = np.exp(logits, out=logits)
-        expl /= expl.sum(axis=2, keepdims=True)
+        expl /= _sum_classes(classes)[..., None]
         expl -= onehot
         grad = XbT @ expl
         grad /= n

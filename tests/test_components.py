@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -188,6 +190,19 @@ class TestFitPredict:
             fitted.model.predict(d.instances, deadline=Deadline(0.0))
 
 
+class _LapsesAfter:
+    """A deadline whose first ``checks`` checks pass and every later one
+    lapses."""
+
+    def __init__(self, checks):
+        self.checks = checks
+
+    def check(self):
+        self.checks -= 1
+        if self.checks < 0:
+            raise DeadlineExceeded("lapsed")
+
+
 def _knn_reference(x, y, k, n_classes, rows):
     """knn as a full stable sort of each row's distances, then one
     bincount per row; distances are computed chunk by chunk as in
@@ -202,8 +217,20 @@ def _knn_reference(x, y, k, n_classes, rows):
     return np.array(out, dtype=np.int64)
 
 
+def _knn_stack(r, n, d_cols, n_classes, m, seed):
+    """r integer-grid problems of n train rows with labels below
+    ``n_classes``, and m prediction rows each: a small grid forces many
+    exact distance ties."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(-2, 3, size=(r, n, d_cols)).astype(np.float64)
+    y = rng.integers(0, n_classes, size=(r, n))
+    rows = rng.integers(-3, 4, size=(r, m, d_cols)).astype(np.float64)
+    return X, y, rows
+
+
 @settings(max_examples=40, deadline=None)
 @given(
+    r=st.integers(min_value=1, max_value=4),
     n=st.integers(min_value=1, max_value=40),
     d_cols=st.integers(min_value=1, max_value=3),
     present=st.integers(min_value=1, max_value=3),
@@ -212,16 +239,64 @@ def _knn_reference(x, y, k, n_classes, rows):
     data=st.data(),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_knn_matches_stable_sort_reference(n, d_cols, present, absent, n_rows, data, seed):
+def test_knn_matches_stable_sort_reference(r, n, d_cols, present, absent, n_rows, data, seed):
+    """A stack's predict reuses its buffers across slices and chunks, a
+    shorter tail chunk included, and must still give each slice what its
+    model alone and the stable-sort reference give."""
     k = data.draw(st.integers(min_value=1, max_value=n), label="k")
-    rng = np.random.default_rng(seed)
-    # a small integer grid forces many exact distance ties
-    x = rng.integers(-2, 3, size=(n, d_cols)).astype(np.float64)
-    y = rng.integers(0, present, size=n)
-    rows = rng.integers(-3, 4, size=(n_rows, d_cols)).astype(np.float64)
+    x, y, rows = _knn_stack(r, n, d_cols, present, n_rows, seed)
     n_classes = present + absent
-    model = learners.KnnModel(x=x, y=y, k=k, n_classes=n_classes)
-    assert np.array_equal(model.predict(rows), _knn_reference(x, y, k, n_classes, rows))
+    stacked = learners.fit_knn(x, y, n_classes, {"k": k}).predict(rows)
+    assert stacked.shape == (r, n_rows)
+    for i in range(r):
+        alone = learners.KnnModel(x=x[i], y=y[i], k=k, n_classes=n_classes).predict(rows[i])
+        assert np.array_equal(alone, _knn_reference(x[i], y[i], k, n_classes, rows[i]))
+        assert np.array_equal(stacked[i], alone)
+
+
+def test_stacked_knn_predicts_concurrently():
+    """Threads predicting different stacks at once, more of them than
+    cores and switching often, each get the answers of their slices
+    alone: no buffer is shared between calls."""
+    stacks = [_knn_stack(3, 60, 2, 3, 2 * learners._PREDICT_CHUNK + 7, seed) for seed in range(4)]
+    models = [learners.fit_knn(X, y, 3, {"k": 5}) for X, y, _ in stacks]
+    expected = [
+        np.stack([learners.fit_knn(X[i], y[i], 3, {"k": 5}).predict(rows[i]) for i in range(3)])
+        for X, y, rows in stacks
+    ]
+    results = [[] for _ in stacks]
+    barrier = threading.Barrier(len(stacks))
+
+    def work(j):
+        barrier.wait(timeout=30)
+        for _ in range(10):
+            results[j].append(models[j].predict(stacks[j][2]))
+
+    threads = [threading.Thread(target=work, args=(j,)) for j in range(len(stacks))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for got, want in zip(results, expected):
+        assert len(got) == 10
+        assert all(np.array_equal(g, want) for g in got)
+
+
+def test_stacked_knn_checks_the_deadline_per_chunk():
+    X, y, rows = _knn_stack(2, 10, 2, 2, learners._PREDICT_CHUNK + 1, 0)
+    model = learners.fit_knn(X, y, 2, {"k": 3})
+    # two chunks per slice: exactly four checks, one per chunk
+    assert model.predict(rows, deadline=_LapsesAfter(4)).shape == (2, learners._PREDICT_CHUNK + 1)
+    with pytest.raises(DeadlineExceeded):
+        model.predict(rows, deadline=_LapsesAfter(3))
+    with pytest.raises(DeadlineExceeded):
+        model.predict(rows, deadline=Deadline(0.0))
 
 
 def _best_split_reference(X, y, idx, n_classes, feature_ids):
@@ -467,7 +542,8 @@ def _logistic_reference(X, y, n_classes, lr, epochs, l2):
     r=st.integers(min_value=1, max_value=6),
     n=st.integers(min_value=1, max_value=60),
     d_cols=st.integers(min_value=1, max_value=6),
-    n_classes=st.integers(min_value=2, max_value=4),
+    # 8 classes and more take the pairwise class sum of the softmax
+    n_classes=st.integers(min_value=2, max_value=9),
     data=st.data(),
     lr=st.one_of(st.floats(min_value=1e-4, max_value=0.1), st.floats(min_value=1.0, max_value=10.0)),
     epochs=st.integers(min_value=0, max_value=80),
@@ -527,19 +603,10 @@ def test_per_slice_learners_fit_each_slice_alone(reg, lid):
 
 
 def test_per_slice_checks_the_deadline_between_slices():
-    class LapsesAfter:
-        def __init__(self, checks):
-            self.checks = checks
-
-        def check(self):
-            self.checks -= 1
-            if self.checks < 0:
-                raise DeadlineExceeded("lapsed")
-
     X, y = np.zeros((3, 4, 2)), np.zeros((3, 4), dtype=np.int64)
     fits = []
     with pytest.raises(DeadlineExceeded):
-        learners.per_slice(X, y, LapsesAfter(2), lambda X, y: fits.append(X.shape))
+        learners.per_slice(X, y, _LapsesAfter(2), lambda X, y: fits.append(X.shape))
     assert fits == [(4, 2), (4, 2)]
 
 

@@ -33,9 +33,10 @@ def test_traced_search_books_every_span(monkeypatch):
     metrics = tracing.layer_metrics(tracer, root)
     assert report.ok
     assert metrics["evaluation.evaluations"] == len(report.journal)
-    # a logistic-regression evaluation fits all its folds in one traced call
+    # a logistic-regression or knn evaluation fits all its folds in one traced call
     learners = [r["candidate_key"].split("|")[2] for r in report.journal if r["status"] == "ok"]
-    fitted = learners.count("logistic_regression")
-    assert fitted and metrics["learners.logistic_regression.calls"] == fitted
-    assert metrics["learners.logistic_regression.fit_s"] > 0
+    for lid, op in (("logistic_regression", "fit"), ("knn", "predict")):
+        fitted = learners.count(lid)
+        assert fitted and metrics[f"learners.{lid}.calls"] == fitted
+        assert metrics[f"learners.{lid}.{op}_s"] > 0
     assert metrics["trace.self_sum_s"] == pytest.approx(metrics["trace.root_s"], rel=1e-9)
