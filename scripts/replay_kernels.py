@@ -1,6 +1,6 @@
 """Time the logistic-regression epoch and the knn predict at the shapes
 the benchmark's workloads fit, and check that a stacked fit or predict
-equals each slice's fit or predict alone, bit for bit.
+equals each slice's fit or predict as a stack of one, bit for bit.
 
 Each shape is a stack as ``mccv_score_group`` or bagging hands it to the
 learner: r slices of n train rows and d columns, two classes, and for
@@ -10,9 +10,9 @@ an LR fit runs ``--epochs`` epochs.
 
 For each shape it prints one JSON line: the median and quartiles of µs
 per LR epoch or of ms per knn predict over ``--repeats`` repeats, and
-``equal``, whether every slice of the stack matched its lone fit (LR
-weights) or its lone predict (knn labels). The exit status is 1 if any
-shape is not equal.
+``equal``, whether every slice of the stack matched the fit (LR weights)
+or predict (knn labels) of that slice as a stack of one. The exit status
+is 1 if any shape is not equal.
 
 Usage: python scripts/replay_kernels.py [--repeats 9] [--epochs 200] [--seed 7]
 """
@@ -75,10 +75,8 @@ def replay_lr(shape, repeats: int, epochs: int, rng) -> dict:
     X, y = rng.normal(size=(r, n, d)), rng.integers(0, 2, size=(r, n))
     params = {"learning_rate": 0.1, "epochs": epochs, "l2": 1e-4}
     seconds, model = timed(lambda: learners.fit_logistic_regression(X, y, 2, params), repeats)
-    equal = all(
-        np.array_equal(model.weights[i], learners.fit_logistic_regression(X[i], y[i], 2, params).weights)
-        for i in range(r)
-    )
+    one = [learners.fit_logistic_regression(X[i : i + 1], y[i : i + 1], 2, params) for i in range(r)]
+    equal = all(np.array_equal(model.weights[i], one[i].weights[0]) for i in range(r))
     return {"kernel": "logistic_regression.fit", "workload": workload, "what": what, "stack": [r, n, d + 1, 2],
             "us_per_epoch_q25_median_q75": quartiles(seconds, 1e6 / epochs), "equal": equal}
 
@@ -89,7 +87,10 @@ def replay_knn(shape, repeats: int, rng) -> dict:
     rows = rng.normal(size=(r, m, d))
     model = learners.fit_knn(X, y, 2, {"k": 5})
     seconds, preds = timed(lambda: model.predict(rows), repeats)
-    equal = all(np.array_equal(preds[i], learners.fit_knn(X[i], y[i], 2, {"k": 5}).predict(rows[i])) for i in range(r))
+    equal = all(
+        np.array_equal(preds[i], learners.fit_knn(X[i : i + 1], y[i : i + 1], 2, {"k": 5}).predict(rows[i : i + 1])[0])
+        for i in range(r)
+    )
     return {"kernel": "knn.predict", "workload": workload, "what": what, "train": [r, n, d], "rows": [r, m, d],
             "ms_per_predict_q25_median_q75": quartiles(seconds, 1e3), "equal": equal}
 

@@ -7,13 +7,15 @@ bit-identical. Long fits cooperate with an optional deadline, checking
 it between coarse work units (per growth step, per epoch, per
 prediction chunk).
 
-Every fit takes one (n, d) problem or a stack of r equal-sized
-independent problems: ``X`` (r, n, d), ``y`` (r, n) and ``seed`` a
-sequence of r seeds, one per slice (a learner that draws nothing ignores
-them). The model of a stack maps (r, m, d) rows to (r, m) predictions,
-and each slice comes out bit-identical to fitting it alone with its
-seed, so callers with many small fits (the folds of one evaluation, the
-estimators of one bagging ensemble) stack them. Logistic regression
+Every fit takes a stack of r equal-sized independent problems: ``X``
+(r, n, d), ``y`` (r, n) and ``seed`` a sequence of r seeds, one per
+slice (a learner that draws nothing ignores them). Its model maps
+(r, m, d) rows to (r, m) predictions, slice i by the model of slice i,
+and rejects rows of any other shape (``check_stack``). Each slice comes
+out bit-identical to fitting it as a stack of one with its seed, so
+callers with many small fits (the folds of one evaluation, the
+estimators of one bagging ensemble) stack them, and a caller with one
+problem fits a stack of one. Logistic regression
 serves all r with each numpy call of an epoch; trees of all slices grow
 in lockstep, one split search for the next node of every tree, each
 node carrying its class counts and looking up feature subsets drawn in
@@ -45,55 +47,47 @@ _DESCENT_CELLS = 1 << 16
 STACK_CELLS = 1 << 16
 
 
-def _check_columns(model_columns: int, rows: np.ndarray) -> np.ndarray:
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2:
-        raise ValueError("prediction input must be a 2-d matrix")
-    if rows.shape[1] != model_columns:
-        raise ValueError(
-            f"prediction input has {rows.shape[1]} columns, model was trained on {model_columns}"
-        )
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # stacks
 
 
-def as_stack(X, y, seed) -> tuple[np.ndarray, np.ndarray, list[int], bool]:
-    """``(X, y, seeds, stacked)`` of a fit: a stack (r, n, d) with its
-    sequence of r seeds, or one (n, d) problem as a stack of one."""
-    if X.ndim == 3:
-        return X, y, [int(s) for s in seed], True
-    return X[None], y[None], [int(seed)], False
+def check_stack(rows, r: int, d: int) -> np.ndarray:
+    """``rows`` as float64 if they are a stack of r row sets of d columns,
+    the input of a model fitted on r slices of d columns."""
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 3 or rows.shape[0] != r or rows.shape[2] != d:
+        raise ValueError(f"prediction input has shape {rows.shape}, model stack is {r} models on {d} columns")
+    return rows
 
 
 @dataclass
 class SliceModels:
     """Independent models of a stack's slices: (r, m, d) rows -> (r, m),
-    slice i by model i."""
+    slice i by model i, which maps (m, d) rows to (m,)."""
 
     models: list
+    n_columns: int
 
     def predict(self, rows: np.ndarray, deadline: Deadline | None = None) -> np.ndarray:
-        if np.ndim(rows) != 3 or len(rows) != len(self.models):
-            raise ValueError(f"prediction input has shape {np.shape(rows)}, model stack has {len(self.models)} slices")
-        return np.stack([model.predict(part, deadline=deadline) for model, part in zip(self.models, rows)])
+        rows = check_stack(rows, len(self.models), self.n_columns)
+        out = []
+        for model, part in zip(self.models, rows):
+            if deadline is not None:
+                deadline.check()
+            out.append(model.predict(part, deadline=deadline))
+        return np.stack(out)
 
 
 def per_slice(X, y, deadline, fit_one):
-    """``fit_one(X, y)`` of one (n, d) problem, or a ``SliceModels`` of it
-    on every slice of an (r, n, d) stack, checking the deadline between
-    slices: the stack contract for a fit of one problem that draws
-    nothing."""
-    if X.ndim == 2:
-        return fit_one(X, y)
+    """A ``SliceModels`` of ``fit_one(X, y)`` on every (n, d) slice of an
+    (r, n, d) stack, checking the deadline between slices: the stack
+    contract for a fit of one problem that draws nothing."""
     models = []
     for slice_X, slice_y in zip(X, y):
         if deadline is not None:
             deadline.check()
         models.append(fit_one(slice_X, slice_y))
-    return SliceModels(models)
+    return SliceModels(models, X.shape[2])
 
 
 # ---------------------------------------------------------------------------
@@ -102,38 +96,25 @@ def per_slice(X, y, deadline, fit_one):
 
 @dataclass
 class KnnModel:
-    x: np.ndarray  # (n, d) train rows, or a stack (r, n, d)
-    y: np.ndarray  # (n,) labels, or (r, n)
+    x: np.ndarray  # (r, n, d) train rows
+    y: np.ndarray  # (r, n) labels
     k: int
     n_classes: int
-
-    @property
-    def n_columns(self) -> int:
-        return self.x.shape[-1]
 
     def predict(self, rows: np.ndarray, deadline: Deadline | None = None) -> np.ndarray:
         """Majority vote of the k nearest train rows; distance ties at
         the k-th place go to the earlier train row, class ties to the
-        smaller class index. (m, d) rows -> (m,); a stack maps (r, m, d)
-        rows to (r, m), slice i by train slice i.
+        smaller class index. (r, m, d) rows -> (r, m), slice i by train
+        slice i.
 
         Slices go one at a time and rows in chunks of ``_PREDICT_CHUNK``,
-        so a chunk's distances are the product a model of that slice alone
-        computes. They land in one distance and one partition buffer that
+        so a chunk's distances are the product that slice computes as a
+        stack of one. They land in one distance and one partition buffer that
         this call allocates and every slice and chunk reuses: fresh
         temporaries of a few MiB cost more in page faults than the matmul
         that fills them."""
-        stacked = self.x.ndim == 3
-        if not stacked:
-            rows = _check_columns(self.n_columns, rows)[None]
-        else:
-            rows = np.asarray(rows, dtype=np.float64)
-            if rows.ndim != 3 or len(rows) != len(self.x) or rows.shape[2] != self.n_columns:
-                raise ValueError(
-                    f"prediction input has shape {rows.shape}, model stack is "
-                    f"{len(self.x)} models on {self.n_columns} columns"
-                )
-        x, y = (self.x, self.y) if stacked else (self.x[None], self.y[None])
+        x, y = self.x, self.y
+        rows = check_stack(rows, len(x), x.shape[2])
         r, m, _ = rows.shape
         n = x.shape[1]
         k, n_classes = self.k, self.n_classes
@@ -163,14 +144,13 @@ class KnnModel:
                 q, t = np.divmod(np.flatnonzero(near), n)
                 votes = np.bincount(q * n_classes + y[s, t], minlength=len(chunk) * n_classes)
                 out[s, start : start + len(chunk)] = np.argmax(votes.reshape(-1, n_classes), axis=1)
-        return out if stacked else out[0]
+        return out
 
 
 def fit_knn(X, y, n_classes, params, seed=0, deadline=None):
-    """Stores the train rows of one problem or of a whole stack: a fit
-    draws nothing and does no work, so ``seed`` and ``deadline`` go
-    unused."""
-    return KnnModel(X, y, max(1, min(int(params["k"]), X.shape[-2])), n_classes)
+    """Stores the train rows of the stack: a fit draws nothing and does no
+    work, so ``seed`` and ``deadline`` go unused."""
+    return KnnModel(X, y, max(1, min(int(params["k"]), X.shape[1])), n_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -179,20 +159,15 @@ def fit_knn(X, y, n_classes, params, seed=0, deadline=None):
 
 @dataclass
 class GaussianNbModel:
+    """The model of one problem: (m, d) rows -> (m,)."""
+
     log_priors: np.ndarray  # (n_classes,), -inf for absent classes
     means: np.ndarray  # (n_classes, d)
     variances: np.ndarray  # (n_classes, d), smoothed
     present: np.ndarray
     n_classes: int
 
-    @property
-    def n_columns(self) -> int:
-        return self.means.shape[1]
-
     def predict(self, rows: np.ndarray, deadline: Deadline | None = None) -> np.ndarray:
-        rows = _check_columns(self.n_columns, rows)
-        if rows.shape[0] == 0:
-            return np.empty(0, dtype=np.int64)
         scores = np.full((rows.shape[0], self.n_classes), -np.inf)
         for c in range(self.n_classes):
             if not self.present[c]:
@@ -203,9 +178,11 @@ class GaussianNbModel:
         return np.argmax(scores, axis=1).astype(np.int64)
 
 
-def fit_gaussian_nb(X, y, n_classes, params, seed=0, deadline=None):
-    if X.ndim == 3:
-        return per_slice(X, y, deadline, lambda X, y: fit_gaussian_nb(X, y, n_classes, params))
+def fit_gaussian_nb(X, y, n_classes, params, seed=0, deadline=None) -> SliceModels:
+    return per_slice(X, y, deadline, lambda X, y: _fit_gaussian_nb(X, y, n_classes))
+
+
+def _fit_gaussian_nb(X, y, n_classes) -> GaussianNbModel:
     n, d = X.shape
     means = np.zeros((n_classes, d))
     variances = np.ones((n_classes, d))
@@ -251,42 +228,33 @@ class ForestModel:
     depth: int
     n_features: int
     n_classes: int
-    stacked: bool
 
     def predict(self, rows: np.ndarray, deadline: Deadline | None = None) -> np.ndarray:
-        """Majority vote of the trees, ties to the smaller class index:
-        (m, d) rows -> (m,). A stack of r forests maps (r, m, d) rows to
-        (r, m), slice i by forest i, and (m, d) rows to (r, m), every forest
-        on the same rows. All rows descend all trees one level at a time."""
+        """Majority vote of each forest's trees, ties to the smaller class
+        index: (r, m, d) rows -> (r, m), slice i by forest i. The rows
+        descend all trees one level at a time, in chunks of rows, and the
+        deadline is checked before each chunk."""
         r = self.roots.shape[0]
-        rows = np.asarray(rows, dtype=np.float64)
-        per_slice = self.stacked and rows.ndim == 3
-        if per_slice and (rows.shape[0] != r or rows.shape[2] != self.n_features):
-            raise ValueError(
-                f"prediction input has shape {rows.shape}, model stack is {r} forests on {self.n_features} columns"
-            )
-        rows = np.ascontiguousarray(rows if per_slice else _check_columns(self.n_features, rows))
-        m, d = rows.shape[-2:]
+        rows = np.ascontiguousarray(check_stack(rows, r, self.n_features))
+        m, d = rows.shape[1:]
         k = self.n_classes
         flat = rows.reshape(-1)
         feature = np.maximum(self.feature, 0)
         out = np.empty((r, m), dtype=np.int64)
         chunk = max(1, _DESCENT_CELLS // self.roots.size)
         for lo in range(0, m, chunk):
+            if deadline is not None:
+                deadline.check()
             c = min(chunk, m - lo)
-            at = np.arange(lo, lo + c) * d
-            if per_slice:
-                at = at + (np.arange(r) * (m * d))[:, None, None]
+            at = np.arange(lo, lo + c) * d + (np.arange(r) * (m * d))[:, None, None]
             node = np.repeat(self.roots[:, :, None], c, axis=2)
             for _ in range(self.depth):
-                if deadline is not None:
-                    deadline.check()
                 go_left = flat[at + feature[node]] <= self.threshold[node]
                 node = np.where(go_left, self.left[node], self.right[node])
             slot = np.arange(r * c).reshape(r, 1, c) * k
             votes = np.bincount((slot + self.label[node]).ravel(), minlength=r * c * k)
             out[:, lo : lo + c] = np.argmax(votes.reshape(r, c, k), axis=2)
-        return out if self.stacked else out[0]
+        return out
 
 
 def _sum_classes(q: np.ndarray) -> np.ndarray:
@@ -394,7 +362,7 @@ def _best_splits(X, y, rows, sizes, counts, features) -> tuple[np.ndarray, np.nd
     return np.where(found, features[at, best], -1), np.where(found, thresholds[best, at], 0.0), gain
 
 
-def _grow(X, y, n_classes, seed, n_trees, max_depth, min_split, n_sampled, bootstrap, deadline) -> ForestModel:
+def _grow(X, y, n_classes, seeds, n_trees, max_depth, min_split, n_sampled, bootstrap, deadline) -> ForestModel:
     """``n_trees`` trees for every slice of a stack, grown in lockstep.
 
     Tree t of a forest grows on a bootstrap of n ``randbelow(n)`` draws
@@ -416,7 +384,6 @@ def _grow(X, y, n_classes, seed, n_trees, max_depth, min_split, n_sampled, boots
     a fitted tree a pure function of (data, params, seed), and a lapsed
     budget fails the whole evaluation.
     """
-    X, y, seeds, stacked = as_stack(X, y, seed)
     r, n, d = X.shape
     k = n_classes
     X = np.ascontiguousarray(X, dtype=np.float64).reshape(r * n, d)
@@ -425,7 +392,7 @@ def _grow(X, y, n_classes, seed, n_trees, max_depth, min_split, n_sampled, boots
     per_lane = n_trees if draws or not bootstrap else 1  # lane j grows trees j * per_lane, ...
     forest = np.arange(r * n_trees // per_lane) * per_lane // n_trees
     # each lane's stream where its current tree's bootstrap ends (before its first tree: begins)
-    states = streams([seeds[f] for f in forest], np.arange(forest.size) * per_lane % n_trees * n)
+    states = streams([int(seeds[f]) for f in forest], np.arange(forest.size) * per_lane % n_trees * n)
     roots = np.empty(r * n_trees, dtype=np.int64)
     labels, splits = [], []
     n_nodes = 0
@@ -528,10 +495,10 @@ def _grow(X, y, n_classes, seed, n_trees, max_depth, min_split, n_sampled, boots
             # children on top of their lanes' stacks, the right below the left one, searched next
             pending = np.concatenate([pending, children[grows]])
             pending = pending[pending[:, 0].argsort(kind="stable")]
-    return _assemble(labels, splits, roots.reshape(r, n_trees), d, n_classes, stacked)
+    return _assemble(labels, splits, roots.reshape(r, n_trees), d, n_classes)
 
 
-def _assemble(labels, splits, roots, n_features, n_classes, stacked) -> ForestModel:
+def _assemble(labels, splits, roots, n_features, n_classes) -> ForestModel:
     """The grown nodes, numbered in creation order, renumbered so that each
     tree is one pre-order block and the trees follow ``roots`` row by row.
     ``splits`` holds the split nodes, their depths, features, thresholds
@@ -566,7 +533,6 @@ def _assemble(labels, splits, roots, n_features, n_classes, stacked) -> ForestMo
         depth=len(levels),
         n_features=n_features,
         n_classes=n_classes,
-        stacked=stacked,
     )
     model.label[pos] = label
     at = pos[parent]
@@ -596,37 +562,25 @@ def fit_random_forest(X, y, n_classes, params, seed=0, deadline=None) -> ForestM
 
 @dataclass
 class LogisticModel:
-    weights: np.ndarray  # (d + 1, n_classes) or a stack (r, d + 1, n_classes); last row is the bias
+    weights: np.ndarray  # (r, d + 1, n_classes); last row of each slice is the bias
     n_classes: int
 
-    @property
-    def n_columns(self) -> int:
-        return self.weights.shape[-2] - 1
-
     def predict(self, rows: np.ndarray, deadline: Deadline | None = None) -> np.ndarray:
-        """(m, d) rows -> (m,) labels. A stack of r models maps (r, m, d)
-        rows to (r, m), slice i by model i, and (m, d) rows to (r, m), every
-        model on the same rows."""
-        if self.weights.ndim == 3 and np.ndim(rows) == 3:
-            rows = np.asarray(rows, dtype=np.float64)
-            if rows.shape[0] != self.weights.shape[0] or rows.shape[2] != self.n_columns:
-                raise ValueError(
-                    f"prediction input has shape {rows.shape}, model stack is "
-                    f"{self.weights.shape[0]} models on {self.n_columns} columns"
-                )
-        else:
-            rows = _check_columns(self.n_columns, rows)
-        logits = rows @ self.weights[..., :-1, :] + self.weights[..., -1:, :]
+        """(r, m, d) rows -> (r, m) labels, slice i by model i."""
+        if deadline is not None:
+            deadline.check()
+        r, d_bias, _ = self.weights.shape
+        rows = check_stack(rows, r, d_bias - 1)
+        logits = rows @ self.weights[:, :-1, :] + self.weights[:, -1:, :]
         return np.argmax(logits, axis=-1).astype(np.int64)
 
 
 def fit_logistic_regression(X, y, n_classes, params, seed=0, deadline=None) -> LogisticModel:
     """Full-batch gradient descent on the softmax loss.
 
-    ``X`` is one (n, d) matrix with labels ``y`` of shape (n,), or a stack
-    of r independent problems, (r, n, d) with (r, n), fitted together:
-    every numpy call of an epoch serves all r, and each slice of the
-    returned weights is bit-identical to fitting that slice alone. A
+    The r problems of the stack are fitted together: every numpy call of
+    an epoch serves all r, and each slice of the returned weights is
+    bit-identical to fitting that slice as a stack of one. A
     problem whose step turns non-finite keeps its last finite weights
     (the others go on). The fit draws no randomness and ignores ``seed``.
 
@@ -639,10 +593,7 @@ def fit_logistic_regression(X, y, n_classes, params, seed=0, deadline=None) -> L
     lr = float(params["learning_rate"])
     epochs = int(params["epochs"])
     l2 = float(params["l2"])
-    stacked = X.ndim == 3
     Xb = np.concatenate([X, np.ones((*X.shape[:-1], 1))], axis=-1)
-    if not stacked:
-        Xb, y = Xb[None], y[None]
     r, n, _ = Xb.shape
     XbT = Xb.transpose(0, 2, 1)
     W = np.zeros((r, Xb.shape[2], n_classes))
@@ -674,4 +625,4 @@ def fit_logistic_regression(X, y, n_classes, params, seed=0, deadline=None) -> L
             # non-finite in every later epoch too
             step[~finite] = W[~finite]
         W = step
-    return LogisticModel(weights=W if stacked else W[0], n_classes=n_classes)
+    return LogisticModel(weights=W, n_classes=n_classes)

@@ -5,11 +5,12 @@ resampling rather than sample-weight-aware base fits, since the base
 learner catalog exposes no weight API; the weighted error is still
 computed on the full training set.
 
-Like a base learner, both fit one (n, d) problem or a stack of r
-independent ones, ``X`` (r, n, d) and ``y`` (r, n) with a sequence of r
-seeds; slice i comes out exactly as fitting it alone with seed i would.
-The base learner is fitted on stacks: bagging fits the estimators of all
-slices in stacked chunks, and boosting fits round t of every slice still
+Like a base learner, both fit a stack of r independent problems, ``X``
+(r, n, d) and ``y`` (r, n) with a sequence of r seeds, and their model
+maps (r, m, d) rows to (r, m) (``learners.check_stack``); slice i comes
+out exactly as fitting it as a stack of one with seed i would. The base
+learner is fitted on stacks: bagging fits the estimators of all slices
+in stacked chunks, and boosting fits round t of every slice still
 boosting in one call.
 """
 
@@ -21,7 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from stagedml.components.learners import STACK_CELLS, as_stack
+from stagedml.components.learners import STACK_CELLS, check_stack
 from stagedml.rng import Rng, below, next_u64_block, shuffled_block, streams
 from stagedml.timing import Deadline
 
@@ -42,17 +43,11 @@ class VotingModel:
     n_slices: int
     n_features: int
     n_classes: int
-    stacked: bool
 
     def predict(self, rows: np.ndarray, deadline: Deadline | None = None) -> np.ndarray:
-        """(m, d) rows -> (m,) labels; for a stack, (r, m, d) -> (r, m),
-        slice i by the members of slice i. Score ties go to the smaller
-        class index."""
-        rows = np.asarray(rows, dtype=np.float64)
-        if not self.stacked:
-            rows = rows[None]
-        if rows.ndim != 3 or rows.shape[0] != self.n_slices or rows.shape[2] != self.n_features:
-            raise ValueError("prediction input column mismatch")
+        """(r, m, d) rows -> (r, m) labels, slice i by the members of slice
+        i. Score ties go to the smaller class index."""
+        rows = check_stack(rows, self.n_slices, self.n_features)
         m = rows.shape[1]
         scores = np.zeros((self.n_slices, m, self.n_classes))
         for model, slices, weights in self.members:
@@ -61,8 +56,7 @@ class VotingModel:
             preds = model.predict(rows[slices], deadline=deadline)
             # unbuffered, so the votes of one slice add up in estimator order
             np.add.at(scores, (slices[:, None], np.arange(m), preds), np.reshape(weights, (-1, 1)))
-        labels = np.argmax(scores, axis=2).astype(np.int64)
-        return labels if self.stacked else labels[0]
+        return np.argmax(scores, axis=2).astype(np.int64)
 
 
 def fit_bagging(base: LearnerSpec, base_params, X, y, n_classes, params, seed=0, deadline=None) -> VotingModel:
@@ -76,12 +70,12 @@ def fit_bagging(base: LearnerSpec, base_params, X, y, n_classes, params, seed=0,
     n_estimators = int(params["n_estimators"])
     fraction = float(params["sample_fraction"])
     replace = bool(params["replace"])
-    X, y, seeds, stacked = as_stack(X, y, seed)
     r, n, d = X.shape
     m = max(1, min(n, int(round(fraction * n))))
     # per estimator: m row draws, or the n - 1 draws of a shuffle; then a seed
     draws = m if replace else n - 1
-    raw = next_u64_block(streams(seeds), n_estimators * (draws + 1)).reshape(r * n_estimators, draws + 1)
+    raw = next_u64_block(streams([int(s) for s in seed]), n_estimators * (draws + 1))
+    raw = raw.reshape(r * n_estimators, draws + 1)
     fit_seeds = raw[:, draws].tolist()
     if replace:
         samples = np.sort(below(raw[:, :m], n), axis=1)
@@ -97,7 +91,7 @@ def fit_bagging(base: LearnerSpec, base_params, X, y, n_classes, params, seed=0,
         rows = (owner[at, None], samples[at])
         model = base.fit(X[rows], y[rows], n_classes, base_params, seed=fit_seeds[at], deadline=deadline)
         members.append((model, owner[at], [1.0] * len(fit_seeds[at])))
-    return VotingModel(members=members, n_slices=r, n_features=d, n_classes=n_classes, stacked=stacked)
+    return VotingModel(members=members, n_slices=r, n_features=d, n_classes=n_classes)
 
 
 def _weighted_resample(weights: np.ndarray, n: int, rng: Rng) -> np.ndarray:
@@ -118,9 +112,8 @@ def fit_adaboost(base: LearnerSpec, base_params, X, y, n_classes, params, seed=0
     """
     n_estimators = int(params["n_estimators"])
     lr = float(params["learning_rate"])
-    X, y, seeds, stacked = as_stack(X, y, seed)
     r, n, d = X.shape
-    rngs = [Rng(s) for s in seeds]
+    rngs = [Rng(int(s)) for s in seed]
     k = [max(2, int(len(np.unique(y[i]))) if n_classes < 2 else n_classes) for i in range(r)]
     w = [np.full(n, 1.0 / n) for _ in range(r)]
     members = []
@@ -161,4 +154,4 @@ def fit_adaboost(base: LearnerSpec, base_params, X, y, n_classes, params, seed=0
         fit_seeds = [rngs[i].next_u64() for i in fallback]
         model = base.fit(X[fallback], y[fallback], n_classes, base_params, seed=fit_seeds, deadline=deadline)
         members.append((model, fallback, [1.0] * fallback.size))
-    return VotingModel(members=members, n_slices=r, n_features=d, n_classes=n_classes, stacked=stacked)
+    return VotingModel(members=members, n_slices=r, n_features=d, n_classes=n_classes)

@@ -6,8 +6,8 @@ Several ids may share one implementation, so algorithm variants can be
 registered as distinct entries without new code. It answers lookups,
 parameter defaults, validation and sampling, and feature rankings;
 fitting a pipeline from these specs is ``evaluation.fit_pipeline``.
-Every learner's fit takes one problem or a stack of them (see
-``LearnerSpec``), so evaluation has one fit path for all of them.
+Every learner's fit takes a stack of problems (see ``LearnerSpec``), so
+evaluation has one fit path for all of them.
 """
 
 from __future__ import annotations
@@ -44,13 +44,14 @@ class LearnerSpec:
     A base learner's ``fit(X, y, n_classes, params, seed, deadline)``
     returns a model with ``predict(rows, deadline)``; a meta-learner's
     ``fit(base, base_params, X, y, n_classes, params, seed, deadline)``
-    receives the base learner's spec. Every fit takes one (n, d) problem
-    or a stack of equal-sized independent problems: ``X`` of shape
-    (r, n, d), ``y`` of shape (r, n) and ``seed`` a sequence of r seeds,
-    one per slice. The model of a stack maps (r, m, d) rows to (r, m)
-    predictions, and slice i of both is exactly what fitting slice i
-    alone with seed i gives; ``learners.per_slice`` gives a fit of one
-    problem that contract.
+    receives the base learner's spec. Every fit takes a stack of
+    equal-sized independent problems: ``X`` of shape (r, n, d), ``y`` of
+    shape (r, n) and ``seed`` a sequence of r seeds, one per slice. The
+    model maps (r, m, d) rows to (r, m) predictions and rejects rows of
+    any other shape; slice i of both is exactly what fitting slice i as a
+    stack of one with seed i gives. ``learners.per_slice`` gives a fit of
+    one problem that contract, and one problem is fitted as a stack of
+    one (``evaluation.fit_pipeline``).
     """
 
     id: str

@@ -6,9 +6,9 @@ slots are real absent values (``None``), never sentinel strings.
 A candidate becomes a fitted model in one way: it is checked against the
 registry, the scaler is fitted on the training matrix, the feature
 columns are taken as an array slice and the learner's (or
-meta-learner's) fit runs on ``(X, y, n_classes)``. ``fit_pipeline`` does
-that for one training set; ``mccv_score`` scales every fold the same way
-and fits all folds as one stack.
+meta-learner's) fit runs on a stack of training matrices. ``fit_pipeline``
+does that for one training set, a stack of one; ``mccv_score`` scales
+every fold the same way and fits all folds as one stack.
 
 Scoring runs ``repeats`` stratified splits of the optimization data.
 The split seeds derive from (seed, repeat index) only, so every
@@ -189,13 +189,16 @@ def error_rate(y_true: np.ndarray, y_pred: np.ndarray) -> float:
 
 @dataclass
 class FittedPipeline:
+    """A scaler, feature columns and the model of a stack of one: maps
+    (m, n_columns) rows to (m,) labels."""
+
     scaler: object | None
     features: FeatureSet | None
     model: object
     n_columns: int
 
     def predict(self, rows: np.ndarray, deadline: Deadline | None = None) -> np.ndarray:
-        return self.model.predict(self.transform(rows), deadline=deadline)
+        return self.model.predict(self.transform(rows)[None], deadline=deadline)[0]
 
     def transform(self, rows: np.ndarray) -> np.ndarray:
         """``rows`` scaled and restricted to the pipeline's features: the
@@ -278,14 +281,15 @@ def fit_pipeline(
     """Fit scaler -> feature columns -> (meta-wrapped) learner on ``train``.
 
     The scaler is fitted on all columns, then the feature columns are
-    taken from its output. Besides the candidate errors of
+    taken from its output, and the learner fits them as a stack of one
+    with ``[seed]``. Besides the candidate errors of
     ``_resolve_candidate``, raises ``ValueError`` for empty training data,
     a feature index out of range or scaled training data that are not
     finite.
     """
     scaler_spec, fit = _resolve_candidate(candidate, registry)
     pipeline, X = _prepare(candidate, scaler_spec, train.instances)
-    pipeline.model = fit(X, train.labels, len(train.class_names), seed, deadline)
+    pipeline.model = fit(X[None], train.labels[None], len(train.class_names), [seed], deadline)
     return pipeline
 
 
@@ -361,12 +365,13 @@ def mccv_score_group(
     Every candidate's folds are scaled and projected on their own, then
     the folds of all of them are fitted as one (candidates x folds) stack
     and predicted in one call: by the stack contract of the learners,
-    each slice comes out as fitting it alone would. A candidate that is
-    invalid, or whose scaled training data are not finite, fails alone and
-    leaves the stack. The stacked attempt runs under the earliest of the
-    candidates' deadlines and one ``per_eval_timeout``; if it raises or
-    that deadline lapses, every candidate left is scored alone under its
-    own deadline, so each status is the one scoring it alone gives.
+    each slice comes out as fitting it as a stack of one would. A
+    candidate that is invalid, or whose scaled training data are not
+    finite, fails alone and leaves the stack. The stacked attempt runs
+    under the earliest of the candidates' deadlines and one
+    ``per_eval_timeout``; if it raises or that deadline lapses, every
+    candidate left is scored alone under its own deadline, so each status
+    is the one scoring it alone gives.
     """
     n = len(candidates)
     deadlines = list(deadlines) if deadlines is not None else [None] * n

@@ -141,9 +141,10 @@ class TestFitPredict:
     def test_predict_column_mismatch(self, reg):
         d = make_numeric_dataset(np.arange(6.0), [0, 1] * 3)
         fitted = fit_pipeline(Candidate("knn"), d, reg)
-        for predict in (fitted.predict, fitted.model.predict):
-            with pytest.raises(ValueError):
-                predict(np.zeros((2, 3)))
+        with pytest.raises(ValueError):
+            fitted.predict(np.zeros((2, 3)))
+        with pytest.raises(ValueError):
+            fitted.model.predict(np.zeros((1, 2, 3)))
 
     def test_constant_features_nb_majority(self, reg):
         # posterior reduces to priors; majority class is 1 (4 of 6)
@@ -177,9 +178,19 @@ class TestFitPredict:
         model = fit_pipeline(Candidate("logistic_regression"), d, reg)
         assert float(np.mean(model.predict(d.instances) != y)) <= 0.05
 
-    def test_knn_expired_deadline_in_pipeline(self, reg):
-        d = make_numeric_dataset(np.arange(20.0), [0, 1] * 10)
-        fitted = fit_pipeline(Candidate(learner="knn"), d, reg)
+    @pytest.mark.parametrize(
+        "candidate, labels",
+        [pytest.param(Candidate(lid), [0, 1] * 10, id=lid) for lid in registry_default().base_learner_ids()]
+        + [
+            # one class: a tree of one leaf, which predicts without descending
+            pytest.param(Candidate("decision_tree"), [0] * 20, id="decision_tree-leaf"),
+            pytest.param(Candidate("decision_tree", meta="bagging"), [0, 1] * 10, id="bagging-decision_tree"),
+            pytest.param(Candidate("decision_tree", meta="adaboost"), [0, 1] * 10, id="adaboost-decision_tree"),
+        ],
+    )
+    def test_expired_deadline_in_pipeline(self, reg, candidate, labels):
+        d = make_numeric_dataset(np.arange(20.0), labels, class_names=["a", "b"])
+        fitted = fit_pipeline(candidate, d, reg)
         with pytest.raises(DeadlineExceeded):
             fitted.predict(d.instances, deadline=Deadline(0.0))
 
@@ -187,7 +198,7 @@ class TestFitPredict:
         d = make_numeric_dataset(np.arange(20.0), [0, 1] * 10)
         fitted = fit_pipeline(Candidate("decision_tree", meta="bagging"), d, reg)
         with pytest.raises(DeadlineExceeded):
-            fitted.model.predict(d.instances, deadline=Deadline(0.0))
+            fitted.model.predict(d.instances[None], deadline=Deadline(0.0))
 
 
 class _LapsesAfter:
@@ -242,26 +253,28 @@ def _knn_stack(r, n, d_cols, n_classes, m, seed):
 def test_knn_matches_stable_sort_reference(r, n, d_cols, present, absent, n_rows, data, seed):
     """A stack's predict reuses its buffers across slices and chunks, a
     shorter tail chunk included, and must still give each slice what its
-    model alone and the stable-sort reference give."""
+    stack of one and the stable-sort reference give."""
     k = data.draw(st.integers(min_value=1, max_value=n), label="k")
     x, y, rows = _knn_stack(r, n, d_cols, present, n_rows, seed)
     n_classes = present + absent
     stacked = learners.fit_knn(x, y, n_classes, {"k": k}).predict(rows)
     assert stacked.shape == (r, n_rows)
     for i in range(r):
-        alone = learners.KnnModel(x=x[i], y=y[i], k=k, n_classes=n_classes).predict(rows[i])
+        alone = learners.fit_knn(x[i : i + 1], y[i : i + 1], n_classes, {"k": k}).predict(rows[i : i + 1])[0]
         assert np.array_equal(alone, _knn_reference(x[i], y[i], k, n_classes, rows[i]))
         assert np.array_equal(stacked[i], alone)
 
 
 def test_stacked_knn_predicts_concurrently():
     """Threads predicting different stacks at once, more of them than
-    cores and switching often, each get the answers of their slices
-    alone: no buffer is shared between calls."""
+    cores and switching often, each get the answers of their slices as
+    stacks of one: no buffer is shared between calls."""
     stacks = [_knn_stack(3, 60, 2, 3, 2 * learners._PREDICT_CHUNK + 7, seed) for seed in range(4)]
     models = [learners.fit_knn(X, y, 3, {"k": 5}) for X, y, _ in stacks]
     expected = [
-        np.stack([learners.fit_knn(X[i], y[i], 3, {"k": 5}).predict(rows[i]) for i in range(3)])
+        np.concatenate(
+            [learners.fit_knn(X[i : i + 1], y[i : i + 1], 3, {"k": 5}).predict(rows[i : i + 1]) for i in range(3)]
+        )
         for X, y, rows in stacks
     ]
     results = [[] for _ in stacks]
@@ -481,10 +494,10 @@ def test_lockstep_trees_match_one_at_a_time_reference(
     r, n, d_cols, n_classes, grid, forest, max_depth, sampled, n_trees, min_split, block, subset_nodes, seed
 ):
     """A stack of r fits grown in lockstep gives, slice by slice, the trees
-    of the recursive grower: nodes of many sizes meet in one search,
-    integer grids make tied values, every count of sampled features
-    occurs, and small draw chunks make trees draw their feature subsets
-    again mid-tree."""
+    of the recursive grower and of the slice's stack of one: nodes of
+    many sizes meet in one search, integer grids make tied values, every
+    count of sampled features occurs, and small draw chunks make trees
+    draw their feature subsets again mid-tree."""
     fraction = min(sampled, d_cols) / d_cols
     rng = np.random.default_rng(seed)
     X = rng.integers(-2, 3, size=(r, n, d_cols)).astype(np.float64) if grid else rng.normal(size=(r, n, d_cols))
@@ -503,16 +516,15 @@ def test_lockstep_trees_match_one_at_a_time_reference(
         if subset_nodes is not None:
             mp.setattr(learners, "_SUBSET_NODES", subset_nodes)
         model = fit(X, y, n_classes, params, seed=seeds)
-        alone = [fit(X[s], y[s], n_classes, params, seed=seeds[s]) for s in range(r)]
-    stacked, shared = model.predict(rows), model.predict(rows[0])
+        alone = [fit(X[s : s + 1], y[s : s + 1], n_classes, params, seed=[seeds[s]]) for s in range(r)]
+    stacked = model.predict(rows)
     for s in range(r):
         trees = _trees_reference(X[s], y[s], n_classes, learner, params, seeds[s])
         assert _model_trees(model, s) == trees
         assert _model_trees(alone[s], 0) == trees
         expected = _predict_reference(trees, rows[s], n_classes)
         assert np.array_equal(stacked[s], expected)
-        assert np.array_equal(alone[s].predict(rows[s]), expected)
-        assert np.array_equal(shared[s], _predict_reference(trees, rows[0], n_classes))
+        assert np.array_equal(alone[s].predict(rows[s : s + 1])[0], expected)
 
 
 def _logistic_reference(X, y, n_classes, lr, epochs, l2):
@@ -563,24 +575,37 @@ def test_stacked_logistic_matches_per_problem_reference(r, n, d_cols, n_classes,
         model = learners.fit_logistic_regression(X, y, n_classes, params)
         assert model.weights.shape == (r, d_cols + 1, n_classes)
         stacked = model.predict(rows)
-        shared = model.predict(rows[0])
         for i in range(r):
             W = _logistic_reference(X[i], y[i], n_classes, lr, epochs, l2)
             assert np.array_equal(model.weights[i], W, equal_nan=True)
-            alone = learners.fit_logistic_regression(X[i], y[i], n_classes, params)
-            assert np.array_equal(alone.weights, W, equal_nan=True)
+            alone = learners.fit_logistic_regression(X[i : i + 1], y[i : i + 1], n_classes, params)
+            assert np.array_equal(alone.weights[0], W, equal_nan=True)
             assert np.array_equal(stacked[i], np.argmax(rows[i] @ W[:-1] + W[-1], axis=1))
-            assert np.array_equal(shared[i], np.argmax(rows[0] @ W[:-1] + W[-1], axis=1))
-            assert np.array_equal(alone.predict(rows[i]), stacked[i])
+            assert np.array_equal(alone.predict(rows[i : i + 1])[0], stacked[i])
 
 
-def test_stacked_logistic_predict_checks_shapes():
-    X = np.random.default_rng(0).normal(size=(3, 10, 2))
-    y = np.zeros((3, 10), dtype=np.int64)
-    model = learners.fit_logistic_regression(X, y, 2, {"learning_rate": 0.1, "epochs": 5, "l2": 0.0})
-    for rows in (np.zeros((2, 4, 2)), np.zeros((3, 4, 3)), np.zeros((4, 3)), np.zeros(2)):
+@pytest.mark.parametrize(
+    "lid, meta_id",
+    [pytest.param(lid, None, id=lid) for lid in registry_default().base_learner_ids()]
+    + [pytest.param("decision_tree", mid, id=f"{mid}-decision_tree") for mid in registry_default().meta_learner_ids()],
+)
+def test_fitted_stack_rejects_other_shapes(reg, lid, meta_id):
+    """A model of 3 slices of 2 columns takes (3, m, 2) rows only: not 2-d
+    rows, not another slice count, not another width."""
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(3, 12, 2))
+    y = rng.integers(0, 2, size=(3, 12))
+    base = reg.learner(lid)
+    if meta_id is None:
+        model = base.fit(X, y, 2, base.default_params, seed=[1, 2, 3])
+    else:
+        meta_spec = reg.learner(meta_id)
+        model = meta_spec.fit(base, base.default_params, X, y, 2, meta_spec.default_params, seed=[1, 2, 3])
+    rows = rng.normal(size=(3, 5, 2))
+    assert model.predict(rows).shape == (3, 5)
+    for bad in (rows[0], rows[:2], rng.normal(size=(3, 5, 3))):
         with pytest.raises(ValueError):
-            model.predict(rows)
+            model.predict(bad)
 
 
 @pytest.mark.parametrize("lid", ["knn", "gaussian_nb"])
@@ -593,13 +618,19 @@ def test_per_slice_learners_fit_each_slice_alone(reg, lid):
     stacked = spec.fit(X, y, 3, spec.default_params, seed=[1, 2, 3]).predict(rows)
     assert stacked.shape == (3, 5)
     for i in range(3):
-        alone = spec.fit(X[i], y[i], 3, spec.default_params, seed=i)
-        assert not isinstance(alone, learners.SliceModels)
-        assert np.array_equal(alone.predict(rows[i]), stacked[i])
-    model = spec.fit(X, y, 3, spec.default_params, seed=[1, 2, 3])
-    for bad in (rows[:2], rows[0]):
-        with pytest.raises(ValueError):
-            model.predict(bad)
+        alone = spec.fit(X[i : i + 1], y[i : i + 1], 3, spec.default_params, seed=[i + 1])
+        assert np.array_equal(alone.predict(rows[i : i + 1])[0], stacked[i])
+
+
+class _Constant:
+    """A model of one problem that predicts class 0 and records its calls."""
+
+    def __init__(self, calls):
+        self.calls = calls
+
+    def predict(self, rows, deadline=None):
+        self.calls.append(rows.shape)
+        return np.zeros(len(rows), dtype=np.int64)
 
 
 def test_per_slice_checks_the_deadline_between_slices():
@@ -608,11 +639,17 @@ def test_per_slice_checks_the_deadline_between_slices():
     with pytest.raises(DeadlineExceeded):
         learners.per_slice(X, y, _LapsesAfter(2), lambda X, y: fits.append(X.shape))
     assert fits == [(4, 2), (4, 2)]
+    calls = []
+    model = learners.per_slice(X, y, None, lambda X, y: _Constant(calls))
+    with pytest.raises(DeadlineExceeded):
+        model.predict(np.zeros((3, 5, 2)), deadline=_LapsesAfter(2))
+    assert calls == [(5, 2), (5, 2)]
 
 
 def _bagging_reference(fit, base_params, X, y, n_classes, params, seed, rows):
     """Bagging one problem as a loop: each estimator's rows and seed from
-    scalar draws, one fit each, votes added in estimator order."""
+    scalar draws, one fit of a stack of one each, votes added in estimator
+    order."""
     n = X.shape[0]
     m = max(1, min(n, int(round(params["sample_fraction"] * n))))
     rng = Rng(seed)
@@ -627,13 +664,15 @@ def _bagging_reference(fit, base_params, X, y, n_classes, params, seed, rows):
         seeds.append(rng.next_u64())
     scores = np.zeros((rows.shape[0], n_classes))
     for idx, fit_seed in zip(samples, seeds):
-        scores[np.arange(rows.shape[0]), fit(X[idx], y[idx], n_classes, base_params, seed=fit_seed).predict(rows)] += 1.0
+        model = fit(X[None, idx], y[None, idx], n_classes, base_params, seed=[fit_seed])
+        scores[np.arange(rows.shape[0]), model.predict(rows[None])[0]] += 1.0
     return np.argmax(scores, axis=1)
 
 
 def _adaboost_reference(fit, base_params, X, y, n_classes, params, seed, rows):
     """SAMME boosting of one problem as a loop: resampling one ``random()``
-    and one ``searchsorted`` at a time, rejected rounds left out."""
+    and one ``searchsorted`` at a time, each round's base fit a stack of
+    one, rejected rounds left out."""
     n = X.shape[0]
     k = max(2, int(len(np.unique(y))) if n_classes < 2 else n_classes)
     rng = Rng(seed)
@@ -642,8 +681,8 @@ def _adaboost_reference(fit, base_params, X, y, n_classes, params, seed, rows):
     for _ in range(params["n_estimators"]):
         cum = np.cumsum(w)
         idx = sorted(min(int(np.searchsorted(cum, rng.random() * cum[-1], side="right")), n - 1) for _ in range(n))
-        model = fit(X[idx], y[idx], n_classes, base_params, seed=rng.next_u64())
-        incorrect = model.predict(X) != y
+        model = fit(X[None, idx], y[None, idx], n_classes, base_params, seed=[rng.next_u64()])
+        incorrect = model.predict(X[None])[0] != y
         err = float(np.sum(w[incorrect]))
         if err <= 0.0:
             models.append(model)
@@ -657,11 +696,11 @@ def _adaboost_reference(fit, base_params, X, y, n_classes, params, seed, rows):
         w = w * np.exp(alpha * incorrect)
         w /= w.sum()
     if not models:
-        models.append(fit(X, y, n_classes, base_params, seed=rng.next_u64()))
+        models.append(fit(X[None], y[None], n_classes, base_params, seed=[rng.next_u64()]))
         alphas.append(1.0)
     scores = np.zeros((rows.shape[0], n_classes))
     for model, alpha in zip(models, alphas):
-        scores[np.arange(rows.shape[0]), model.predict(rows)] += alpha
+        scores[np.arange(rows.shape[0]), model.predict(rows[None])[0]] += alpha
     return np.argmax(scores, axis=1)
 
 
@@ -684,7 +723,7 @@ def test_stacked_meta_learners_match_loop_reference(
 ):
     """Bagging and boosting of a stack give, slice by slice, the loop over
     one problem (the base fitted once per chunk or round), and so does each
-    slice fitted alone; boosting stops early on perfect and on
+    slice fitted as a stack of one; boosting stops early on perfect and on
     worse-than-chance rounds in some slices."""
     rng = np.random.default_rng(seed)
     X = rng.integers(-2, 3, size=(r, n, d_cols)).astype(np.float64)
@@ -709,8 +748,8 @@ def test_stacked_meta_learners_match_loop_reference(
     for i in range(r):
         expected = reference(base.fit, base_params, X[i], y[i], n_classes, params, seeds[i], rows[i])
         assert np.array_equal(stacked[i], expected)
-        alone = fit_meta(base, base_params, X[i], y[i], n_classes, params, seed=seeds[i])
-        assert np.array_equal(alone.predict(rows[i]), expected)
+        alone = fit_meta(base, base_params, X[i : i + 1], y[i : i + 1], n_classes, params, seed=[seeds[i]])
+        assert np.array_equal(alone.predict(rows[i : i + 1])[0], expected)
 
 
 class TestMetaLearners:
