@@ -105,22 +105,18 @@ def run_from_spec(spec: RunSpec) -> orchestrator.RunReport:
     return orchestrator.run(dataset, spec.scheme())
 
 
+def _write_json(path: Path, doc) -> None:
+    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+
+
 def write_run_outputs(report: orchestrator.RunReport, spec: RunSpec, outdir: Path) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
-    doc = report.to_json_dict()
-    doc["config_echo"] = spec.to_config_echo()
-    with open(outdir / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(outdir / "report.json", {**report.to_json_dict(), "config_echo": spec.to_config_echo()})
     with open(outdir / "journal.jsonl", "w", encoding="utf-8") as fh:
         for record in report.journal:
             fh.write(json.dumps(record) + "\n")
-    with open(outdir / "stages.json", "w", encoding="utf-8") as fh:
-        json.dump(report.stage_traces, fh, indent=2)
-        fh.write("\n")
-    with open(outdir / "registry.json", "w", encoding="utf-8") as fh:
-        json.dump(registry_default().to_json_dict(), fh, indent=2)
-        fh.write("\n")
+    _write_json(outdir / "stages.json", report.stage_traces)
+    _write_json(outdir / "registry.json", registry_default().to_json_dict())
     curves = [
         {"filter": c["filter"], "points": c["points"]}
         for trace in report.stage_traces
@@ -254,9 +250,7 @@ def cmd_bench(args) -> int:
                             f"warning: no model for {dataset_id}/{preset}/split{s}; cell left missing",
                             file=sys.stderr,
                         )
-                    with open(cell_dir / "report.json", "w", encoding="utf-8") as fh:
-                        json.dump(doc, fh, indent=2)
-                        fh.write("\n")
+                    _write_json(cell_dir / "report.json", doc)
     matrix.to_csv(outdir / "results.csv")
     print(f"results written to {outdir / 'results.csv'}")
     return EXIT_OK

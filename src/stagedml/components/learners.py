@@ -15,13 +15,14 @@ and rejects rows of any other shape (``check_stack``). Each slice comes
 out bit-identical to fitting it as a stack of one with its seed, so
 callers with many small fits (the folds of one evaluation, the
 estimators of one bagging ensemble) stack them, and a caller with one
-problem fits a stack of one. Logistic regression
-serves all r with each numpy call of an epoch; trees of all slices grow
-in lockstep, one split search for the next node of every tree, each
-node carrying its class counts and looking up feature subsets drawn in
-blocks (``_grow``); knn keeps the stack and predicts it slice by slice
-into distance buffers that one call reuses. ``per_slice`` gives a fit of
-one problem, such as gaussian naive Bayes, the stack contract.
+problem fits a stack of one. Logistic regression serves all r with each
+numpy call of an epoch; trees of all slices grow in lockstep, one split
+search for the next node of every tree, each node carrying its class
+counts and looking up feature subsets drawn in blocks, and stay in the
+order they were grown (``_grow``); knn keeps the stack and predicts it
+slice by slice into distance buffers that one call reuses. ``per_slice``
+gives a fit of one problem, such as gaussian naive Bayes, the stack
+contract.
 """
 
 from __future__ import annotations
@@ -208,7 +209,8 @@ def _fit_gaussian_nb(X, y, n_classes) -> GaussianNbModel:
 
 @dataclass
 class ForestModel:
-    """Trees as flat node arrays, each tree one pre-order block.
+    """Trees as flat node arrays, the nodes of all trees in the order they
+    were grown.
 
     Node i is a leaf when ``feature[i]`` is -1; a leaf points to itself in
     ``left`` and ``right``. Otherwise rows whose value in column
@@ -382,7 +384,9 @@ def _grow(X, y, n_classes, seeds, n_trees, max_depth, min_split, n_sampled, boot
     feature separates its rows or its threshold sends them all one way.
     The deadline is checked once per step; raising (not truncating) keeps
     a fitted tree a pure function of (data, params, seed), and a lapsed
-    budget fails the whole evaluation.
+    budget fails the whole evaluation. Nodes are numbered as they are
+    made, the two children of a split together, and keep those numbers in
+    the model.
     """
     r, n, d = X.shape
     k = n_classes
@@ -393,7 +397,7 @@ def _grow(X, y, n_classes, seeds, n_trees, max_depth, min_split, n_sampled, boot
     forest = np.arange(r * n_trees // per_lane) * per_lane // n_trees
     # each lane's stream where its current tree's bootstrap ends (before its first tree: begins)
     states = streams([int(seeds[f]) for f in forest], np.arange(forest.size) * per_lane % n_trees * n)
-    roots = np.empty(r * n_trees, dtype=np.int64)
+    roots = np.empty(r * n_trees, dtype=np.int32)
     labels, splits = [], []
     n_nodes = 0
 
@@ -499,45 +503,26 @@ def _grow(X, y, n_classes, seeds, n_trees, max_depth, min_split, n_sampled, boot
 
 
 def _assemble(labels, splits, roots, n_features, n_classes) -> ForestModel:
-    """The grown nodes, numbered in creation order, renumbered so that each
-    tree is one pre-order block and the trees follow ``roots`` row by row.
+    """The grown nodes as a ``ForestModel``, numbered in creation order.
     ``splits`` holds the split nodes, their depths, features, thresholds
-    and right children; a left child follows its right sibling. Both lists
-    are emptied once copied, and node arrays are int32: a stack of many
-    forests holds all its trees at once."""
+    and right children; a left child follows its right sibling. Node
+    arrays are int32: a stack of many forests holds all its trees at once."""
     label = np.concatenate(labels, dtype=np.int32)
     records = list(zip(*splits)) or [[np.empty(0, dtype=np.int32)]] * 5
-    parent, depth, feature, right = (np.concatenate(records[i], dtype=np.int32) for i in (0, 1, 2, 4))
-    threshold = np.concatenate(records[3], dtype=np.float64)
-    labels.clear()
-    splits.clear()
-    del records
-    # subtree sizes bottom-up, then pre-order positions top-down, one depth at a time
-    levels = [np.flatnonzero(depth == level) for level in range(depth.max() + 1 if depth.size else 0)]
-    size = np.ones(label.size, dtype=np.int32)
-    for i in reversed(levels):
-        size[parent[i]] = 1 + size[right[i]] + size[right[i] + 1]
-    pos = np.empty(label.size, dtype=np.int32)
-    tree_size = size[roots.reshape(-1)]
-    pos[roots.reshape(-1)] = tree_size.cumsum() - tree_size
-    for i in levels:
-        pos[right[i] + 1] = pos[parent[i]] + 1
-        pos[right[i]] = pos[right[i] + 1] + size[right[i] + 1]
+    at, depth, feature, right = (np.concatenate(records[i], dtype=np.int32) for i in (0, 1, 2, 4))
     model = ForestModel(
         feature=np.full(label.size, -1, dtype=np.int32),
         threshold=np.zeros(label.size),
         left=np.arange(label.size, dtype=np.int32),
         right=np.arange(label.size, dtype=np.int32),
-        label=np.empty(label.size, dtype=np.int32),
-        roots=pos[roots],
-        depth=len(levels),
+        label=label,
+        roots=roots,
+        depth=int(depth.max()) + 1 if depth.size else 0,
         n_features=n_features,
         n_classes=n_classes,
     )
-    model.label[pos] = label
-    at = pos[parent]
-    model.feature[at], model.threshold[at] = feature, threshold
-    model.left[at], model.right[at] = pos[right + 1], pos[right]
+    model.feature[at], model.threshold[at] = feature, np.concatenate(records[3], dtype=np.float64)
+    model.left[at], model.right[at] = right + 1, right
     return model
 
 

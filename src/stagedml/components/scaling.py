@@ -22,9 +22,6 @@ class StandardizeScaler:
     def transform(self, rows: np.ndarray) -> np.ndarray:
         return (np.asarray(rows, dtype=np.float64) - self.center) / self.scale
 
-    def stats(self) -> dict:
-        return {"center": self.center.copy(), "scale": self.scale.copy()}
-
 
 def fit_standardize(X: np.ndarray) -> StandardizeScaler:
     with np.errstate(over="ignore", invalid="ignore"):
@@ -69,9 +66,6 @@ class MinMaxScaler:
             out[:, self.degenerate] = self.constant[self.degenerate]
         return out
 
-    def stats(self) -> dict:
-        return {"lo": self.lo.copy(), "span": self.span.copy()}
-
 
 def fit_minmax(X: np.ndarray) -> MinMaxScaler:
     lo = X.min(axis=0)
@@ -101,9 +95,6 @@ class QuantileRankScaler:
         for j in range(rows.shape[1]):
             out[:, j] = np.interp(rows[:, j], self.uniques[j], self.ranks[j])
         return out
-
-    def stats(self) -> dict:
-        return {"uniques": [u.copy() for u in self.uniques]}
 
 
 def fit_quantile_rank(X: np.ndarray) -> QuantileRankScaler:

@@ -111,8 +111,8 @@ class RunReport:
     def ok(self) -> bool:
         return self.failure is None
 
-    def to_json_dict(self, include_journal: bool = False) -> dict:
-        doc = {
+    def to_json_dict(self) -> dict:
+        return {
             "schema_version": REPORT_SCHEMA_VERSION,
             "best_key": self.best_key,
             "best_candidate": candidate_to_dict(self.best_candidate) if self.best_candidate else None,
@@ -129,9 +129,6 @@ class RunReport:
             "holdout_rows": self.holdout_rows,
             "reproducible": self.reproducible,
         }
-        if include_journal:
-            doc["journal"] = self.journal
-        return doc
 
 
 def holdout_split(dataset: Dataset, cfg: SchemeConfig) -> tuple[Dataset, Dataset | None]:

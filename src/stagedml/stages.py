@@ -267,20 +267,19 @@ def scalers_to_expand(
 
 @dataclass
 class ScalingStage:
-    """Pair scalers with cheap pilot learners; expand a scaler to the
-    whole catalog when it strictly improves some pilot."""
+    """Pair scalers with cheap pilot learners, and with the pool's best
+    learner when it has no meta wrapper; expand a scaler to the whole
+    catalog when it strictly improves some pilot."""
 
     stage_id: ClassVar[str] = "scaling"
     time_limit: float | None = None
-    include_best_pilot: bool = True
 
     def run(self, pool: CandidatePool, ctx: StageContext) -> CandidatePool:
         pilots = {candidate_key(p): p for p in map(Candidate, PILOT_LEARNERS)}
-        if self.include_best_pilot:
-            best = pool.best()
-            if best is not None and best.candidate.meta is None:
-                extra = Candidate(learner=best.candidate.learner, params=best.candidate.params)
-                pilots.setdefault(candidate_key(extra), extra)
+        best = pool.best()
+        if best is not None and best.candidate.meta is None:
+            extra = Candidate(learner=best.candidate.learner, params=best.candidate.params)
+            pilots.setdefault(candidate_key(extra), extra)
 
         # every pilot on raw data (scaler None) first, then under each scaler
         means: dict[tuple[str | None, str], float] = {}

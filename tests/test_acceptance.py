@@ -333,9 +333,8 @@ def test_c09_leakage_and_holdout_hygiene():
                 REGISTRY,
                 seed=0,
             )
-            stats = fitted.scaler.stats()
-            assert stats["center"][0] == pytest.approx(float(train_part.instances[:, 0].mean()))
-            assert abs(stats["center"][0]) < 1e6
+            assert fitted.scaler.center[0] == pytest.approx(float(train_part.instances[:, 0].mean()))
+            assert abs(fitted.scaler.center[0]) < 1e6
 
         # holdout hygiene: holdout row ids never appear in training folds
         for trial in range(10):

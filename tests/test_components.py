@@ -443,24 +443,32 @@ def _trees_reference(X, y, n_classes, learner, params, seed):
 
 def _model_trees(model, s):
     """The trees of stack slice s of a fitted model as pre-order node
-    lists, indices relative to each tree's root; the trees are stored as
-    consecutive blocks in the order of ``roots``."""
-    starts = model.roots.reshape(-1).tolist()
-    bounds = list(zip(starts, starts[1:] + [model.label.size]))
-    n_trees = model.roots.shape[1]
-    return [
-        [
+    lists: each tree walked from its root, left child first, with every
+    node's ``left`` and ``right`` given as positions in that walk (None
+    for a node outside it)."""
+    trees = []
+    for root in model.roots[s].tolist():
+        order, stack = [], [root]
+        while stack:
+            i = stack.pop()
+            order.append(i)
+            assert len(order) <= model.label.size, "a tree revisits a node"
+            if model.feature[i] >= 0:
+                stack += [int(model.right[i]), int(model.left[i])]
+        at = {i: p for p, i in enumerate(order)}
+        trees.append(
             [
-                int(model.feature[i]),
-                float(model.threshold[i]),
-                int(model.left[i] - a),
-                int(model.right[i] - a),
-                int(model.label[i]),
+                [
+                    int(model.feature[i]),
+                    float(model.threshold[i]),
+                    at.get(int(model.left[i])),
+                    at.get(int(model.right[i])),
+                    int(model.label[i]),
+                ]
+                for i in order
             ]
-            for i in range(a, b)
-        ]
-        for a, b in bounds[s * n_trees : (s + 1) * n_trees]
-    ]
+        )
+    return trees
 
 
 def _predict_reference(trees, rows, n_classes):
@@ -518,13 +526,19 @@ def test_lockstep_trees_match_one_at_a_time_reference(
         model = fit(X, y, n_classes, params, seed=seeds)
         alone = [fit(X[s : s + 1], y[s : s + 1], n_classes, params, seed=[seeds[s]]) for s in range(r)]
     stacked = model.predict(rows)
+    walked = 0
     for s in range(r):
         trees = _trees_reference(X[s], y[s], n_classes, learner, params, seeds[s])
         assert _model_trees(model, s) == trees
         assert _model_trees(alone[s], 0) == trees
+        # the walks visit as many nodes as the models hold
+        nodes = sum(map(len, trees))
+        assert nodes == alone[s].label.size
+        walked += nodes
         expected = _predict_reference(trees, rows[s], n_classes)
         assert np.array_equal(stacked[s], expected)
         assert np.array_equal(alone[s].predict(rows[s : s + 1])[0], expected)
+    assert walked == model.label.size
 
 
 def _logistic_reference(X, y, n_classes, lr, epochs, l2):

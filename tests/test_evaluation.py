@@ -139,9 +139,8 @@ class TestMaterialize:
         train = make_numeric_dataset([[0.0], [10.0]], [0, 1])
         c = Candidate(learner="gaussian_nb", scaler="standardize")
         fitted = fit_pipeline(c, train, registry, seed=0)
-        stats = fitted.scaler.stats()
-        assert stats["center"][0] == pytest.approx(5.0)
-        assert stats["scale"][0] == pytest.approx(5.0)
+        assert fitted.scaler.center[0] == pytest.approx(5.0)
+        assert fitted.scaler.scale[0] == pytest.approx(5.0)
 
     def test_meta_of_meta_rejected(self, registry):
         with pytest.raises(ValueError):
@@ -182,7 +181,7 @@ class TestMaterialize:
         train = make_numeric_dataset([[1.0, 100.0], [3.0, -50.0], [5.0, 0.0], [7.0, 1.0]], [0, 0, 1, 1])
         c = Candidate(learner="knn", scaler="standardize", features=FeatureSet([0]))
         fitted = fit_pipeline(c, train, registry, seed=0)
-        assert fitted.scaler.stats()["center"].shape == (2,)
+        assert fitted.scaler.center.shape == (2,)
         preds = fitted.predict(train.instances)
         assert preds.shape == (4,)
 
@@ -686,9 +685,8 @@ class TestLeakageCanary:
             fitted = fit_pipeline(
                 Candidate(learner="gaussian_nb", scaler="standardize"), train_part, registry, seed=0
             )
-            stats = fitted.scaler.stats()
-            assert stats["center"][0] == pytest.approx(train_part.instances[:, 0].mean())
-            assert abs(stats["center"][0]) < 1e6  # untouched by the outlier
+            assert fitted.scaler.center[0] == pytest.approx(train_part.instances[:, 0].mean())
+            assert abs(fitted.scaler.center[0]) < 1e6  # untouched by the outlier
 
 
 @settings(max_examples=30, deadline=None)

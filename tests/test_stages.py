@@ -230,7 +230,7 @@ class TestScaling:
         pool = ProbingStage().run(CandidatePool(), ctx_for(stub, data, registry))
         calls_before = len(stub.calls)
         ctx = ctx_for(stub, data, registry)
-        ScalingStage(include_best_pilot=False).run(pool, ctx)
+        ScalingStage().run(pool, ctx)
         # 3 scalers x 2 pilots, no expansion under flat scores
         assert len(stub.calls) - calls_before == 6
         assert ctx.trace["expanded_scalers"] == []
@@ -241,7 +241,7 @@ class TestScaling:
         stub = StubEvaluator(table)
         pool = ProbingStage().run(CandidatePool(), ctx_for(stub, data, registry))
         ctx = ctx_for(stub, data, registry)
-        ScalingStage(include_best_pilot=False).run(pool, ctx)
+        ScalingStage().run(pool, ctx)
         assert ctx.trace["expanded_scalers"] == ["standardize"]
         expanded_keys = {k for k, _ in stub.calls if k.startswith("standardize|")}
         # pilots (knn, gaussian_nb) plus the 3 non-pilot learners
@@ -257,7 +257,7 @@ class TestScaling:
         data = make_dataset("separable", 40, 3, 0)
         stub = StubEvaluator()
         ctx = ctx_for(stub, data, registry)
-        pool = ScalingStage(include_best_pilot=False).run(CandidatePool(), ctx)
+        pool = ScalingStage().run(CandidatePool(), ctx)
         raw_pilot_calls = [k for k, _ in stub.calls if k in ("-|-|knn|default", "-|-|gaussian_nb|default")]
         assert len(raw_pilot_calls) == 2
         assert "-|-|knn|default" in pool
