@@ -1,18 +1,20 @@
-"""Time the logistic-regression epoch and the knn predict at the shapes
-the benchmark's workloads fit, and check that a stacked fit or predict
-equals each slice's fit or predict as a stack of one, bit for bit.
+"""Time the logistic-regression epoch, the knn predict and the gaussian
+naive Bayes fit plus predict at the shapes the benchmark's workloads fit,
+and check that a stacked fit or predict equals each slice's fit or
+predict as a stack of one, bit for bit.
 
 Each shape is a stack as ``mccv_score_group`` or bagging hands it to the
 learner: r slices of n train rows and d columns, two classes, and for
-knn m prediction rows per slice. The data are standard normal draws from
-``--seed``. Every repeat fits (LR) or predicts (knn) the whole stack once;
-an LR fit runs ``--epochs`` epochs.
+knn and gaussian NB m prediction rows per slice. The data are standard
+normal draws from ``--seed``. Every repeat fits (LR), predicts (knn) or
+fits and predicts (NB) the whole stack once; an LR fit runs ``--epochs``
+epochs.
 
 For each shape it prints one JSON line: the median and quartiles of µs
-per LR epoch or of ms per knn predict over ``--repeats`` repeats, and
-``equal``, whether every slice of the stack matched the fit (LR weights)
-or predict (knn labels) of that slice as a stack of one. The exit status
-is 1 if any shape is not equal.
+per LR epoch, of ms per knn predict or of µs per NB fit plus predict over
+``--repeats`` repeats, and ``equal``, whether every slice of the stack
+matched the fit (LR weights) or predict (knn and NB labels) of that
+slice as a stack of one. The exit status is 1 if any shape is not equal.
 
 Usage: python scripts/replay_kernels.py [--repeats 9] [--epochs 200] [--seed 7]
 """
@@ -45,8 +47,9 @@ LR_SHAPES = [
     ("full-madelon", "bagging", 250, 20, 4),
     ("cli-bench-tiny", "folds", 5, 20, 4),
 ]
-# (workload, what, r, n, d, m): knn stacks, m validation rows per slice
-KNN_SHAPES = [
+# (workload, what, r, n, d, m): fold stacks of knn and gaussian NB, m
+# validation rows per slice
+FOLD_SHAPES = [
     ("filter-large-n", "folds", 5, 1050, 6, 450),
     ("full-madelon", "folds", 5, 25, 4, 11),
     ("cli-bench-tiny", "folds", 5, 20, 4, 8),
@@ -95,6 +98,19 @@ def replay_knn(shape, repeats: int, rng) -> dict:
             "ms_per_predict_q25_median_q75": quartiles(seconds, 1e3), "equal": equal}
 
 
+def replay_nb(shape, repeats: int, rng) -> dict:
+    workload, what, r, n, d, m = shape
+    X, y = rng.normal(size=(r, n, d)), rng.integers(0, 2, size=(r, n))
+    rows = rng.normal(size=(r, m, d))
+    seconds, preds = timed(lambda: learners.fit_gaussian_nb(X, y, 2, {}).predict(rows), repeats)
+    equal = all(
+        np.array_equal(preds[i], learners.fit_gaussian_nb(X[i : i + 1], y[i : i + 1], 2, {}).predict(rows[i : i + 1])[0])
+        for i in range(r)
+    )
+    return {"kernel": "gaussian_nb.fit+predict", "workload": workload, "what": what, "train": [r, n, d],
+            "rows": [r, m, d], "us_per_fit_predict_q25_median_q75": quartiles(seconds, 1e6), "equal": equal}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--repeats", type=int, default=9)
@@ -104,7 +120,8 @@ def main() -> int:
     rng = np.random.default_rng(args.seed)
     lines = itertools.chain(
         (replay_lr(shape, args.repeats, args.epochs, rng) for shape in LR_SHAPES),
-        (replay_knn(shape, args.repeats, rng) for shape in KNN_SHAPES),
+        (replay_knn(shape, args.repeats, rng) for shape in FOLD_SHAPES),
+        (replay_nb(shape, args.repeats, rng) for shape in FOLD_SHAPES),
     )
     equal = True
     for line in lines:

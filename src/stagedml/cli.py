@@ -48,13 +48,13 @@ class RunSpec:
     preset: str = "full"
     out: str = "out"
     seed: int = 0
-    global_timeout: float = 3600.0
-    repeats: int = 5
-    train_fraction: float = 0.7
-    per_eval_timeout: float = 60.0
-    n_bar: int = 10000
-    m: int = 10
-    holdout_fraction: float = 0.10
+    global_timeout: float = orchestrator.SchemeConfig.global_timeout
+    repeats: int = EvalConfig.repeats
+    train_fraction: float = EvalConfig.train_fraction
+    per_eval_timeout: float = EvalConfig.per_eval_timeout
+    n_bar: int = ValidationConfig.n_bar
+    m: int = ValidationConfig.m
+    holdout_fraction: float = ValidationConfig.holdout_fraction
     tuning_max_evals: int | None = None
     tuning_candidate_seconds: float | None = None
     stage_time_limits: dict = field(default_factory=dict)
@@ -95,10 +95,6 @@ class RunSpec:
         doc["stage_time_limits"] = dict(self.stage_time_limits)
         return doc
 
-    @classmethod
-    def from_config_echo(cls, doc: dict) -> "RunSpec":
-        return cls(out="out", **{k: v for k, v in doc.items() if k in cls.__dataclass_fields__})
-
 
 def run_from_spec(spec: RunSpec) -> orchestrator.RunReport:
     dataset = load_dataset(spec.data, format=spec.format, label_column=spec.label)
@@ -134,6 +130,12 @@ def write_run_outputs(report: orchestrator.RunReport, spec: RunSpec, outdir: Pat
 # subcommands
 
 
+def _check_seconds(name: str, seconds) -> None:
+    # NaN fails every comparison, so "not >= 0" rejects it with the negatives
+    if isinstance(seconds, bool) or not isinstance(seconds, (int, float)) or not seconds >= 0:
+        raise UsageError(f"{name}={seconds!r} is not a number of seconds >= 0")
+
+
 def _spec_from_args(args, require_data: bool = True) -> RunSpec:
     file_values = {}
     if args.config:
@@ -158,10 +160,14 @@ def _spec_from_args(args, require_data: bool = True) -> RunSpec:
     if misspelled:
         raise UsageError(f"unknown stage ids in stage time limits: {misspelled}; valid ids: {', '.join(stage_ids)}")
     for name, seconds in limits.items():
-        # NaN fails every comparison, so "not >= 0" rejects it with the negatives
-        if isinstance(seconds, bool) or not isinstance(seconds, (int, float)) or not seconds >= 0:
-            raise UsageError(f"stage time limit {name}={seconds!r} is not a number of seconds >= 0")
+        _check_seconds(f"stage time limit {name}", seconds)
     merged["stage_time_limits"] = limits
+    for name in ("global_timeout", "per_eval_timeout", "tuning_candidate_seconds"):
+        if merged.get(name) is not None:
+            _check_seconds(name, merged[name])
+    max_evals = merged.get("tuning_max_evals")
+    if max_evals is not None and (isinstance(max_evals, bool) or not isinstance(max_evals, int) or max_evals < 0):
+        raise UsageError(f"tuning_max_evals={max_evals!r} is not an integer >= 0")
     if "data" not in merged:
         if require_data:
             raise UsageError("--data is required")

@@ -20,9 +20,9 @@ numpy call of an epoch; trees of all slices grow in lockstep, one split
 search for the next node of every tree, each node carrying its class
 counts and looking up feature subsets drawn in blocks, and stay in the
 order they were grown (``_grow``); knn keeps the stack and predicts it
-slice by slice into distance buffers that one call reuses. ``per_slice``
-gives a fit of one problem, such as gaussian naive Bayes, the stack
-contract.
+slice by slice into distance buffers that one call reuses. A fit written
+for one problem loops over the slices itself, as gaussian naive Bayes
+does, and its model holds every slice's arrays.
 """
 
 from __future__ import annotations
@@ -59,36 +59,6 @@ def check_stack(rows, r: int, d: int) -> np.ndarray:
     if rows.ndim != 3 or rows.shape[0] != r or rows.shape[2] != d:
         raise ValueError(f"prediction input has shape {rows.shape}, model stack is {r} models on {d} columns")
     return rows
-
-
-@dataclass
-class SliceModels:
-    """Independent models of a stack's slices: (r, m, d) rows -> (r, m),
-    slice i by model i, which maps (m, d) rows to (m,)."""
-
-    models: list
-    n_columns: int
-
-    def predict(self, rows: np.ndarray, deadline: Deadline | None = None) -> np.ndarray:
-        rows = check_stack(rows, len(self.models), self.n_columns)
-        out = []
-        for model, part in zip(self.models, rows):
-            if deadline is not None:
-                deadline.check()
-            out.append(model.predict(part, deadline=deadline))
-        return np.stack(out)
-
-
-def per_slice(X, y, deadline, fit_one):
-    """A ``SliceModels`` of ``fit_one(X, y)`` on every (n, d) slice of an
-    (r, n, d) stack, checking the deadline between slices: the stack
-    contract for a fit of one problem that draws nothing."""
-    models = []
-    for slice_X, slice_y in zip(X, y):
-        if deadline is not None:
-            deadline.check()
-        models.append(fit_one(slice_X, slice_y))
-    return SliceModels(models, X.shape[2])
 
 
 # ---------------------------------------------------------------------------
@@ -160,47 +130,50 @@ def fit_knn(X, y, n_classes, params, seed=0, deadline=None):
 
 @dataclass
 class GaussianNbModel:
-    """The model of one problem: (m, d) rows -> (m,)."""
-
-    log_priors: np.ndarray  # (n_classes,), -inf for absent classes
-    means: np.ndarray  # (n_classes, d)
-    variances: np.ndarray  # (n_classes, d), smoothed
-    present: np.ndarray
-    n_classes: int
+    log_priors: np.ndarray  # (r, n_classes), -inf for a class absent from a slice
+    means: np.ndarray  # (r, n_classes, d)
+    variances: np.ndarray  # (r, n_classes, d), smoothed
 
     def predict(self, rows: np.ndarray, deadline: Deadline | None = None) -> np.ndarray:
-        scores = np.full((rows.shape[0], self.n_classes), -np.inf)
-        for c in range(self.n_classes):
-            if not self.present[c]:
+        """The class of largest log prior plus gaussian log likelihood,
+        ties to the smaller class index; a class absent from a slice is
+        never predicted there. (r, m, d) rows -> (r, m)."""
+        r, n_classes, d = self.means.shape
+        rows = check_stack(rows, r, d)
+        if deadline is not None:
+            deadline.check()
+        scores = np.empty((r, rows.shape[1], n_classes))
+        for c in range(n_classes):
+            var = self.variances[:, c, None]
+            ll = -0.5 * (np.log(2.0 * np.pi * var) + (rows - self.means[:, c, None]) ** 2 / var)
+            scores[:, :, c] = self.log_priors[:, c, None] + ll.sum(axis=2)
+        scores[np.broadcast_to(self.log_priors[:, None] == -np.inf, scores.shape)] = -np.inf
+        return np.argmax(scores, axis=2).astype(np.int64)
+
+
+def fit_gaussian_nb(X, y, n_classes, params, seed=0, deadline=None) -> GaussianNbModel:
+    """Each slice's class priors, means and variances, the variances
+    smoothed by 1e-9 of the slice's largest column variance (1e-12 when
+    every column is constant). Draws nothing, so ``seed`` goes unused;
+    checks the deadline between slices."""
+    r, n, d = X.shape
+    means = np.zeros((r, n_classes, d))
+    variances = np.ones((r, n_classes, d))
+    log_priors = np.full((r, n_classes), -np.inf)
+    for s, (slice_X, slice_y) in enumerate(zip(X, y)):
+        if deadline is not None:
+            deadline.check()
+        overall_var = float(np.max(np.var(slice_X, axis=0))) if slice_X.size else 0.0
+        eps = 1e-9 * overall_var if overall_var > 0 else 1e-12
+        for c in range(n_classes):
+            mask = slice_y == c
+            cnt = int(mask.sum())
+            if cnt == 0:
                 continue
-            var = self.variances[c]
-            ll = -0.5 * (np.log(2.0 * np.pi * var) + (rows - self.means[c]) ** 2 / var)
-            scores[:, c] = self.log_priors[c] + ll.sum(axis=1)
-        return np.argmax(scores, axis=1).astype(np.int64)
-
-
-def fit_gaussian_nb(X, y, n_classes, params, seed=0, deadline=None) -> SliceModels:
-    return per_slice(X, y, deadline, lambda X, y: _fit_gaussian_nb(X, y, n_classes))
-
-
-def _fit_gaussian_nb(X, y, n_classes) -> GaussianNbModel:
-    n, d = X.shape
-    means = np.zeros((n_classes, d))
-    variances = np.ones((n_classes, d))
-    log_priors = np.full(n_classes, -np.inf)
-    present = np.zeros(n_classes, dtype=bool)
-    overall_var = float(np.max(np.var(X, axis=0))) if X.size else 0.0
-    eps = 1e-9 * overall_var if overall_var > 0 else 1e-12
-    for c in range(n_classes):
-        mask = y == c
-        cnt = int(mask.sum())
-        if cnt == 0:
-            continue
-        present[c] = True
-        log_priors[c] = math.log(cnt / n)
-        means[c] = X[mask].mean(axis=0)
-        variances[c] = X[mask].var(axis=0) + eps
-    return GaussianNbModel(log_priors, means, variances, present, n_classes)
+            log_priors[s, c] = math.log(cnt / n)
+            means[s, c] = slice_X[mask].mean(axis=0)
+            variances[s, c] = slice_X[mask].var(axis=0) + eps
+    return GaussianNbModel(log_priors, means, variances)
 
 
 # ---------------------------------------------------------------------------

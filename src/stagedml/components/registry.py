@@ -49,9 +49,9 @@ class LearnerSpec:
     shape (r, n) and ``seed`` a sequence of r seeds, one per slice. The
     model maps (r, m, d) rows to (r, m) predictions and rejects rows of
     any other shape; slice i of both is exactly what fitting slice i as a
-    stack of one with seed i gives. ``learners.per_slice`` gives a fit of
-    one problem that contract, and one problem is fitted as a stack of
-    one (``evaluation.fit_pipeline``).
+    stack of one with seed i gives. A fit written for one problem loops
+    over the slices itself, as ``learners.fit_gaussian_nb`` does, and one
+    problem is fitted as a stack of one (``evaluation.fit_pipeline``).
     """
 
     id: str

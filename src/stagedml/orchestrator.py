@@ -303,7 +303,7 @@ def _stage_chain(upto: str) -> list[Stage]:
 
 def scheme_presets(
     seed: int = 0,
-    global_timeout: float = 3600.0,
+    global_timeout: float = SchemeConfig.global_timeout,
     eval_config: EvalConfig | None = None,
     validation_config: ValidationConfig | None = None,
 ) -> dict[str, SchemeConfig]:
@@ -341,7 +341,3 @@ def scheme_presets(
     presets["single-validation"] = cfg("single-validation", [ProbingStage(), ValidationStage()], vc)
     presets["monotone-validation"] = replace(presets["full"], name="monotone-validation")
     return presets
-
-
-def preset_names() -> list[str]:
-    return list(scheme_presets())

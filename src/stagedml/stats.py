@@ -58,9 +58,7 @@ def _normal_sf(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
-def wilcoxon_signed_rank(
-    a: Sequence[float], b: Sequence[float], alpha: float = DEFAULT_ALPHA
-) -> tuple[float, float]:
+def wilcoxon_signed_rank(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:
     """Two-sided Wilcoxon signed-rank test on paired samples.
 
     Zero differences are dropped before ranking (Wilcoxon's original
@@ -136,7 +134,7 @@ def verdict(
     significant Wilcoxon test on the raw paired splits and a trimmed
     mean advantage of at least ``delta``; anything else is a draw.
     """
-    _, p = wilcoxon_signed_rank(a, b, alpha)
+    _, p = wilcoxon_signed_rank(a, b)
     diff = trimmed_mean(b, trim) - trimmed_mean(a, trim)
     if p < alpha and diff >= delta:
         return Verdict(BETTER, p, diff)

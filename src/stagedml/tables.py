@@ -8,6 +8,7 @@ and approaches not substantially different from it are marked ``~``.
 from __future__ import annotations
 
 import csv
+from dataclasses import asdict
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -84,20 +85,8 @@ def render_text(rows: Sequence[Mapping], columns: Sequence[str]) -> str:
 
 
 def tournament_rows(table: Mapping[str, TournamentRow]) -> list[dict]:
-    return [
-        {
-            "approach_id": r.approach_id,
-            "wins": r.wins,
-            "unique_wins": r.unique_wins,
-            "losses": r.losses,
-            "draws": r.draws,
-        }
-        for r in table.values()
-    ]
+    return [asdict(r) for r in table.values()]
 
 
 def synergy_rows(table: Mapping[str, SynergyRow]) -> list[dict]:
-    return [
-        {"range_id": r.range_id, "wins": r.wins, "losses": r.losses, "draws": r.draws}
-        for r in table.values()
-    ]
+    return [asdict(r) for r in table.values()]

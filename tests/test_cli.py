@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from stagedml.cli import EXIT_NO_MODEL, EXIT_OK, EXIT_USAGE, main
+from stagedml.cli import EXIT_NO_MODEL, EXIT_OK, EXIT_USAGE, RunSpec, main
+from stagedml.orchestrator import scheme_presets
 from stagedml.stats import ResultMatrix
 
 
@@ -108,16 +109,51 @@ class TestRun:
         assert "probing" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_config_echo_reruns_identically(self, synth_csv, tmp_path):
-        from stagedml.cli import RunSpec, run_from_spec
+    @pytest.mark.parametrize(
+        "flag, field",
+        [
+            ("--global-timeout", "global_timeout"),
+            ("--per-eval-timeout", "per_eval_timeout"),
+            ("--tuning-max-evals", "tuning_max_evals"),
+            ("--tuning-candidate-seconds", "tuning_candidate_seconds"),
+        ],
+    )
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    def test_nan_or_negative_budget_is_usage_error(self, synth_csv, tmp_path, capsys, flag, field, value):
+        out = tmp_path / "o"
+        assert main(run_args(synth_csv, out, flag, value)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        # argparse names the flag when "nan" is not an integer; the spec check names the field
+        assert (field in err or flag in err) and value in err
+        cfg = tmp_path / "cfg.json"
+        number = int(value) if field == "tuning_max_evals" and value == "-1" else float(value)
+        cfg.write_text(json.dumps({field: number}), encoding="utf-8")
+        assert main(run_args(synth_csv, out, "--config", str(cfg))) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert field in err and value in err
+        assert not out.exists()
 
-        out1 = tmp_path / "o1"
+    def test_config_echo_reruns_identically(self, synth_csv, tmp_path):
+        out1, out2 = tmp_path / "o1", tmp_path / "o2"
         assert main(run_args(synth_csv, out1)) == EXIT_OK
         echo = json.loads((out1 / "report.json").read_text())["config_echo"]
-        report2 = run_from_spec(RunSpec.from_config_echo(echo))
-        journal1 = [json.loads(l) for l in (out1 / "journal.jsonl").read_text().splitlines()]
+        cfg = tmp_path / "echo.json"
+        cfg.write_text(json.dumps(echo), encoding="utf-8")
+        assert main(["run", "--config", str(cfg), "--out", str(out2)]) == EXIT_OK
+        assert json.loads((out2 / "report.json").read_text())["config_echo"] == echo
+        journals = [[json.loads(l) for l in (o / "journal.jsonl").read_text().splitlines()] for o in (out1, out2)]
         strip = lambda recs: [{k: v for k, v in r.items() if k != "wall_ms"} for r in recs]
-        assert strip(journal1) == strip(report2.journal)
+        assert strip(journals[0]) == strip(journals[1])
+
+    def test_default_spec_is_the_full_preset(self):
+        spec = RunSpec(data="x")
+        assert spec.scheme().describe() == scheme_presets()["full"].describe()
+        assert spec.to_config_echo() == {
+            "data": "x", "label": "label", "format": None, "preset": "full", "seed": 0,
+            "global_timeout": 3600.0, "repeats": 5, "train_fraction": 0.7, "per_eval_timeout": 60.0,
+            "n_bar": 10000, "m": 10, "holdout_fraction": 0.10, "tuning_max_evals": None,
+            "tuning_candidate_seconds": None, "stage_time_limits": {},
+        }
 
 
 class TestBench:

@@ -623,7 +623,7 @@ def test_fitted_stack_rejects_other_shapes(reg, lid, meta_id):
 
 
 @pytest.mark.parametrize("lid", ["knn", "gaussian_nb"])
-def test_per_slice_learners_fit_each_slice_alone(reg, lid):
+def test_stacked_fit_matches_each_slice_as_a_stack_of_one(reg, lid):
     rng = np.random.default_rng(4)
     X = rng.normal(size=(3, 12, 2))
     y = rng.integers(0, 3, size=(3, 12))
@@ -636,28 +636,62 @@ def test_per_slice_learners_fit_each_slice_alone(reg, lid):
         assert np.array_equal(alone.predict(rows[i : i + 1])[0], stacked[i])
 
 
-class _Constant:
-    """A model of one problem that predicts class 0 and records its calls."""
+def _gaussian_nb_reference(X, y, n_classes, rows):
+    """Gaussian naive Bayes on one (n, d) problem, scored class by class:
+    (m, d) rows -> (m,)."""
+    n = len(X)
+    overall_var = float(np.max(np.var(X, axis=0))) if X.size else 0.0
+    eps = 1e-9 * overall_var if overall_var > 0 else 1e-12
+    scores = np.full((rows.shape[0], n_classes), -np.inf)
+    for c in range(n_classes):
+        mask = y == c
+        cnt = int(mask.sum())
+        if cnt == 0:
+            continue
+        var = X[mask].var(axis=0) + eps
+        ll = -0.5 * (np.log(2.0 * np.pi * var) + (rows - X[mask].mean(axis=0)) ** 2 / var)
+        scores[:, c] = math.log(cnt / n) + ll.sum(axis=1)
+    return np.argmax(scores, axis=1).astype(np.int64)
 
-    def __init__(self, calls):
-        self.calls = calls
 
-    def predict(self, rows, deadline=None):
-        self.calls.append(rows.shape)
-        return np.zeros(len(rows), dtype=np.int64)
-
-
-def test_per_slice_checks_the_deadline_between_slices():
-    X, y = np.zeros((3, 4, 2)), np.zeros((3, 4), dtype=np.int64)
-    fits = []
-    with pytest.raises(DeadlineExceeded):
-        learners.per_slice(X, y, _LapsesAfter(2), lambda X, y: fits.append(X.shape))
-    assert fits == [(4, 2), (4, 2)]
-    calls = []
-    model = learners.per_slice(X, y, None, lambda X, y: _Constant(calls))
-    with pytest.raises(DeadlineExceeded):
-        model.predict(np.zeros((3, 5, 2)), deadline=_LapsesAfter(2))
-    assert calls == [(5, 2), (5, 2)]
+@settings(max_examples=200, deadline=None)
+@given(
+    r=st.integers(min_value=1, max_value=5),
+    n=st.integers(min_value=1, max_value=40),
+    d_cols=st.integers(min_value=1, max_value=6),
+    n_classes=st.integers(min_value=2, max_value=6),
+    columns=st.sampled_from(["normal", "grid", "constant", "zero"]),
+    m=st.integers(min_value=0, max_value=12),
+    data=st.data(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_stacked_gaussian_nb_matches_per_problem_reference(r, n, d_cols, n_classes, columns, m, data, seed):
+    # fewer present labels than classes leaves classes absent from some slices
+    present = data.draw(st.integers(min_value=1, max_value=n_classes), label="present")
+    rng = np.random.default_rng(seed)
+    if columns == "normal":
+        X = rng.normal(size=(r, n, d_cols)) * 10.0 ** rng.integers(-3, 4, size=(r, 1, d_cols))
+    elif columns == "grid":
+        X = rng.integers(-2, 3, size=(r, n, d_cols)).astype(np.float64)
+    else:
+        # constant and all-zero columns take the smallest variance floor, eps
+        X = np.full((r, n, d_cols), 3.0 if columns == "constant" else 0.0)
+    y = rng.integers(0, present, size=(r, n))
+    rows = rng.integers(-3, 4, size=(r, m, d_cols)).astype(np.float64)
+    rows[:, ::2] += rng.normal(size=rows[:, ::2].shape)
+    if m and data.draw(st.booleans(), label="nan row"):
+        # argmax takes the first NaN score, so an absent class must stay -inf
+        rows[0, 0, 0] = np.nan
+    with np.errstate(all="ignore"):
+        model = learners.fit_gaussian_nb(X, y, n_classes, {})
+        stacked = model.predict(rows)
+        assert stacked.shape == (r, m) and stacked.dtype == np.int64
+        for i in range(r):
+            expected = _gaussian_nb_reference(X[i], y[i], n_classes, rows[i])
+            assert np.array_equal(stacked[i], expected)
+            assert set(stacked[i]) <= set(y[i])
+            alone = learners.fit_gaussian_nb(X[i : i + 1], y[i : i + 1], n_classes, {})
+            assert np.array_equal(alone.predict(rows[i : i + 1])[0], expected)
 
 
 def _bagging_reference(fit, base_params, X, y, n_classes, params, seed, rows):

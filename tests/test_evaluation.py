@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from stagedml import evaluation
-from stagedml.components.learners import fit_gaussian_nb, per_slice
+from stagedml.components.learners import fit_gaussian_nb
 from stagedml.components.registry import LearnerSpec, UnknownComponentError
 from stagedml.data import Dataset, FeatureSet
 from stagedml.evaluation import (
@@ -225,17 +225,14 @@ class TestMccv:
         from stagedml.components.registry import LearnerSpec, Registry
 
         class MajorityModel:
-            def __init__(self, label, d):
-                self.label, self.n_columns = label, d
+            def __init__(self, labels):
+                self.labels = labels  # (r,), each slice's majority class
 
             def predict(self, rows, deadline=None):
-                return np.full(rows.shape[0], self.label, dtype=np.int64)
+                return np.repeat(self.labels[:, None], rows.shape[1], axis=1)
 
         def fit_majority(X, y, n_classes, params, seed=0, deadline=None):
-            def fit_one(X, y):
-                return MajorityModel(int(np.argmax(np.bincount(y, minlength=n_classes))), X.shape[1])
-
-            return per_slice(X, y, deadline, fit_one)
+            return MajorityModel(np.array([np.argmax(np.bincount(s, minlength=n_classes)) for s in y]))
 
         reg = Registry(
             learners={

@@ -12,7 +12,6 @@ from stagedml.evaluation import Candidate, EvalConfig, candidate_key, mccv_score
 from stagedml.orchestrator import (
     SchemeConfig,
     holdout_split,
-    preset_names,
     run,
     scheme_presets,
 )
@@ -82,7 +81,7 @@ class TestPresets:
         assert limits["probing"] is None
 
     def test_preset_names_cover_protocol(self):
-        names = preset_names()
+        names = list(scheme_presets())
         assert "primitive" in names and "full" in names
         assert {"monotone-scaling", "monotone-tuning", "single-filtering"} <= set(names)
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stagedml.components.learners import per_slice
 from stagedml.components.registry import LearnerSpec, Registry
 from stagedml.data import FeatureSet
 from stagedml import evaluation
@@ -578,10 +577,10 @@ class TestValidationStage:
                     time.sleep(0.01)
                 if deadline is not None:
                     deadline.check()
-                return np.zeros(rows.shape[0], dtype=np.int64)
+                return np.zeros(rows.shape[:2], dtype=np.int64)
 
         def fit_slow(X, y, n_classes, params, seed=0, deadline=None):
-            return per_slice(X, y, deadline, lambda X, y: SlowModel())
+            return SlowModel()
 
         slow = Registry(learners={"slow": LearnerSpec("slow", {}, {}, False, fit_slow)})
         pool = CandidatePool([entry(0.1, learner="slow")])
