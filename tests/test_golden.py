@@ -4,8 +4,9 @@ Small searches run with every budget switched off, so they do the same
 evaluations however fast the code is. The sha256 of their journals
 (without ``wall_ms``) and best keys is pinned, and so are their stage
 traces and pool snapshots, the config of every preset, and the journal
-of fixed lists of logistic-regression and tree candidates, plain and
-wrapped in a meta-learner, that cover the stacked fits. A change that alters search behaviour on
+of fixed lists of logistic-regression, decision-tree and forest
+candidates, plain and wrapped in a meta-learner, that cover the stacked
+fits. A change that alters search behaviour on
 purpose re-pins the hash and says why; a change meant to be a pure
 refactor or speed-up must leave it alone. Every pinned output is made
 with one worker process and with two, and both must agree.
@@ -35,6 +36,8 @@ META_VALIDATION_SHA256 = "67deef98d09aaefc581b062ef030316aadf91921f9e91e4905c43c
 LOGISTIC_SHA256 = "819337da3ad234617a429116f25a9e99bdd79a078fc7f856f8cd68bb2f9799e1"
 # stage traces without start and end times, pool snapshots, preset configs
 TRACES_CONFIGS_SHA256 = "d7e374b35068325d6cb8399e7eff3863835ca5f994d73b76b4fa4e821acb4ec9"
+# decision-tree candidates, plain, bagged and boosted, scored directly
+TREE_SHA256 = "c6b61f23d215887d6de5b7a18c11dd0844e6d9784010105e2517e55980f0a85f"
 # tree, forest, bagged-forest and boosted candidates, scored directly
 FOREST_SHA256 = "0320a78afc172f272d5e435e44743a6cbf539c8914326565ae471a81519018d4"
 
@@ -184,10 +187,56 @@ def test_logistic_journal_unchanged():
     assert hashlib.sha256(blob).hexdigest() == LOGISTIC_SHA256
 
 
-def test_forest_journal_unchanged():
+def _tree_datasets():
     madelon = make_dataset("madelon_like", 60, 4, 3)
     # the same rows on an integer grid, so split searches meet tied values
     grid = make_numeric_dataset(np.round(madelon.instances), madelon.labels, class_names=madelon.class_names)
+    return madelon, grid
+
+
+def _tree_journal(candidates) -> list[dict]:
+    """The journal of ``candidates`` scored on both tree datasets, each
+    with one worker and with two."""
+    cfg = EvalConfig(seed=3, per_eval_timeout=math.inf)
+    journal = []
+    for dataset in _tree_datasets():
+        journal += _under_each_worker_count(
+            lambda: _scored(Evaluator(registry=registry_default(), dataset=dataset, cfg=cfg), candidates),
+            lambda journal: journal,
+        )
+    return journal
+
+
+def test_tree_journal_unchanged():
+    """Decision trees draw nothing, so how forests draw their randomness
+    must not move them, plain or inside a meta-learner."""
+    candidates = [
+        Candidate("decision_tree", params={"max_depth": depth, "min_split": split})
+        for depth in (0, 2, 4)
+        for split in (2, 9)
+    ]
+    candidates += [c.with_features(FeatureSet([0, 2])) for c in candidates]
+    candidates += [
+        Candidate(
+            "decision_tree",
+            meta="bagging",
+            meta_params={"replace": replace_rows, "sample_fraction": fraction, "n_estimators": 10},
+        )
+        for replace_rows in (True, False)
+        for fraction in (0.5, 1.0)
+    ]
+    candidates += [
+        Candidate("decision_tree", meta="adaboost", meta_params={"n_estimators": n, "learning_rate": lr})
+        for n in (5, 10)
+        for lr in (0.5, 1.0)
+    ]
+    journal = _tree_journal(candidates)
+    assert len(journal) == 2 * 20 and all(r["status"] == "ok" for r in journal)
+    blob = json.dumps(journal, sort_keys=True).encode("utf-8")
+    assert hashlib.sha256(blob).hexdigest() == TREE_SHA256
+
+
+def test_forest_journal_unchanged():
     candidates = [
         Candidate("random_forest", params={"n_trees": n, "max_depth": depth, "feature_subsample": fraction})
         for n in (5, 25)
@@ -213,13 +262,7 @@ def test_forest_journal_unchanged():
     # on a round without error and on one no better than chance
     boosted = {"n_estimators": 10}
     candidates += [Candidate(base, meta="adaboost", meta_params=boosted) for base in ("random_forest", "decision_tree")]
-    cfg = EvalConfig(seed=3, per_eval_timeout=math.inf)
-    journal = []
-    for dataset in (madelon, grid):
-        journal += _under_each_worker_count(
-            lambda: _scored(Evaluator(registry=registry_default(), dataset=dataset, cfg=cfg), candidates),
-            lambda journal: journal,
-        )
+    journal = _tree_journal(candidates)
     assert len(journal) == 2 * 46 and all(r["status"] == "ok" for r in journal)
     blob = json.dumps(journal, sort_keys=True).encode("utf-8")
     assert hashlib.sha256(blob).hexdigest() == FOREST_SHA256
