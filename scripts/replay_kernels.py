@@ -1,20 +1,25 @@
-"""Time the logistic-regression epoch, the knn predict and the gaussian
-naive Bayes fit plus predict at the shapes the benchmark's workloads fit,
-and check that a stacked fit or predict equals each slice's fit or
-predict as a stack of one, bit for bit.
+"""Time the logistic-regression epoch, the knn predict, the gaussian
+naive Bayes fit plus predict and the random-forest fit and predict at the
+shapes the benchmark's workloads fit, and check that a stacked fit or
+predict equals each slice's fit or predict as a stack of one, bit for bit.
 
-Each shape is a stack as ``mccv_score_group`` or bagging hands it to the
-learner: r slices of n train rows and d columns, two classes, and for
-knn and gaussian NB m prediction rows per slice. The data are standard
-normal draws from ``--seed``. Every repeat fits (LR), predicts (knn) or
-fits and predicts (NB) the whole stack once; an LR fit runs ``--epochs``
-epochs.
+Each shape is a stack as ``mccv_score_group``, bagging or the validation
+refit hands it to the learner: r slices of n train rows and d columns,
+two classes, and for knn, gaussian NB and forest predicts m prediction
+rows per slice. The data are standard normal draws from ``--seed``. Every
+repeat fits (LR, forests), predicts (knn, forest predicts) or fits and
+predicts (NB) the whole stack once; an LR fit runs ``--epochs`` epochs,
+a forest grows its default depth and feature subsample.
 
 For each shape it prints one JSON line: the median and quartiles of µs
-per LR epoch, of ms per knn predict or of µs per NB fit plus predict over
-``--repeats`` repeats, and ``equal``, whether every slice of the stack
-matched the fit (LR weights) or predict (knn and NB labels) of that
-slice as a stack of one. The exit status is 1 if any shape is not equal.
+per LR epoch, of ms per knn predict, forest fit or forest predict, or of
+µs per NB fit plus predict over ``--repeats`` repeats, and ``equal``,
+whether every slice of the stack matched the fit (LR weights, forest
+predictions) or predict (knn, NB and forest labels) of that slice as a
+stack of one. A forest fit also prints ``steps``, how many grower steps
+(deadline checks) one fit of the stack takes, and its node count; a
+forest predict its node count and depth, the levels every row descends.
+The exit status is 1 if any shape is not equal.
 
 Usage: python scripts/replay_kernels.py [--repeats 9] [--epochs 200] [--seed 7]
 """
@@ -54,6 +59,27 @@ FOLD_SHAPES = [
     ("full-madelon", "folds", 5, 25, 4, 11),
     ("cli-bench-tiny", "folds", 5, 20, 4, 8),
 ]
+# (workload, what, r, n, d, n_trees, m): random-forest stacks, m rows
+# predicted per slice
+FOREST_SHAPES = [
+    ("full-madelon", "folds", 5, 25, 4, 10, 11),
+    ("full-madelon", "folds", 5, 25, 4, 50, 11),
+    ("full-madelon", "validation refit", 1, 28, 4, 10, 12),
+    ("filter-large-n", "folds", 5, 1050, 6, 10, 450),
+]
+# (r, n, d, n_trees, m): large forests, timed predicting only
+FOREST_PREDICT_SHAPES = [(5, 1050, 7, 20, 300)]
+
+
+class CountingDeadline:
+    """A deadline that never lapses and counts its checks: ``_grow``
+    checks once per step."""
+
+    def __init__(self) -> None:
+        self.checks = 0
+
+    def check(self) -> None:
+        self.checks += 1
 
 
 def timed(fn, repeats: int) -> tuple[list[float], object]:
@@ -111,6 +137,54 @@ def replay_nb(shape, repeats: int, rng) -> dict:
             "rows": [r, m, d], "us_per_fit_predict_q25_median_q75": quartiles(seconds, 1e6), "equal": equal}
 
 
+def _forest_stack(r, n, d, n_trees, m, rng):
+    X, y = rng.normal(size=(r, n, d)), rng.integers(0, 2, size=(r, n))
+    rows = rng.normal(size=(r, m, d))
+    params = {"n_trees": n_trees, "max_depth": 0, "feature_subsample": 0.5}
+    seeds = rng.integers(0, 2**63, size=r).tolist()
+    return X, y, rows, params, seeds
+
+
+def replay_forest(shape, repeats: int, rng) -> dict:
+    workload, what, r, n, d, n_trees, m = shape
+    X, y, rows, params, seeds = _forest_stack(r, n, d, n_trees, m, rng)
+    seconds, model = timed(lambda: learners.fit_random_forest(X, y, 2, params, seed=seeds), repeats)
+    steps = CountingDeadline()
+    learners.fit_random_forest(X, y, 2, params, seed=seeds, deadline=steps)
+    preds = model.predict(rows)
+    equal = all(
+        np.array_equal(
+            preds[i],
+            learners.fit_random_forest(X[i : i + 1], y[i : i + 1], 2, params, seed=seeds[i : i + 1]).predict(
+                rows[i : i + 1]
+            )[0],
+        )
+        for i in range(r)
+    )
+    return {"kernel": "random_forest.fit", "workload": workload, "what": what, "train": [r, n, d],
+            "n_trees": n_trees, "ms_per_fit_q25_median_q75": quartiles(seconds, 1e3), "steps": steps.checks,
+            "nodes": int(model.label.size), "equal": equal}
+
+
+def replay_forest_predict(shape, repeats: int, rng) -> dict:
+    r, n, d, n_trees, m = shape
+    X, y, rows, params, seeds = _forest_stack(r, n, d, n_trees, m, rng)
+    model = learners.fit_random_forest(X, y, 2, params, seed=seeds)
+    seconds, preds = timed(lambda: model.predict(rows), repeats)
+    equal = all(
+        np.array_equal(
+            preds[i],
+            learners.fit_random_forest(X[i : i + 1], y[i : i + 1], 2, params, seed=seeds[i : i + 1]).predict(
+                rows[i : i + 1]
+            )[0],
+        )
+        for i in range(r)
+    )
+    return {"kernel": "random_forest.predict", "train": [r, n, d], "n_trees": n_trees, "rows": [r, m, d],
+            "nodes": int(model.label.size), "depth": model.depth, "ms_per_predict_q25_median_q75": quartiles(seconds, 1e3),
+            "equal": equal}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--repeats", type=int, default=9)
@@ -122,6 +196,8 @@ def main() -> int:
         (replay_lr(shape, args.repeats, args.epochs, rng) for shape in LR_SHAPES),
         (replay_knn(shape, args.repeats, rng) for shape in FOLD_SHAPES),
         (replay_nb(shape, args.repeats, rng) for shape in FOLD_SHAPES),
+        (replay_forest(shape, args.repeats, rng) for shape in FOREST_SHAPES),
+        (replay_forest_predict(shape, args.repeats, rng) for shape in FOREST_PREDICT_SHAPES),
     )
     equal = True
     for line in lines:

@@ -32,15 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stagedml.rng import advance, streams, tree_draws
+from stagedml.rng import next_u64_block, node_draws, streams, tree_start
 from stagedml.timing import Deadline
 
 _PREDICT_CHUNK = 512
 # most (feature, row, class) cells of one split-search block, and most rows
 # of one lockstep step: a search holds about 15 temporaries of this size
 _SPLIT_BLOCK = 1 << 14
-# most nodes of a tree whose feature subsets are drawn at once
-_SUBSET_NODES = 32
 # most (tree, row) pairs descending a stacked forest at once
 _DESCENT_CELLS = 1 << 16
 # most (slice, row, column) training cells a caller fits as one stack: the
@@ -338,20 +336,23 @@ def _best_splits(X, y, rows, sizes, counts, features) -> tuple[np.ndarray, np.nd
 
 
 def _grow(X, y, n_classes, seeds, n_trees, max_depth, min_split, n_sampled, bootstrap, deadline) -> ForestModel:
-    """``n_trees`` trees for every slice of a stack, grown in lockstep.
+    """``n_trees`` trees for every slice of a stack, all grown at once.
 
-    Tree t of a forest grows on a bootstrap of n ``randbelow(n)`` draws
-    from the slice's stream (with ``bootstrap``; otherwise on all rows),
-    then each node it searches draws its ``n_sampled`` candidate features
-    by a Fisher-Yates shuffle of range(d), d - 1 draws, in pre-order. A
-    lane is a sequence of trees whose nodes must be searched one at a
-    time, and a step searches the next pending node of every lane at once
-    (all of them when nodes draw nothing, each tree then its own lane). A
-    pending node carries its row range, depth and class counts; below a
-    lane's nodes wait its unstarted trees, and a step that pops one draws
-    its bootstrap and searches its root. A tree's first search, and every
-    ``_SUBSET_NODES``-th after, draws the subsets of as many nodes in one
-    block; the next tree starts n + searched * (d - 1) draws after the last.
+    Tree t of slice i draws from the stream ``Rng(s)`` whose seed s is
+    output t + 1 of ``Rng(seeds[i])``: with ``bootstrap``, n
+    ``randbelow(n)`` draws, the rows it grows on (otherwise it grows on
+    all rows), then the key of its root (``tree_start``). A node of key K
+    that is searched draws from ``Rng(K)``: its ``n_sampled`` candidate
+    features are the first ``n_sampled`` places, ascending, of a
+    ``Rng.shuffle`` of range(d), which takes d - 1 draws, and the next two
+    outputs are the keys of its left and its right child (``node_draws``).
+    With ``n_sampled`` = d a node draws nothing and searches every feature,
+    and a tree that neither bootstraps nor samples draws nothing at all.
+
+    So no node waits for another: trees grow in groups of at most
+    ``_SPLIT_BLOCK`` rows (one tree when a tree has more), and each step
+    searches every pending node of every tree in the group, one level of
+    them. A pending node carries its row range, depth and class counts.
     A node stays a leaf without search when it is pure, at ``max_depth``
     (0: unbounded) or smaller than ``min_split``, and after search when no
     feature separates its rows or its threshold sends them all one way.
@@ -366,10 +367,8 @@ def _grow(X, y, n_classes, seeds, n_trees, max_depth, min_split, n_sampled, boot
     X = np.ascontiguousarray(X, dtype=np.float64).reshape(r * n, d)
     y = np.asarray(y, dtype=np.int64).reshape(r * n)
     draws = n_sampled < d
-    per_lane = n_trees if draws or not bootstrap else 1  # lane j grows trees j * per_lane, ...
-    forest = np.arange(r * n_trees // per_lane) * per_lane // n_trees
-    # each lane's stream where its current tree's bootstrap ends (before its first tree: begins)
-    states = streams([int(seeds[f]) for f in forest], np.arange(forest.size) * per_lane % n_trees * n)
+    if bootstrap or draws:
+        tree_seeds = next_u64_block(streams([int(s) for s in seeds]), n_trees).reshape(-1)
     roots = np.empty(r * n_trees, dtype=np.int32)
     labels, splits = [], []
     n_nodes = 0
@@ -378,100 +377,71 @@ def _grow(X, y, n_classes, seeds, n_trees, max_depth, min_split, n_sampled, boot
         """Numbers new nodes, whose depths and class counts ``entries``
         hold, and sets their sizes; returns which need a split search."""
         nonlocal n_nodes
-        counts = entries[:, 5:]
-        entries[:, 1] = np.arange(n_nodes, n_nodes + len(entries))
+        counts = entries[:, 4:]
+        entries[:, 0] = np.arange(n_nodes, n_nodes + len(entries))
         n_nodes += len(entries)
         labels.append(counts.argmax(axis=1))
-        entries[:, 3] = size = np.add.reduce(counts, axis=1)
+        entries[:, 2] = size = np.add.reduce(counts, axis=1)
         grows = np.maximum.reduce(counts, axis=1) < size  # impure, so at least 2 rows
         if min_split > 2:
             grows &= size >= min_split
-        return grows & (entries[:, 4] < max_depth) if max_depth > 0 else grows
+        return grows & (entries[:, 3] < max_depth) if max_depth > 0 else grows
 
-    # lanes grow a group at a time, so a step holds at most _SPLIT_BLOCK rows
     group = max(1, _SPLIT_BLOCK // n)
-    for first_lane in range(0, forest.size, group):
-        n_lanes = min(group, forest.size - first_lane)
-        lane_states = states[first_lane : first_lane + n_lanes]
-        offset = forest[first_lane : first_lane + n_lanes] * n
-        # the rows (of X) of each lane's current tree; a node's rows are a range of them
-        samples = np.empty((n_lanes, n), dtype=np.int64)
+    for first in range(0, r * n_trees, group):
+        trees = np.arange(first, min(first + group, r * n_trees))
+        # the rows (of X) of each tree of the group; a node's rows are a range of them
+        samples = np.arange(n)[None, :].repeat(trees.size, axis=0)
+        if bootstrap or draws:
+            boot, keys = tree_start(tree_seeds[trees], n if bootstrap else 0)
+            if bootstrap:
+                samples = boot
+        samples += (trees // n_trees * n)[:, None]
         flat_samples = samples.reshape(-1)
-        # searched nodes of each lane's current tree, and the feature subsets of its next ones
-        searched = np.zeros(n_lanes, dtype=np.int64)
-        chunk = max(1, min(_SUBSET_NODES, _SPLIT_BLOCK // (n_lanes * d))) if draws else 0
-        subsets = np.empty((n_lanes, chunk, n_sampled), dtype=np.int64)
-        # pending nodes, one row each: lane (in the group), node id, first row in the
-        # group's samples, row count, depth, class counts; grouped by lane, each
-        # lane's top last. An unstarted tree has no rows, its place in roots for id.
-        slot = np.arange(first_lane * per_lane, (first_lane + n_lanes) * per_lane)[::-1]
-        pending = np.zeros((slot.size, 5 + k), dtype=np.int64)
-        pending[:, 0] = lane = slot // per_lane - first_lane
-        pending[:, 1], pending[:, 2] = slot, lane * n
+        # pending nodes, one row each: node id, first row in the group's
+        # samples, row count, depth, class counts; with draws, keys beside
+        pending = np.zeros((trees.size, 4 + k), dtype=np.int64)
+        pending[:, 1] = np.arange(trees.size) * n
+        pending[:, 4:] = np.add.reduce(y[samples][:, :, None] == np.arange(k), axis=1)
+        roots[trees] = np.arange(n_nodes, n_nodes + trees.size)
+        grows = make(pending)
+        pending = pending[grows]
+        if draws:
+            keys = keys[grows]
         while pending.size:
             if deadline is not None:
                 deadline.check()
+            nodes = pending
             if draws:
-                top = np.empty(len(pending), dtype=bool)
-                top[-1] = True
-                np.not_equal(pending[1:, 0], pending[:-1, 0], out=top[:-1])
-                nodes, pending = pending[top], pending[~top]
-            else:
-                nodes, pending = pending, pending[:0]
-            starts = nodes[:, 3] == 0
-            if np.count_nonzero(starts):
-                trees = nodes[starts]
-                lane = trees[:, 0]
-                # a tree starts where the last one's bootstrap ended, past its searched nodes
-                at_states = lane_states[lane]
-                advance(at_states, searched[lane] * (d - 1))
-                boot, subsets[lane] = tree_draws(at_states, n, d, n_sampled, chunk)
-                lane_states[lane], searched[lane] = at_states, 0
-                samples[lane] = rows = (boot if bootstrap else np.arange(n)) + offset[lane, None]
-                roots[trees[:, 1]] = np.arange(n_nodes, n_nodes + lane.size)
-                trees[:, 5:] = np.add.reduce(y[rows][:, :, None] == np.arange(k), axis=1)
-                nodes = np.concatenate([nodes[~starts], trees[make(trees)]])
-                if not nodes.size:
-                    continue
-            if draws:
-                lane = nodes[:, 0]
-                done = searched[lane]
-                features = subsets[lane, done % chunk]
-                searched[lane] = done = done + 1
-                # a lane that used all the feature subsets it drew draws the next ones
-                refill = lane[done % chunk == 0]
-                if refill.size:
-                    at_states = lane_states[refill]
-                    advance(at_states, searched[refill] * (d - 1))
-                    _, subsets[refill] = tree_draws(at_states, 0, d, n_sampled, chunk)
+                features, child_keys = node_draws(keys, d, n_sampled)
             else:
                 features = np.arange(d)[None, :].repeat(len(nodes), axis=0)
-            size = nodes[:, 3]
+            size = nodes[:, 2]
             node_of = np.arange(len(nodes)).repeat(size)
-            at = (nodes[:, 2] - size.cumsum() + size).repeat(size)
+            at = (nodes[:, 1] - size.cumsum() + size).repeat(size)
             at += np.arange(node_of.size)
             rows = flat_samples[at]
-            feature, threshold, _ = _best_splits(X, y, rows, size, nodes[:, 5:], features)
+            feature, threshold, _ = _best_splits(X, y, rows, size, nodes[:, 4:], features)
             go_left = X[rows, feature[node_of]] <= threshold[node_of]
             left_n = np.bincount(node_of[go_left], minlength=len(nodes))
             split = (feature >= 0) & (left_n > 0) & (left_n < size)
             if not np.count_nonzero(split):
-                continue
+                break
             # each node's rows, the right side's first (their order within a
             # side never changes a split, and unsplit nodes are leaves)
             key = node_of * 2 + go_left
             flat_samples[at] = rows[key.argsort(kind="stable")]
             both = np.bincount(key * k + y[rows], minlength=len(nodes) * 2 * k).reshape(-1, 2, k)
             children = nodes[split].repeat(2, axis=0)  # 2i right, 2i + 1 left child of split node i
-            children[:, 4] += 1
-            children[:, 5:] = both[split].reshape(-1, k)
-            children[1::2, 2] += (size - left_n)[split]
+            children[:, 3] += 1
+            children[:, 4:] = both[split].reshape(-1, k)
+            children[1::2, 1] += (size - left_n)[split]
             grows = make(children)
-            right = children[0::2, 1].copy()  # a view would keep all the children alive
-            splits.append((nodes[split, 1], nodes[split, 4], feature[split], threshold[split], right))
-            # children on top of their lanes' stacks, the right below the left one, searched next
-            pending = np.concatenate([pending, children[grows]])
-            pending = pending[pending[:, 0].argsort(kind="stable")]
+            right = children[0::2, 0].copy()  # a view would keep all the children alive
+            splits.append((nodes[split, 0], nodes[split, 3], feature[split], threshold[split], right))
+            pending = children[grows]
+            if draws:
+                keys = child_keys[split][:, ::-1].reshape(-1)[grows]
     return _assemble(labels, splits, roots.reshape(r, n_trees), d, n_classes)
 
 

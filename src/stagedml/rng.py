@@ -118,11 +118,9 @@ class Rng:
         return mu + sigma * z
 
 
-def streams(seeds: Sequence[int], skips: Sequence[int] | None = None) -> np.ndarray:
-    """uint64 states of the streams ``Rng(seed)``, each advanced past its
-    first ``skips[i]`` draws (none by default)."""
-    skips = [0] * len(seeds) if skips is None else skips
-    return np.array([(seed + int(skip) * _GOLDEN) & _MASK64 for seed, skip in zip(seeds, skips)], dtype=np.uint64)
+def streams(seeds: Sequence[int]) -> np.ndarray:
+    """uint64 states of the streams ``Rng(seed)``."""
+    return np.array([seed & _MASK64 for seed in seeds], dtype=np.uint64)
 
 
 def next_u64_block(states: np.ndarray, count: int) -> np.ndarray:
@@ -177,20 +175,20 @@ def shuffled_block(draws: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def advance(states: np.ndarray, draws) -> None:
-    """Moves each stream of ``states`` past ``draws[i]`` more draws, in place."""
-    states += np.asarray(draws, dtype=np.uint64) * _U_GOLDEN
+def tree_start(seeds: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first draws of the trees whose streams are ``Rng(seeds[i])``:
+    a bootstrap of n ``randbelow(n)`` draws (none for n = 0), then the key
+    of the root (``node_draws``); shapes (len(seeds), n) and (len(seeds),)."""
+    raw = next_u64_block(np.array(seeds, dtype=np.uint64), n + 1)
+    return below(raw[:, :n], n), raw[:, n]
 
 
-def tree_draws(states: np.ndarray, n: int, size: int, m: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """A forest tree's draws from each stream: its bootstrap, n draws of
-    ``randbelow(n)``, then the feature sets of its next ``count`` searched
-    nodes, each the first m <= size places, ascending, of a ``Rng.shuffle``
-    of range(size) that takes size - 1 draws (``shuffled_block``); shapes
-    (len(states), n) and (len(states), count, m). Advances ``states`` past
-    the bootstrap only: the nodes look ahead, and ``advance`` moves past them."""
-    raw = next_u64_block(states.copy(), n + count * (size - 1))
-    advance(states, n)
-    picks = below(raw[:, n:].reshape(len(states) * count, size - 1)[:, : size - m], np.arange(size, m, -1))
-    subsets = np.sort(shuffled_block(picks, size)[:, :m], axis=1).reshape(len(states), count, m)
-    return below(raw[:, :n], n), subsets
+def node_draws(keys: np.ndarray, size: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The draws of the tree nodes whose streams are ``Rng(keys[i])``: the
+    first m < size places, ascending, of a ``Rng.shuffle`` of range(size),
+    which takes size - 1 draws (``shuffled_block``), then the keys of the
+    left and the right child, the next two outputs; shapes (len(keys), m)
+    and (len(keys), 2)."""
+    raw = next_u64_block(np.array(keys, dtype=np.uint64), size + 1)
+    picks = below(raw[:, : size - m], np.arange(size, m, -1))
+    return np.sort(shuffled_block(picks, size)[:, :m], axis=1), raw[:, size - 1 :]

@@ -390,32 +390,38 @@ def test_class_sums_round_like_numpy_last_axis_sums(n_classes, cells, seed):
     assert np.array_equal(learners._sum_classes(np.ascontiguousarray(q.T)), q.sum(axis=1))
 
 
-def _grow_reference(X, y, idx, n_classes, depth, max_depth, min_split, sampler, rng, nodes):
+def _grow_reference(X, y, idx, n_classes, depth, max_depth, min_split, sampler, key, nodes):
     """The recursive, one-node-at-a-time grower: appends each node as
     [feature, threshold, left, right, label] in pre-order and returns its
-    index; a leaf has feature -1 and points to itself."""
+    index; a leaf has feature -1 and points to itself. With a ``sampler``,
+    a searched node draws its features from ``Rng(key)`` and then the keys
+    of its left and right child."""
     counts = np.bincount(y[idx], minlength=n_classes)
     at = len(nodes)
     nodes.append([-1, 0.0, at, at, int(np.argmax(counts))])
     if np.count_nonzero(counts) <= 1 or 0 < max_depth <= depth or idx.size < min_split:
         return at
+    rng = Rng(key) if sampler is not None else None
     features = sampler(rng) if sampler is not None else range(X.shape[1])
+    left_key, right_key = (rng.next_u64(), rng.next_u64()) if rng is not None else (None, None)
     feature, threshold, _ = _best_split_reference(X, y, idx, n_classes, features)
     if feature < 0:
         return at
     go_left = X[idx, feature] <= threshold
     if go_left.all() or not go_left.any():
         return at
-    left = _grow_reference(X, y, idx[go_left], n_classes, depth + 1, max_depth, min_split, sampler, rng, nodes)
-    right = _grow_reference(X, y, idx[~go_left], n_classes, depth + 1, max_depth, min_split, sampler, rng, nodes)
+    left = _grow_reference(X, y, idx[go_left], n_classes, depth + 1, max_depth, min_split, sampler, left_key, nodes)
+    right = _grow_reference(X, y, idx[~go_left], n_classes, depth + 1, max_depth, min_split, sampler, right_key, nodes)
     nodes[at][:4] = [feature, threshold, left, right]
     return at
 
 
 def _trees_reference(X, y, n_classes, learner, params, seed):
     """Each tree of a fit as a pre-order node list: a decision tree on all
-    rows, or forest trees on bootstraps drawn one ``randbelow`` at a time,
-    each searched node drawing its features by ``Rng.shuffle``."""
+    rows, or forest trees, tree t drawing from ``Rng(s)``, s the t-th
+    output of ``Rng(seed)``, its bootstrap one ``randbelow`` at a time and
+    then its root's key, and each searched node drawing its features by
+    ``Rng.shuffle`` from the stream of its own key."""
     n, d = X.shape
     if learner == "decision_tree":
         nodes = []
@@ -431,12 +437,14 @@ def _trees_reference(X, y, n_classes, learner, params, seed):
         node_rng.shuffle(pool)
         return sorted(pool[:m])
 
-    rng = Rng(seed)
+    seeds = Rng(seed)
     trees = []
     for _ in range(params["n_trees"]):
+        rng = Rng(seeds.next_u64())
         boot = np.array(sorted(rng.randbelow(n) for _ in range(n)), dtype=np.int64)
+        root_key = rng.next_u64()
         nodes = []
-        _grow_reference(X[boot], y[boot], np.arange(n), n_classes, 0, params["max_depth"], 2, sampler, rng, nodes)
+        _grow_reference(X[boot], y[boot], np.arange(n), n_classes, 0, params["max_depth"], 2, sampler, root_key, nodes)
         trees.append(nodes)
     return trees
 
@@ -495,17 +503,16 @@ def _predict_reference(trees, rows, n_classes):
     n_trees=st.sampled_from([1, 2, 5]),
     min_split=st.integers(min_value=2, max_value=16),
     block=st.sampled_from([None, 40]),
-    subset_nodes=st.sampled_from([None, 1, 2, 3]),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_lockstep_trees_match_one_at_a_time_reference(
-    r, n, d_cols, n_classes, grid, forest, max_depth, sampled, n_trees, min_split, block, subset_nodes, seed
+    r, n, d_cols, n_classes, grid, forest, max_depth, sampled, n_trees, min_split, block, seed
 ):
-    """A stack of r fits grown in lockstep gives, slice by slice, the trees
-    of the recursive grower and of the slice's stack of one: nodes of
-    many sizes meet in one search, integer grids make tied values, every
-    count of sampled features occurs, and small draw chunks make trees
-    draw their feature subsets again mid-tree."""
+    """A stack of r fits grown level by level gives, slice by slice, the
+    trees of the recursive grower and of the slice's stack of one: nodes
+    of many sizes and trees meet in one search, integer grids make tied
+    values, every count of sampled features occurs, and a small block
+    splits the trees of one slice over several groups."""
     fraction = min(sampled, d_cols) / d_cols
     rng = np.random.default_rng(seed)
     X = rng.integers(-2, 3, size=(r, n, d_cols)).astype(np.float64) if grid else rng.normal(size=(r, n, d_cols))
@@ -521,8 +528,6 @@ def test_lockstep_trees_match_one_at_a_time_reference(
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
             mp.setattr(learners, "_SPLIT_BLOCK", block)
-        if subset_nodes is not None:
-            mp.setattr(learners, "_SUBSET_NODES", subset_nodes)
         model = fit(X, y, n_classes, params, seed=seeds)
         alone = [fit(X[s : s + 1], y[s : s + 1], n_classes, params, seed=[seeds[s]]) for s in range(r)]
     stacked = model.predict(rows)

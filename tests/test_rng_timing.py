@@ -5,7 +5,16 @@ from hypothesis import given, settings, strategies as st
 
 import numpy as np
 
-from stagedml.rng import Rng, advance, derive_seed, randbelow_block, shuffled_block, streams, tree_draws
+from stagedml.rng import (
+    Rng,
+    derive_seed,
+    next_u64_block,
+    node_draws,
+    randbelow_block,
+    shuffled_block,
+    streams,
+    tree_start,
+)
 from stagedml.timing import Deadline, DeadlineExceeded
 
 
@@ -52,7 +61,8 @@ def test_random_unit_interval(seed):
     skip=st.integers(min_value=0, max_value=5),
 )
 def test_block_draws_continue_the_scalar_streams(seeds, n, count, skip):
-    states = streams(seeds, [skip] * len(seeds))
+    states = streams(seeds)
+    next_u64_block(states, skip)
     draws = randbelow_block(states, n, count)
     size = 1 + count % 9
     shuffles = shuffled_block(randbelow_block(states, np.arange(size, 1, -1), size - 1), size)
@@ -72,35 +82,46 @@ def test_block_draws_continue_the_scalar_streams(seeds, n, count, skip):
 @settings(max_examples=200, deadline=None)
 @given(
     seeds=st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=3),
-    n=st.integers(min_value=1, max_value=40),
+    n_trees=st.integers(min_value=1, max_value=4),
+    n=st.integers(min_value=0, max_value=40),
     size=st.integers(min_value=2, max_value=9),
     data=st.data(),
 )
-def test_tree_draws_continue_the_scalar_streams(seeds, n, size, data):
-    """A forest tree's draws as the grower takes them: its bootstrap with
-    the feature subsets of its first searched nodes, more subsets in
-    chunks looked up ahead of the stream, and the stream moved past the
-    searched nodes only, against a loop of ``randbelow`` and ``shuffle``."""
+def test_forest_draws_match_the_scalar_streams(seeds, n_trees, n, size, data):
+    """A forest's draws as the grower takes them in blocks: every tree's
+    seed, then per tree its bootstrap and root key, then per node its
+    feature subset and child keys, two levels deep, against a loop of
+    ``next_u64``, ``randbelow`` and ``shuffle`` on one ``Rng`` per stream."""
     m = data.draw(st.integers(min_value=1, max_value=size - 1), label="m")
-    per_stream = st.lists(st.integers(min_value=0, max_value=12), min_size=len(seeds), max_size=len(seeds))
-    searched = data.draw(per_stream, label="searched")
-    chunk = data.draw(st.integers(min_value=1, max_value=5), label="chunk")
-    states = streams(seeds)
-    boots, subsets = tree_draws(states, n, size, m, chunk)
-    for first in range(chunk, max(searched) + 1, chunk):
-        at = states.copy()
-        advance(at, [first * (size - 1)] * len(seeds))
-        subsets = np.concatenate([subsets, tree_draws(at, 0, size, m, chunk)[1]], axis=1)
-    advance(states, np.array(searched) * (size - 1))
-    for i, seed in enumerate(seeds):
+    tree_seeds = next_u64_block(streams(seeds), n_trees).reshape(-1)
+    boots, keys = tree_start(tree_seeds, n)
+    levels = []
+    for _ in range(2):
+        subsets, children = node_draws(keys, size, m)
+        levels.append(subsets)
+        keys = children.reshape(-1)
+    at = 0
+    for seed in seeds:
         rng = Rng(seed)
-        assert boots[i].tolist() == [rng.randbelow(n) for _ in range(n)]
-        for node in range(searched[i]):
-            pool = list(range(size))
-            rng.shuffle(pool)
-            assert subsets[i, node].tolist() == sorted(pool[:m])
-        # the stream continues where the scalar loop is
-        assert Rng(int(states[i])).next_u64() == rng.next_u64()
+        for _ in range(n_trees):
+            tree_seed = rng.next_u64()
+            assert int(tree_seeds[at]) == tree_seed
+            tree = Rng(tree_seed)
+            assert boots[at].tolist() == [tree.randbelow(n) for _ in range(n)]
+            level = [tree.next_u64()]
+            for subsets in levels:
+                # the nodes of a level in order, each the left child's parent first
+                width = len(level)
+                next_level = []
+                for j, key in enumerate(level):
+                    node = Rng(key)
+                    pool = list(range(size))
+                    node.shuffle(pool)
+                    assert subsets[at * width + j].tolist() == sorted(pool[:m])
+                    next_level += [node.next_u64(), node.next_u64()]
+                level = next_level
+            assert [int(key) for key in keys[at * len(level) : (at + 1) * len(level)]] == level
+            at += 1
 
 
 def test_block_bounds_are_checked():
