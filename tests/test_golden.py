@@ -29,17 +29,17 @@ from stagedml.synth import make_dataset
 
 from conftest import make_numeric_dataset
 
-GOLDEN_SHA256 = "4778bc5f397ea40a133de448210bba9e72a9bdcbe7f3109018985a278ec69d7a"
+GOLDEN_SHA256 = "16921c40d27ed2f74980410bbfcf2375866c2eee6c9fe52329c984f92ce6cf54"
 # meta-learner fits and the validation stage's refit and holdout predict
-META_VALIDATION_SHA256 = "67deef98d09aaefc581b062ef030316aadf91921f9e91e4905c43c21d0aa32e2"
+META_VALIDATION_SHA256 = "639b990ff59d4808a6179da27f6c37ed3ff696793f9a1fdc9e7cf1efacb59d18"
 # logistic-regression candidates, plain and bagged, scored directly
 LOGISTIC_SHA256 = "819337da3ad234617a429116f25a9e99bdd79a078fc7f856f8cd68bb2f9799e1"
 # stage traces without start and end times, pool snapshots, preset configs
-TRACES_CONFIGS_SHA256 = "d7e374b35068325d6cb8399e7eff3863835ca5f994d73b76b4fa4e821acb4ec9"
+TRACES_CONFIGS_SHA256 = "a190198e41ce026a8b2a461670c19f2bbc47d60a287d2e9ac4bce0b92f34c009"
 # decision-tree candidates, plain, bagged and boosted, scored directly
 TREE_SHA256 = "c6b61f23d215887d6de5b7a18c11dd0844e6d9784010105e2517e55980f0a85f"
 # tree, forest, bagged-forest and boosted candidates, scored directly
-FOREST_SHA256 = "0320a78afc172f272d5e435e44743a6cbf539c8914326565ae471a81519018d4"
+FOREST_SHA256 = "b9b73fce283451eb2e1bdc8a755c5dd70db710315b67e67767d10a00d051174a"
 
 
 def _fixed_work(cfg: orchestrator.SchemeConfig) -> orchestrator.SchemeConfig:
