@@ -137,30 +137,30 @@ def replay_nb(shape, repeats: int, rng) -> dict:
             "rows": [r, m, d], "us_per_fit_predict_q25_median_q75": quartiles(seconds, 1e6), "equal": equal}
 
 
-def _forest_stack(r, n, d, n_trees, m, rng):
+def _forest(r, n, d, n_trees, m, rng):
+    """A forest fitted on a stack of random data, the rows it predicts,
+    and whether every slice's labels equal those of that slice fitted
+    as a stack of one; plus a fit of the stack to time."""
     X, y = rng.normal(size=(r, n, d)), rng.integers(0, 2, size=(r, n))
     rows = rng.normal(size=(r, m, d))
     params = {"n_trees": n_trees, "max_depth": 0, "feature_subsample": 0.5}
     seeds = rng.integers(0, 2**63, size=r).tolist()
-    return X, y, rows, params, seeds
+
+    def fit(at=slice(None), deadline=None):
+        return learners.fit_random_forest(X[at], y[at], 2, params, seed=seeds[at], deadline=deadline)
+
+    model = fit()
+    preds = model.predict(rows)
+    equal = all(np.array_equal(preds[i], fit(slice(i, i + 1)).predict(rows[i : i + 1])[0]) for i in range(r))
+    return model, rows, equal, fit
 
 
 def replay_forest(shape, repeats: int, rng) -> dict:
     workload, what, r, n, d, n_trees, m = shape
-    X, y, rows, params, seeds = _forest_stack(r, n, d, n_trees, m, rng)
-    seconds, model = timed(lambda: learners.fit_random_forest(X, y, 2, params, seed=seeds), repeats)
+    model, _, equal, fit = _forest(r, n, d, n_trees, m, rng)
+    seconds, _ = timed(fit, repeats)
     steps = CountingDeadline()
-    learners.fit_random_forest(X, y, 2, params, seed=seeds, deadline=steps)
-    preds = model.predict(rows)
-    equal = all(
-        np.array_equal(
-            preds[i],
-            learners.fit_random_forest(X[i : i + 1], y[i : i + 1], 2, params, seed=seeds[i : i + 1]).predict(
-                rows[i : i + 1]
-            )[0],
-        )
-        for i in range(r)
-    )
+    fit(deadline=steps)
     return {"kernel": "random_forest.fit", "workload": workload, "what": what, "train": [r, n, d],
             "n_trees": n_trees, "ms_per_fit_q25_median_q75": quartiles(seconds, 1e3), "steps": steps.checks,
             "nodes": int(model.label.size), "equal": equal}
@@ -168,21 +168,11 @@ def replay_forest(shape, repeats: int, rng) -> dict:
 
 def replay_forest_predict(shape, repeats: int, rng) -> dict:
     r, n, d, n_trees, m = shape
-    X, y, rows, params, seeds = _forest_stack(r, n, d, n_trees, m, rng)
-    model = learners.fit_random_forest(X, y, 2, params, seed=seeds)
-    seconds, preds = timed(lambda: model.predict(rows), repeats)
-    equal = all(
-        np.array_equal(
-            preds[i],
-            learners.fit_random_forest(X[i : i + 1], y[i : i + 1], 2, params, seed=seeds[i : i + 1]).predict(
-                rows[i : i + 1]
-            )[0],
-        )
-        for i in range(r)
-    )
+    model, rows, equal, _ = _forest(r, n, d, n_trees, m, rng)
+    seconds, _ = timed(lambda: model.predict(rows), repeats)
     return {"kernel": "random_forest.predict", "train": [r, n, d], "n_trees": n_trees, "rows": [r, m, d],
-            "nodes": int(model.label.size), "depth": model.depth, "ms_per_predict_q25_median_q75": quartiles(seconds, 1e3),
-            "equal": equal}
+            "nodes": int(model.label.size), "depth": model.depth,
+            "ms_per_predict_q25_median_q75": quartiles(seconds, 1e3), "equal": equal}
 
 
 def main() -> int:

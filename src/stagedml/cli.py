@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import typing
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -136,6 +137,16 @@ def _check_seconds(name: str, seconds) -> None:
         raise UsageError(f"{name}={seconds!r} is not a number of seconds >= 0")
 
 
+def _check_types(values: dict) -> None:
+    """Each value has the type of its ``RunSpec`` field; a float field
+    takes an integer too, and no field takes a boolean."""
+    hints = typing.get_type_hints(RunSpec)
+    for name, value in values.items():
+        allowed = typing.get_args(hints[name]) or (hints[name],)
+        if isinstance(value, bool) or not isinstance(value, (*allowed, int) if float in allowed else allowed):
+            raise UsageError(f"{name}={value!r} is not of type {RunSpec.__annotations__[name]}")
+
+
 def _spec_from_args(args, require_data: bool = True) -> RunSpec:
     file_values = {}
     if args.config:
@@ -148,6 +159,10 @@ def _spec_from_args(args, require_data: bool = True) -> RunSpec:
         flag_value = getattr(args, f.name, None)
         if flag_value is not None:
             merged[f.name] = flag_value
+    unknown = set(merged) - set(RunSpec.__dataclass_fields__)
+    if unknown:
+        raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    _check_types(merged)
     limits = dict(merged.get("stage_time_limits") or {})
     for item in args.stage_time_limit or []:
         name, _, seconds = item.partition("=")
@@ -166,16 +181,12 @@ def _spec_from_args(args, require_data: bool = True) -> RunSpec:
         if merged.get(name) is not None:
             _check_seconds(name, merged[name])
     max_evals = merged.get("tuning_max_evals")
-    if max_evals is not None and (isinstance(max_evals, bool) or not isinstance(max_evals, int) or max_evals < 0):
+    if max_evals is not None and max_evals < 0:
         raise UsageError(f"tuning_max_evals={max_evals!r} is not an integer >= 0")
     if "data" not in merged:
         if require_data:
             raise UsageError("--data is required")
         merged["data"] = ""
-    known = set(RunSpec.__dataclass_fields__)
-    unknown = set(merged) - known
-    if unknown:
-        raise UsageError(f"unknown config keys: {sorted(unknown)}")
     return RunSpec(**merged)
 
 

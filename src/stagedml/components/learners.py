@@ -1,7 +1,7 @@
 """Self-contained base learners operating on dense float64 matrices.
 
 Every fit is a pure function of (X, y, params, seed); all internal
-randomness comes from the seeded splitmix64 stream and every argmax
+randomness comes from seeded splitmix64 streams and every argmax
 breaks ties toward the smallest class index, so repeated fits are
 bit-identical. Long fits cooperate with an optional deadline, checking
 it between coarse work units (per growth step, per epoch, per
@@ -9,20 +9,23 @@ prediction chunk).
 
 Every fit takes a stack of r equal-sized independent problems: ``X``
 (r, n, d), ``y`` (r, n) and ``seed`` a sequence of r seeds, one per
-slice (a learner that draws nothing ignores them). Its model maps
-(r, m, d) rows to (r, m) predictions, slice i by the model of slice i,
-and rejects rows of any other shape (``check_stack``). Each slice comes
-out bit-identical to fitting it as a stack of one with its seed, so
-callers with many small fits (the folds of one evaluation, the
-estimators of one bagging ensemble) stack them, and a caller with one
-problem fits a stack of one. Logistic regression serves all r with each
-numpy call of an epoch; trees of all slices grow in lockstep, one split
-search for the next node of every tree, each node carrying its class
-counts and looking up feature subsets drawn in blocks, and stay in the
-order they were grown (``_grow``); knn keeps the stack and predicts it
-slice by slice into distance buffers that one call reuses. A fit written
-for one problem loops over the slices itself, as gaussian naive Bayes
-does, and its model holds every slice's arrays.
+slice (a learner that draws nothing ignores them), and rejects input of
+any other shape (``check_fit``). Its model maps (r, m, d) rows to (r, m)
+predictions, slice i by the model of slice i, and rejects rows of any
+other shape (``check_stack``). Each slice comes out bit-identical to
+fitting it as a stack of one with its seed, so callers with many small
+fits (the folds of one evaluation, the estimators of one bagging
+ensemble) stack them, and a caller with one problem fits a stack of one.
+Logistic regression serves all r with each numpy call of an epoch; knn
+keeps the stack and predicts it slice by slice into distance buffers
+that one call reuses; gaussian naive Bayes loops over the slices itself,
+and its model holds every slice's arrays.
+
+Trees of all slices grow at once, level by level (``_grow``), as a
+random forest keys its draws by tree and by node: tree t of slice i
+draws its bootstrap and then its root's key from the stream seeded by
+output t + 1 of ``Rng(seed[i])``, and a searched node of key K its
+feature subset and then its left and its right child's keys from ``Rng(K)``.
 """
 
 from __future__ import annotations
@@ -48,6 +51,16 @@ STACK_CELLS = 1 << 16
 
 # ---------------------------------------------------------------------------
 # stacks
+
+
+def check_fit(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """``X`` as float64 and ``y`` as int64 if they are a stack of r
+    training problems, ``X`` (r, n, d) and ``y`` (r, n): the input of
+    every fit."""
+    X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.int64)
+    if X.ndim != 3 or y.shape != X.shape[:2]:
+        raise ValueError(f"fit input has shapes {X.shape} and {y.shape}, not (r, n, d) rows with (r, n) labels")
+    return X, y
 
 
 def check_stack(rows, r: int, d: int) -> np.ndarray:
@@ -119,6 +132,7 @@ class KnnModel:
 def fit_knn(X, y, n_classes, params, seed=0, deadline=None):
     """Stores the train rows of the stack: a fit draws nothing and does no
     work, so ``seed`` and ``deadline`` go unused."""
+    X, y = check_fit(X, y)
     return KnnModel(X, y, max(1, min(int(params["k"]), X.shape[1])), n_classes)
 
 
@@ -154,6 +168,7 @@ def fit_gaussian_nb(X, y, n_classes, params, seed=0, deadline=None) -> GaussianN
     smoothed by 1e-9 of the slice's largest column variance (1e-12 when
     every column is constant). Draws nothing, so ``seed`` goes unused;
     checks the deadline between slices."""
+    X, y = check_fit(X, y)
     r, n, d = X.shape
     means = np.zeros((r, n_classes, d))
     variances = np.ones((r, n_classes, d))
@@ -362,10 +377,11 @@ def _grow(X, y, n_classes, seeds, n_trees, max_depth, min_split, n_sampled, boot
     made, the two children of a split together, and keep those numbers in
     the model.
     """
+    X, y = check_fit(X, y)
     r, n, d = X.shape
     k = n_classes
-    X = np.ascontiguousarray(X, dtype=np.float64).reshape(r * n, d)
-    y = np.asarray(y, dtype=np.int64).reshape(r * n)
+    X = np.ascontiguousarray(X).reshape(r * n, d)
+    y = y.reshape(r * n)
     draws = n_sampled < d
     if bootstrap or draws:
         tree_seeds = next_u64_block(streams([int(s) for s in seeds]), n_trees).reshape(-1)
@@ -377,7 +393,7 @@ def _grow(X, y, n_classes, seeds, n_trees, max_depth, min_split, n_sampled, boot
         """Numbers new nodes, whose depths and class counts ``entries``
         hold, and sets their sizes; returns which need a split search."""
         nonlocal n_nodes
-        counts = entries[:, 4:]
+        counts = entries[:, 5:]
         entries[:, 0] = np.arange(n_nodes, n_nodes + len(entries))
         n_nodes += len(entries)
         labels.append(counts.argmax(axis=1))
@@ -390,30 +406,24 @@ def _grow(X, y, n_classes, seeds, n_trees, max_depth, min_split, n_sampled, boot
     group = max(1, _SPLIT_BLOCK // n)
     for first in range(0, r * n_trees, group):
         trees = np.arange(first, min(first + group, r * n_trees))
-        # the rows (of X) of each tree of the group; a node's rows are a range of them
-        samples = np.arange(n)[None, :].repeat(trees.size, axis=0)
+        # pending nodes, one row each: node id, first row in the group's
+        # samples, row count, depth, key (its bits as int64), class counts
+        nodes = np.zeros((trees.size, 5 + k), dtype=np.int64)
         if bootstrap or draws:
             boot, keys = tree_start(tree_seeds[trees], n if bootstrap else 0)
-            if bootstrap:
-                samples = boot
-        samples += (trees // n_trees * n)[:, None]
+            nodes[:, 4] = keys.view(np.int64)
+        # the rows (of X) of each tree of the group; a node's rows are a range of them
+        samples = (boot if bootstrap else np.arange(n)) + (trees // n_trees * n)[:, None]
         flat_samples = samples.reshape(-1)
-        # pending nodes, one row each: node id, first row in the group's
-        # samples, row count, depth, class counts; with draws, keys beside
-        pending = np.zeros((trees.size, 4 + k), dtype=np.int64)
-        pending[:, 1] = np.arange(trees.size) * n
-        pending[:, 4:] = np.add.reduce(y[samples][:, :, None] == np.arange(k), axis=1)
+        nodes[:, 1] = np.arange(trees.size) * n
+        nodes[:, 5:] = np.add.reduce(y[samples][:, :, None] == np.arange(k), axis=1)
         roots[trees] = np.arange(n_nodes, n_nodes + trees.size)
-        grows = make(pending)
-        pending = pending[grows]
-        if draws:
-            keys = keys[grows]
-        while pending.size:
+        nodes = nodes[make(nodes)]
+        while nodes.size:
             if deadline is not None:
                 deadline.check()
-            nodes = pending
             if draws:
-                features, child_keys = node_draws(keys, d, n_sampled)
+                features, child_keys = node_draws(nodes[:, 4].view(np.uint64), d, n_sampled)
             else:
                 features = np.arange(d)[None, :].repeat(len(nodes), axis=0)
             size = nodes[:, 2]
@@ -421,7 +431,7 @@ def _grow(X, y, n_classes, seeds, n_trees, max_depth, min_split, n_sampled, boot
             at = (nodes[:, 1] - size.cumsum() + size).repeat(size)
             at += np.arange(node_of.size)
             rows = flat_samples[at]
-            feature, threshold, _ = _best_splits(X, y, rows, size, nodes[:, 4:], features)
+            feature, threshold, _ = _best_splits(X, y, rows, size, nodes[:, 5:], features)
             go_left = X[rows, feature[node_of]] <= threshold[node_of]
             left_n = np.bincount(node_of[go_left], minlength=len(nodes))
             split = (feature >= 0) & (left_n > 0) & (left_n < size)
@@ -429,19 +439,19 @@ def _grow(X, y, n_classes, seeds, n_trees, max_depth, min_split, n_sampled, boot
                 break
             # each node's rows, the right side's first (their order within a
             # side never changes a split, and unsplit nodes are leaves)
-            key = node_of * 2 + go_left
-            flat_samples[at] = rows[key.argsort(kind="stable")]
-            both = np.bincount(key * k + y[rows], minlength=len(nodes) * 2 * k).reshape(-1, 2, k)
+            side = node_of * 2 + go_left
+            flat_samples[at] = rows[side.argsort(kind="stable")]
+            both = np.bincount(side * k + y[rows], minlength=len(nodes) * 2 * k).reshape(-1, 2, k)
             children = nodes[split].repeat(2, axis=0)  # 2i right, 2i + 1 left child of split node i
             children[:, 3] += 1
-            children[:, 4:] = both[split].reshape(-1, k)
             children[1::2, 1] += (size - left_n)[split]
+            if draws:
+                children[:, 4] = child_keys[split][:, ::-1].reshape(-1).view(np.int64)
+            children[:, 5:] = both[split].reshape(-1, k)
             grows = make(children)
             right = children[0::2, 0].copy()  # a view would keep all the children alive
             splits.append((nodes[split, 0], nodes[split, 3], feature[split], threshold[split], right))
-            pending = children[grows]
-            if draws:
-                keys = child_keys[split][:, ::-1].reshape(-1)[grows]
+            nodes = children[grows]
     return _assemble(labels, splits, roots.reshape(r, n_trees), d, n_classes)
 
 
@@ -478,6 +488,12 @@ def fit_decision_tree(X, y, n_classes, params, seed=0, deadline=None) -> ForestM
 
 
 def fit_random_forest(X, y, n_classes, params, seed=0, deadline=None) -> ForestModel:
+    """``n_trees`` trees per slice, each on a bootstrap of the rows, each
+    searched node choosing among round(``feature_subsample`` * d) features
+    (at least one). Tree t of slice i draws its bootstrap and then its
+    root's key from the stream seeded by the (t + 1)-th output of
+    ``Rng(seed[i])``, and a node its features and then its children's keys
+    from the stream seeded by its own key (``_grow``)."""
     n_trees = int(params["n_trees"])
     max_depth = int(params["max_depth"])
     fraction = float(params["feature_subsample"])
@@ -521,6 +537,7 @@ def fit_logistic_regression(X, y, n_classes, params, seed=0, deadline=None) -> L
     lr = float(params["learning_rate"])
     epochs = int(params["epochs"])
     l2 = float(params["l2"])
+    X, y = check_fit(X, y)
     Xb = np.concatenate([X, np.ones((*X.shape[:-1], 1))], axis=-1)
     r, n, _ = Xb.shape
     XbT = Xb.transpose(0, 2, 1)

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from stagedml.components.learners import STACK_CELLS, check_stack
+from stagedml.components.learners import STACK_CELLS, check_fit, check_stack
 from stagedml.rng import Rng, below, next_u64_block, shuffled_block, streams
 from stagedml.timing import Deadline
 
@@ -70,6 +70,7 @@ def fit_bagging(base: LearnerSpec, base_params, X, y, n_classes, params, seed=0,
     n_estimators = int(params["n_estimators"])
     fraction = float(params["sample_fraction"])
     replace = bool(params["replace"])
+    X, y = check_fit(X, y)
     r, n, d = X.shape
     m = max(1, min(n, int(round(fraction * n))))
     # per estimator: m row draws, or the n - 1 draws of a shuffle; then a seed
@@ -112,6 +113,7 @@ def fit_adaboost(base: LearnerSpec, base_params, X, y, n_classes, params, seed=0
     """
     n_estimators = int(params["n_estimators"])
     lr = float(params["learning_rate"])
+    X, y = check_fit(X, y)
     r, n, d = X.shape
     rngs = [Rng(int(s)) for s in seed]
     k = [max(2, int(len(np.unique(y[i]))) if n_classes < 2 else n_classes) for i in range(r)]

@@ -133,6 +133,30 @@ class TestRun:
         assert field in err and value in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "bench"])
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("seed", "x"),
+            ("repeats", "5"),
+            ("m", 3.0),
+            ("train_fraction", "0.7"),
+            ("global_timeout", True),
+            ("tuning_max_evals", 2.5),
+            ("label", 1.5),
+            ("format", 3),
+            ("stage_time_limits", [["probing", 1]]),
+        ],
+    )
+    def test_config_value_of_another_type_is_usage_error(self, synth_csv, tmp_path, capsys, command, field, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({field: value}), encoding="utf-8")
+        out = tmp_path / "o"
+        args = [command, "--data", str(synth_csv), "--preset", "primitive", "--out", str(out), "--config", str(cfg)]
+        assert main(args) == EXIT_USAGE
+        assert f"{field}=" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_echo_reruns_identically(self, synth_csv, tmp_path):
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
         assert main(run_args(synth_csv, out1)) == EXIT_OK

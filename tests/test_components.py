@@ -603,28 +603,50 @@ def test_stacked_logistic_matches_per_problem_reference(r, n, d_cols, n_classes,
             assert np.array_equal(alone.predict(rows[i : i + 1])[0], stacked[i])
 
 
-@pytest.mark.parametrize(
+_BASE_AND_META = pytest.mark.parametrize(
     "lid, meta_id",
     [pytest.param(lid, None, id=lid) for lid in registry_default().base_learner_ids()]
     + [pytest.param("decision_tree", mid, id=f"{mid}-decision_tree") for mid in registry_default().meta_learner_ids()],
 )
+
+
+def _fit_stack(reg, lid, meta_id, X, y):
+    """A fit of learner ``lid``, alone or wrapped in ``meta_id``, with
+    default params and one seed per slice."""
+    base = reg.learner(lid)
+    seeds = list(range(1, len(X) + 1))
+    if meta_id is None:
+        return base.fit(X, y, 2, base.default_params, seed=seeds)
+    meta_spec = reg.learner(meta_id)
+    return meta_spec.fit(base, base.default_params, X, y, 2, meta_spec.default_params, seed=seeds)
+
+
+@_BASE_AND_META
 def test_fitted_stack_rejects_other_shapes(reg, lid, meta_id):
     """A model of 3 slices of 2 columns takes (3, m, 2) rows only: not 2-d
     rows, not another slice count, not another width."""
     rng = np.random.default_rng(5)
     X = rng.normal(size=(3, 12, 2))
     y = rng.integers(0, 2, size=(3, 12))
-    base = reg.learner(lid)
-    if meta_id is None:
-        model = base.fit(X, y, 2, base.default_params, seed=[1, 2, 3])
-    else:
-        meta_spec = reg.learner(meta_id)
-        model = meta_spec.fit(base, base.default_params, X, y, 2, meta_spec.default_params, seed=[1, 2, 3])
+    model = _fit_stack(reg, lid, meta_id, X, y)
     rows = rng.normal(size=(3, 5, 2))
     assert model.predict(rows).shape == (3, 5)
     for bad in (rows[0], rows[:2], rng.normal(size=(3, 5, 3))):
         with pytest.raises(ValueError):
             model.predict(bad)
+
+
+@_BASE_AND_META
+def test_fit_rejects_other_shapes(reg, lid, meta_id):
+    """A fit takes (r, n, d) rows with (r, n) labels only, and says so in
+    one message: not a 2-d problem, not labels of another slice or row
+    count, not 2-d labels beside a 2-d matrix."""
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(3, 12, 2))
+    y = rng.integers(0, 2, size=(3, 12))
+    for bad_X, bad_y in ((X[0], y[0]), (X[0], y), (X, y[0]), (X, y[:2]), (X, y[:, :5]), (X[:, :, 0], y)):
+        with pytest.raises(ValueError, match=r"fit input has shapes .* not \(r, n, d\) rows with \(r, n\) labels"):
+            _fit_stack(reg, lid, meta_id, bad_X, bad_y)
 
 
 @pytest.mark.parametrize("lid", ["knn", "gaussian_nb"])
