@@ -40,7 +40,7 @@ from stagedml.timing import Deadline
 
 _PREDICT_CHUNK = 512
 # most (feature, row, class) cells of one split-search block, and most rows
-# of one lockstep step: a search holds about 15 temporaries of this size
+# of one grower step: a search holds about 15 temporaries of this size
 _SPLIT_BLOCK = 1 << 14
 # most (tree, row) pairs descending a stacked forest at once
 _DESCENT_CELLS = 1 << 16
@@ -190,7 +190,7 @@ def fit_gaussian_nb(X, y, n_classes, params, seed=0, deadline=None) -> GaussianN
 
 
 # ---------------------------------------------------------------------------
-# CART-style decision trees (Gini) and random forests, grown in lockstep
+# CART-style decision trees (Gini) and random forests, grown level by level
 
 
 @dataclass

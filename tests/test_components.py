@@ -418,10 +418,10 @@ def _grow_reference(X, y, idx, n_classes, depth, max_depth, min_split, sampler, 
 
 def _trees_reference(X, y, n_classes, learner, params, seed):
     """Each tree of a fit as a pre-order node list: a decision tree on all
-    rows, or forest trees, tree t drawing from ``Rng(s)``, s the t-th
-    output of ``Rng(seed)``, its bootstrap one ``randbelow`` at a time and
-    then its root's key, and each searched node drawing its features by
-    ``Rng.shuffle`` from the stream of its own key."""
+    rows, or forest trees, tree t (from 0) drawing from ``Rng(s)``, s the
+    (t + 1)-th output of ``Rng(seed)``, its bootstrap one ``randbelow`` at
+    a time and then its root's key, and each searched node drawing its
+    features by ``Rng.shuffle`` from the stream of its own key."""
     n, d = X.shape
     if learner == "decision_tree":
         nodes = []

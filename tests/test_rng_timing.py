@@ -110,7 +110,7 @@ def test_forest_draws_match_the_scalar_streams(seeds, n_trees, n, size, data):
             assert boots[at].tolist() == [tree.randbelow(n) for _ in range(n)]
             level = [tree.next_u64()]
             for subsets in levels:
-                # the nodes of a level in order, each the left child's parent first
+                # a level lists the left and the right child of each node above, in order
                 width = len(level)
                 next_level = []
                 for j, key in enumerate(level):
