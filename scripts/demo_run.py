@@ -1,6 +1,6 @@
 """One end-to-end search on a synthetic dataset, with the stage trace printed.
 
-Usage: python scripts/demo_run.py [--kind scale_sensitive] [--seed 7] [--out demo_out]
+Usage: python scripts/demo_run.py [--kind scale_sensitive] [--n 200] [--d 8] [--seed 7] [--global-timeout 120]
 """
 
 import argparse

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from stagedml import orchestrator, stats, synth, tables
 from stagedml.components.registry import registry_default
-from stagedml.data import DataFormatError, SplitSpec, load_dataset, save_csv, split
+from stagedml.data import FORMATS, DataFormatError, SplitSpec, load_dataset, save_csv, split
 from stagedml.evaluation import EvalConfig, fit_pipeline, error_rate
 from stagedml.rng import derive_seed
 from stagedml.stages import ValidationConfig
@@ -26,8 +26,6 @@ from stagedml.stages import ValidationConfig
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NO_MODEL = 2
-
-RESULTS_SCHEMA = ["dataset_id", "approach_id", "split_index", "error"]
 
 
 class UsageError(Exception):
@@ -180,6 +178,8 @@ def _spec_from_args(args, require_data: bool = True) -> RunSpec:
     for name in ("global_timeout", "per_eval_timeout", "tuning_candidate_seconds"):
         if merged.get(name) is not None:
             _check_seconds(name, merged[name])
+    if merged.get("format") not in (None, *FORMATS):
+        raise UsageError(f"format={merged['format']!r} is not one of {', '.join(FORMATS)}")
     max_evals = merged.get("tuning_max_evals")
     if max_evals is not None and max_evals < 0:
         raise UsageError(f"tuning_max_evals={max_evals!r} is not an integer >= 0")
@@ -210,6 +210,11 @@ def cmd_bench(args) -> int:
         raise UsageError("bench needs at least one --data")
     if args.splits < 1:
         raise UsageError("--splits must be at least 1")
+    dataset_ids = [Path(data_path).stem for data_path in datasets]  # names of cells and results rows
+    for i, dataset_id in enumerate(dataset_ids):
+        if dataset_id in dataset_ids[:i]:
+            first = datasets[dataset_ids.index(dataset_id)]
+            raise UsageError(f"--data {first} and {datasets[i]} share the dataset id {dataset_id!r}")
     for preset in presets:
         replace(spec, preset=preset).scheme()  # type-check every preset before any work
     outdir = Path(spec.out)
@@ -218,9 +223,8 @@ def cmd_bench(args) -> int:
     matrix = stats.ResultMatrix()
     journal_path = outdir / "journal.jsonl"
     with open(journal_path, "w", encoding="utf-8") as journal_fh:
-        for data_path in datasets:
+        for data_path, dataset_id in zip(datasets, dataset_ids):
             dataset = load_dataset(data_path, format=spec.format, label_column=spec.label)
-            dataset_id = Path(data_path).stem
             # paired outer splits: their seeds never see the preset name
             split_seeds = [derive_seed(spec.seed, dataset_id, s) for s in range(args.splits)]
             for s, split_seed in enumerate(split_seeds):
@@ -346,21 +350,14 @@ def cmd_report(args) -> int:
 
 
 def _add_run_spec_flags(p: _Parser, include_data: bool = True) -> None:
-    if include_data:
-        p.add_argument("--data", dest="data")
-    p.add_argument("--label", dest="label")
-    p.add_argument("--format", choices=["csv", "arff"])
-    p.add_argument("--out", dest="out")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--global-timeout", dest="global_timeout", type=float)
-    p.add_argument("--repeats", type=int)
-    p.add_argument("--train-fraction", dest="train_fraction", type=float)
-    p.add_argument("--per-eval-timeout", dest="per_eval_timeout", type=float)
-    p.add_argument("--n-bar", dest="n_bar", type=int)
-    p.add_argument("--m", dest="m", type=int)
-    p.add_argument("--holdout-fraction", dest="holdout_fraction", type=float)
-    p.add_argument("--tuning-max-evals", dest="tuning_max_evals", type=int)
-    p.add_argument("--tuning-candidate-seconds", dest="tuning_candidate_seconds", type=float)
+    """One flag per ``RunSpec`` field, of the first type its hint names;
+    ``--preset`` and ``--stage-time-limit`` collect their values apart."""
+    hints = typing.get_type_hints(RunSpec)
+    for f in fields(RunSpec):
+        if f.name in ("preset", "stage_time_limits") or (f.name == "data" and not include_data):
+            continue
+        kind = (typing.get_args(hints[f.name]) or (hints[f.name],))[0]
+        p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=kind)
     p.add_argument("--stage-time-limit", dest="stage_time_limit", action="append", metavar="STAGE=SECONDS")
     p.add_argument("--config", help="JSON config file; flags win over file values")
 

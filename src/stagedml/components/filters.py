@@ -13,14 +13,14 @@ import numpy as np
 N_BINS = 10
 
 
-def _bin_column(col: np.ndarray, n_bins: int = N_BINS) -> np.ndarray:
+def _bin_column(col: np.ndarray) -> np.ndarray:
     lo = col.min()
     hi = col.max()
     if hi == lo:
         return np.zeros(col.shape[0], dtype=np.int64)
-    edges = np.linspace(lo, hi, n_bins + 1)
+    edges = np.linspace(lo, hi, N_BINS + 1)
     binned = np.searchsorted(edges, col, side="right") - 1
-    return np.clip(binned, 0, n_bins - 1).astype(np.int64)
+    return np.clip(binned, 0, N_BINS - 1).astype(np.int64)
 
 
 def _contingency(col: np.ndarray, y: np.ndarray, n_classes: int) -> np.ndarray:

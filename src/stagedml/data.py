@@ -26,6 +26,7 @@ import numpy as np
 from stagedml.rng import Rng
 
 MISSING_MARKERS = ("", "?")
+FORMATS = ("csv", "arff")
 ONE_HOT_MAX_CARDINALITY = 32
 
 
@@ -380,7 +381,7 @@ def load_dataset(path: str | Path, format: str | None = None, label_column: str 
     elif format == "arff":
         header, rows, declared = _read_arff(path)
     else:
-        raise DataFormatError(f"unknown format {format!r} (expected csv or arff)")
+        raise DataFormatError(f"unknown format {format!r} (expected one of {', '.join(FORMATS)})")
     label_idx = _resolve_label_index(header, label_column)
     return _encode_columns(header, rows, label_idx, declared)
 

@@ -125,17 +125,6 @@ def candidate_to_dict(c: Candidate) -> dict:
     }
 
 
-def candidate_from_dict(d: Mapping) -> Candidate:
-    return Candidate(
-        learner=d["learner"],
-        params=d.get("params"),
-        scaler=d.get("scaler"),
-        features=FeatureSet(d["features"]) if d.get("features") else None,
-        meta=d.get("meta"),
-        meta_params=d.get("meta_params"),
-    )
-
-
 @dataclass(frozen=True)
 class EvalConfig:
     repeats: int = 5
@@ -327,27 +316,24 @@ def mccv_score(
     registry: Registry,
     deadline: Deadline | None = None,
     folds: Sequence[tuple[np.ndarray, np.ndarray]] | None = None,
-    fold_listener: Callable | None = None,
 ) -> Score:
     """Average validation error over `repeats` stratified splits: the
     one-candidate case of ``mccv_score_group``.
 
     ``folds`` are the (train, validation) row indices of ``mccv_splits``
     when the caller already holds them; by default they are drawn here.
-    ``fold_listener(key, r, train, val)``, if given, sees the raw train
-    and validation matrices of every fold before any fit; an invalid
-    candidate is rejected before the first fold. Each fold is scaled and
-    restricted to the candidate's features as ``fit_pipeline`` would do
-    it, then all folds are fitted in one stacked call, fold r with seed
-    ``derive_seed(cfg.seed, "fit", key, r)``, and predicted in one
-    stacked call of the model.
+    An invalid candidate is rejected before the first fold. Each fold is
+    scaled and restricted to the candidate's features as ``fit_pipeline``
+    would do it, then all folds are fitted in one stacked call, fold r
+    with seed ``derive_seed(cfg.seed, "fit", key, r)``, and predicted in
+    one stacked call of the model.
 
     Failures are statuses, not exceptions: a lapsed deadline yields
     ``failed_timeout`` (partial folds discarded), an invalid candidate,
     a learner error or labels that cannot be split yield
     ``failed_error``. Single-class data scores 0 trivially.
     """
-    return mccv_score_group([candidate], dataset, cfg, registry, [deadline], folds, fold_listener)[0]
+    return mccv_score_group([candidate], dataset, cfg, registry, [deadline], folds)[0]
 
 
 def mccv_score_group(
@@ -357,7 +343,6 @@ def mccv_score_group(
     registry: Registry,
     deadlines: Sequence[Deadline | None] | None = None,
     folds: Sequence[tuple[np.ndarray, np.ndarray]] | None = None,
-    fold_listener: Callable | None = None,
 ) -> list[Score]:
     """The ``mccv_score`` of each of ``candidates``, which share one
     ``stack_signature``, candidate i under ``deadlines[i]``.
@@ -389,14 +374,11 @@ def mccv_score_group(
                 if folds is None:
                     folds = mccv_splits(dataset, cfg)
                 own_train, own_val = [], []
-                for r, (train, val) in enumerate(folds):
+                for train, val in folds:
                     stack.check()
-                    train_rows, val_rows = X[train], X[val]
-                    if fold_listener is not None:
-                        fold_listener(key, r, train_rows, val_rows)
-                    pipeline, model_X = _prepare(candidate, scaler_spec, train_rows)
+                    pipeline, model_X = _prepare(candidate, scaler_spec, X[train])
                     own_train.append(model_X)
-                    own_val.append(pipeline.transform(val_rows))
+                    own_val.append(pipeline.transform(X[val]))
             except DeadlineExceeded:
                 raise
             except Exception:
@@ -417,7 +399,7 @@ def mccv_score_group(
     except Exception as exc:
         if n > 1:  # score each candidate left alone, under its own deadline
             return [
-                score if score is not None else mccv_score(c, dataset, cfg, registry, d, folds, fold_listener)
+                score if score is not None else mccv_score(c, dataset, cfg, registry, d, folds)
                 for c, d, score in zip(candidates, deadlines, scores)
             ]
         status = STATUS_TIMEOUT if isinstance(exc, DeadlineExceeded) else STATUS_ERROR
@@ -511,9 +493,7 @@ class Evaluator:
     ``evaluate`` and ``evaluate_many`` are safe to call concurrently: the
     cache, fold cache and journal are lock-protected and seeds derive from
     candidate keys, never from arrival order; a key being scored is waited
-    for, never scored twice. Batches run one at a time. ``fold_listener``
-    (if set) observes every fitted fold; tests use it for leakage
-    bookkeeping.
+    for, never scored twice. Batches run one at a time.
 
     ``evaluate_many`` forks its worker processes on the first batch that
     needs them; ``close`` stops them (``orchestrator.run`` does when it
@@ -523,7 +503,6 @@ class Evaluator:
     registry: Registry
     dataset: Dataset
     cfg: EvalConfig
-    fold_listener: Callable | None = None
     _cache: dict = field(default_factory=dict)
     _journal: list = field(default_factory=list)
     _by_key: dict = field(default_factory=dict)
@@ -562,7 +541,7 @@ class Evaluator:
             started = time.monotonic()
             score = mccv_score(
                 candidate, self.dataset, cfg, self.registry, deadline=deadline,
-                folds=self._folds(cfg), fold_listener=self.fold_listener,
+                folds=self._folds(cfg),
             )
             self._record(cache_key, candidate, stage, score, (time.monotonic() - started) * 1000.0, cfg)
         return score
@@ -591,9 +570,8 @@ class Evaluator:
         among its members. The batch runs in this process, one candidate
         at a time, as ``evaluate_serially``, when fewer than two keys are
         left to score, when one CPU is usable, when the context cannot go
-        to workers by value (any ``fold_listener``, or a registry that
-        does not pickle), or when workers would have to be forked from a
-        process that runs other threads.
+        to workers by value (a registry that does not pickle), or when
+        workers would be forked from a process that runs other threads.
         """
         with self._batch_lock:
             workers = self._workers_for(candidates)
@@ -697,7 +675,7 @@ class Evaluator:
         """The worker processes for a batch of ``candidates``, forked on
         the first batch that needs them, after the fold cache is built;
         None when the batch runs in this process."""
-        if WORKERS < 2 or self.fold_listener is not None:
+        if WORKERS < 2:
             return None
         with self._lock:
             left = {key for c in candidates if (key := self._cache_key(c, self.cfg)) not in self._cache}

@@ -64,23 +64,15 @@ class SchemeConfig:
             raise ValueError("a validation stage requires a ValidationConfig")
 
     def describe(self) -> dict:
-        def stage_doc(s) -> dict:
-            doc = {"stage_id": s.stage_id, "time_limit": s.time_limit}
-            if s.stage_id == "tuning":
-                doc["max_evals"] = s.max_evals
-                doc["per_candidate_seconds"] = s.per_candidate_seconds
-            return doc
-
+        """The config as JSON values: each stage's fields, the evaluation
+        fields but the seed (the run's own ``seed`` is given once)."""
+        eval_doc = asdict(self.eval)
+        del eval_doc["seed"]
         return {
             "name": self.name,
-            "stages": [stage_doc(s) for s in self.stages],
+            "stages": [{"stage_id": s.stage_id, **asdict(s)} for s in self.stages],
             "global_timeout": self.global_timeout,
-            "eval": {
-                "repeats": self.eval.repeats,
-                "train_fraction": self.eval.train_fraction,
-                "metric": self.eval.metric,
-                "per_eval_timeout": self.eval.per_eval_timeout,
-            },
+            "eval": eval_doc,
             "validation": asdict(self.validation) if self.validation else None,
             "seed": self.seed,
         }
@@ -145,18 +137,13 @@ def holdout_split(dataset: Dataset, cfg: SchemeConfig) -> tuple[Dataset, Dataset
     return split(dataset, spec, stratified=len(np.unique(dataset.labels)) > 1)
 
 
-def run(
-    dataset: Dataset,
-    cfg: SchemeConfig,
-    fold_listener: Callable | None = None,
-) -> RunReport:
+def run(dataset: Dataset, cfg: SchemeConfig) -> RunReport:
     """Search ``dataset`` under ``cfg`` and report the best pipeline.
 
     The meta and tuning stages score their batches on worker processes
     forked from this one (see ``Evaluator.evaluate_many``); they are
     stopped when the run returns or raises. The journal is the same for
-    any number of workers. ``fold_listener`` sees every fitted fold, and
-    having one keeps every evaluation in this process.
+    any number of workers.
     """
     started = time.monotonic()
     global_deadline = Deadline(cfg.global_timeout)
@@ -166,7 +153,6 @@ def run(
         registry=_registry(),
         dataset=optimization,
         cfg=replace(cfg.eval, seed=cfg.seed),
-        fold_listener=fold_listener,
     )
 
     try:

@@ -11,8 +11,8 @@ arbitrary-precision integers.
 
 The state of a stream advances by a fixed constant per draw, so blocks
 of draws of many streams at once are plain uint64 array arithmetic:
-``randbelow_block`` gives exactly what a loop of ``Rng.randbelow`` calls
-gives, and leaves each stream where that loop would.
+``below(next_u64_block(states, count), n)`` gives exactly what a loop of
+``Rng.randbelow(n)`` calls gives, and leaves each stream where it would.
 """
 
 from __future__ import annotations
@@ -141,7 +141,7 @@ def below(x: np.ndarray, n) -> np.ndarray:
     """``randbelow(n)`` of ``next_u64`` outputs ``x``, as int64.
 
     ``n`` is one bound or an array of bounds that broadcasts to ``x``, each
-    in [1, 2**32) (unchecked; ``randbelow_block`` checks). ``(x * n) >> 64``
+    in [1, 2**32) (unchecked: callers pass counts). ``(x * n) >> 64``
     is computed in 64 bits from the halves of x: with x = hi * 2**32 + lo it
     equals ``(hi * n + (lo * n >> 32)) >> 32``, and no product or sum overflows.
     """
@@ -149,16 +149,6 @@ def below(x: np.ndarray, n) -> np.ndarray:
     hi = (x >> _U32) * n
     hi += ((x & _LOW32) * n) >> _U32
     return (hi >> _U32).astype(np.int64)
-
-
-def randbelow_block(states: np.ndarray, n, count: int) -> np.ndarray:
-    """The next ``count`` ``randbelow(n)`` draws of each stream, shape
-    (len(states), count); advances ``states`` in place. ``n`` as in
-    ``below``."""
-    bounds = np.asarray(n, dtype=np.uint64)
-    if bounds.size and (bounds.min() < 1 or bounds.max() > 0xFFFFFFFF):
-        raise ValueError("randbelow bounds must lie in [1, 2**32)")
-    return below(next_u64_block(states, count), bounds)
 
 
 def shuffled_block(draws: np.ndarray, size: int) -> np.ndarray:

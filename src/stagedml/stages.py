@@ -18,10 +18,10 @@ candidates are scored on every usable CPU. Probing, scaling and
 filtering add one candidate at a time in this process: scaling and
 filtering decide later candidates from earlier scores, and probing's
 few cheap candidates cost more to send to workers than to score here.
-Settings no caller varies are module constants:
-``SCALING_EPSILON`` for the scaling stage, and ``FILTER_PILOT``,
-``CHEAP_REPEATS``, ``CURVE_TOL`` and ``CURVE_PATIENCE`` for the feature
-curves of the filtering stage.
+Settings no caller varies are module constants: ``scalers_to_expand``
+reads ``SCALING_EPSILON``, ``feature_curve`` reads ``CURVE_TOL`` and
+``CURVE_PATIENCE``, and the filtering stage scores its feature curves
+with ``FILTER_PILOT`` on ``CHEAP_REPEATS`` repeats.
 """
 
 from __future__ import annotations
@@ -246,20 +246,18 @@ class ProbingStage:
 
 
 def scalers_to_expand(
-    baseline_means: dict[str, float],
-    scaled_means: dict[tuple[str, str], float],
-    epsilon: float = SCALING_EPSILON,
+    baseline_means: dict[str, float], scaled_means: dict[tuple[str, str], float]
 ) -> list[str]:
     """Scaler ids where at least one pilot strictly improved.
 
     Depends only on score orderings, never magnitudes: a scaler expands
-    iff scaled < baseline - epsilon for some pilot with both scores.
+    iff scaled < baseline - SCALING_EPSILON for some pilot with both scores.
     """
     out = []
     for scaler_id in sorted({s for s, _ in scaled_means}):
         for pilot, base in baseline_means.items():
             mean = scaled_means.get((scaler_id, pilot))
-            if mean is not None and mean < base - epsilon:
+            if mean is not None and mean < base - SCALING_EPSILON:
                 out.append(scaler_id)
                 break
     return out
@@ -306,17 +304,13 @@ class ScalingStage:
 
 
 def feature_curve(
-    score_at,
-    schedule: Sequence[int],
-    tol: float = CURVE_TOL,
-    patience: int = CURVE_PATIENCE,
-    expired: Callable[[], bool] | None = None,
+    score_at, schedule: Sequence[int], expired: Callable[[], bool] | None = None
 ) -> list[tuple[int, float]]:
     """Walk prefix lengths until scores worsen persistently.
 
-    Advances while points stay within ``tol`` of the best seen; stops
-    after ``patience`` consecutive worse points (or once ``expired()``
-    is true). Returns the evaluated (length, score) points.
+    Advances while points stay within ``CURVE_TOL`` of the best seen;
+    stops after ``CURVE_PATIENCE`` consecutive worse points (or once
+    ``expired()`` is true). Returns the evaluated (length, score) points.
     """
     points: list[tuple[int, float]] = []
     best = float("inf")
@@ -326,9 +320,9 @@ def feature_curve(
             break
         s = score_at(l)
         points.append((l, s))
-        if s > best + tol:
+        if s > best + CURVE_TOL:
             worse_streak += 1
-            if worse_streak >= patience:
+            if worse_streak >= CURVE_PATIENCE:
                 break
         else:
             worse_streak = 0

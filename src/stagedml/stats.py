@@ -158,7 +158,16 @@ class ResultMatrix:
         self._cells: dict[tuple[str, str], list[float]] = {}
 
     def add(self, dataset_id: str, approach_id: str, split_index: int, error: float) -> None:
+        """Fill one cell; ``ValueError`` for a split index below 0, a cell
+        filled already or an error that is not a rate in [0, 1]."""
+        where = f"cell ({dataset_id}, {approach_id}, split {split_index})"
+        if split_index < 0:
+            raise ValueError(f"{where}: split index below 0")
+        if not 0.0 <= error <= 1.0:  # NaN fails it too
+            raise ValueError(f"{where}: error {error!r} is not a rate in [0, 1]")
         cell = self._cells.setdefault((dataset_id, approach_id), [])
+        if split_index < len(cell) and not math.isnan(cell[split_index]):
+            raise ValueError(f"{where}: filled twice")
         while len(cell) <= split_index:
             cell.append(float("nan"))
         cell[split_index] = float(error)
@@ -199,7 +208,10 @@ class ResultMatrix:
             for row in reader:
                 if row["error"] in ("", None):
                     continue
-                m.add(row["dataset_id"], row["approach_id"], int(row["split_index"]), float(row["error"]))
+                try:
+                    m.add(row["dataset_id"], row["approach_id"], int(row["split_index"]), float(row["error"]))
+                except ValueError as exc:
+                    raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
         return m
 
     @classmethod

@@ -15,6 +15,7 @@ from stagedml.data import ColumnOrigin, Dataset
 from stagedml.rng import Rng
 
 SYNTH_KINDS = ("separable", "madelon_like", "scale_sensitive", "noise_only")
+LABEL_NOISE = 0.05  # share of ``madelon_like`` labels flipped
 
 
 def _balanced_labels(n: int, rng: Rng) -> np.ndarray:
@@ -48,9 +49,9 @@ def separable(n: int, d: int, seed: int) -> Dataset:
     return _wrap(x, y)
 
 
-def madelon_like(n: int, d: int, seed: int, informative: int = 5, label_noise: float = 0.05) -> Dataset:
+def madelon_like(n: int, d: int, seed: int, informative: int = 5) -> Dataset:
     """Linear rule over ``informative`` columns, the rest pure noise,
-    with a fraction of labels flipped."""
+    with a ``LABEL_NOISE`` fraction of labels flipped."""
     k = min(informative, d)
     rng = Rng(seed)
     signs = [1.0 if rng.random() < 0.5 else -1.0 for _ in range(k)]
@@ -61,7 +62,7 @@ def madelon_like(n: int, d: int, seed: int, informative: int = 5, label_noise: f
             x[i, j] = rng.gauss()
         score = sum(signs[j] * x[i, j] for j in range(k))
         label = 1 if score > 0.0 else 0
-        if rng.random() < label_noise:
+        if rng.random() < LABEL_NOISE:
             label = 1 - label
         y[i] = label
     return _wrap(x, y)

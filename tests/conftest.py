@@ -57,6 +57,23 @@ def _exit_in_worker_fit(X, y, n_classes, params, seed=0, deadline=None):
     return fit_gaussian_nb(X, y, n_classes, params, seed=seed, deadline=deadline)
 
 
+def spy_registry(registry, on_fit):
+    """A copy of ``registry`` whose base learner and scaler fits first call
+    ``on_fit(component id, stack)`` with their training matrices as one
+    (r, n, d) stack; a scaler's one matrix comes as a stack of one.
+    Meta-learners fit their base through the same spied spec."""
+
+    def spied(spec):
+        def fit(X, *args, **kwargs):
+            on_fit(spec.id, X if X.ndim == 3 else X[None])
+            return spec.fit(X, *args, **kwargs)
+
+        return replace(spec, fit=fit)
+
+    learners = {lid: spec if spec.is_meta else spied(spec) for lid, spec in registry.learners.items()}
+    return replace(registry, learners=learners, scalers={sid: spied(spec) for sid, spec in registry.scalers.items()})
+
+
 def exiting_registry(registry):
     """``registry`` plus the base learner ``exits``, which kills any
     worker process that fits it."""

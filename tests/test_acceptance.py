@@ -14,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from stagedml import orchestrator
 from stagedml.components import registry_default
 from stagedml.evaluation import (
     Candidate,
@@ -39,7 +40,7 @@ from stagedml.stages import (
 from stagedml.stats import ResultMatrix, tournament, trimmed_mean, wilcoxon_signed_rank
 from stagedml.synth import make_dataset
 
-from conftest import make_numeric_dataset, random_dataset
+from conftest import make_numeric_dataset, random_dataset, spy_registry
 
 
 @contextmanager
@@ -104,19 +105,17 @@ def test_c02_mccv_protocol():
         # folds are shared across candidates within one evaluator run
         for seed in (1, 2, 3):
             d = make_dataset("separable", 60, 3, seed)
-            folds: dict[str, list] = {}
+            folds: dict[str, list] = {}  # learner id -> column 0 of each training fold it fitted
             ev = Evaluator(
-                registry=REGISTRY,
+                registry=spy_registry(
+                    REGISTRY, lambda lid, stack: folds.setdefault(lid, []).extend(tuple(tr[:, 0]) for tr in stack)
+                ),
                 dataset=d,
                 cfg=EvalConfig(seed=seed),
-                fold_listener=lambda key, r, tr, va: folds.setdefault(key, []).append(
-                    tuple(tr[:, 0])
-                ),
             )
             ev.evaluate(Candidate(learner="knn"), stage="probing")
             ev.evaluate(Candidate(learner="gaussian_nb"), stage="probing")
-            knn_folds, nb_folds = folds["-|-|knn|default"], folds["-|-|gaussian_nb|default"]
-            assert knn_folds == nb_folds
+            assert len(folds["knn"]) == 5 and folds["knn"] == folds["gaussian_nb"]
 
 
 def test_c03_primitive_profile_semantics():
@@ -309,7 +308,7 @@ def test_c08_monotone_scheme_property():
                 previous = report.internal_best_score
 
 
-def test_c09_leakage_and_holdout_hygiene():
+def test_c09_leakage_and_holdout_hygiene(monkeypatch):
     with criterion("C9 leakage-and-holdout-hygiene", max_seconds=120.0):
         rng = np.random.default_rng(909)
         # scaler canary: an outlier placed in a validation fold must not
@@ -348,12 +347,12 @@ def test_c09_leakage_and_holdout_hygiene():
                 scheme_presets(seed=seed, eval_config=EvalConfig(seed=seed))["single-validation"],
                 validation=ValidationConfig(m=2, holdout_fraction=0.15),
             )
+            # every training matrix of a base learner or scaler fit, the
+            # validation stage's refits included, by its row ids
             seen: list[set] = []
-            run(
-                tagged,
-                cfg,
-                fold_listener=lambda key, r, tr, va: seen.append(set(tr[:, 0])),
-            )
+            spy = spy_registry(REGISTRY, lambda component, stack: seen.extend(set(tr[:, 0]) for tr in stack))
+            monkeypatch.setattr(orchestrator, "_registry", lambda: spy)
+            run(tagged, cfg)
             _, holdout = holdout_split(tagged, cfg)
             holdout_ids = set(holdout.instances[:, 0])
             assert holdout_ids and seen

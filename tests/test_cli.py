@@ -157,6 +157,21 @@ class TestRun:
         assert f"{field}=" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "bench"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_unknown_format_is_usage_error(self, synth_csv, tmp_path, capsys, command, source):
+        out = tmp_path / "o"
+        args = [command, "--data", str(synth_csv), "--preset", "primitive", "--out", str(out)]
+        if source == "flag":
+            args += ["--format", "xyz"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"format": "xyz"}), encoding="utf-8")
+            args += ["--config", str(cfg)]
+        assert main(args) == EXIT_USAGE
+        assert "format='xyz'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_echo_reruns_identically(self, synth_csv, tmp_path):
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
         assert main(run_args(synth_csv, out1)) == EXIT_OK
@@ -229,6 +244,20 @@ class TestBench:
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert "bogus" in err and "primitive" in err  # the preset is named, not the missing file
+        assert not outdir.exists()
+
+    def test_repeated_dataset_id_is_usage_error(self, synth_csv, tmp_path, capsys):
+        other = tmp_path / "y" / synth_csv.name  # another file with the same stem
+        other.parent.mkdir()
+        other.write_bytes(synth_csv.read_bytes())
+        outdir = tmp_path / "bench"
+        code = main([
+            "bench", "--data", str(synth_csv), "--data", str(other), "--preset", "primitive",
+            "--splits", "2", "--out", str(outdir),
+        ])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(synth_csv) in err and str(other) in err
         assert not outdir.exists()
 
     def test_singleton_class_outer_split(self, tmp_path):
@@ -305,6 +334,24 @@ class TestReport:
         m.to_csv(path)
         assert main(["report", "--results", str(path), "--baseline", "a",
                      "--out", str(tmp_path / "t")]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "rows, line, problem",
+        [
+            (["d0,a,-1,0.1"], 3, "split index below 0"),
+            (["d0,a,0,0.1", "d0,a,0,0.3"], 4, "filled twice"),
+            (["d0,a,0,nan"], 3, "error nan is not a rate"),
+            (["d0,a,0,1.5"], 3, "error 1.5 is not a rate"),
+        ],
+    )
+    def test_malformed_row_is_usage_error(self, tmp_path, capsys, rows, line, problem):
+        path = tmp_path / "r.csv"
+        lines = ["dataset_id,approach_id,split_index,error", "d0,b,0,0.2", *rows, "d1,a,0,0.1", "d1,b,0,0.2"]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(["report", "--results", str(path), "--baseline", "a", "--out", str(tmp_path / "t")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{path}, line {line}: cell (d0, a, split " in err and problem in err
 
     def test_empty_directory_is_usage_error(self, tmp_path):
         empty = tmp_path / "empty"

@@ -18,7 +18,6 @@ from stagedml.evaluation import (
     Candidate,
     EvalConfig,
     Evaluator,
-    candidate_from_dict,
     candidate_key,
     candidate_to_dict,
     error_rate,
@@ -30,7 +29,7 @@ from stagedml.rng import derive_seed
 from stagedml.synth import make_dataset
 from stagedml.timing import Deadline
 
-from conftest import exiting_registry, make_numeric_dataset, random_dataset
+from conftest import exiting_registry, make_numeric_dataset, random_dataset, spy_registry
 
 
 SLOW_STACK_TIMEOUT = 0.25
@@ -105,8 +104,14 @@ class TestCandidateKey:
             meta="adaboost",
             meta_params=None,
         )
-        back = candidate_from_dict(candidate_to_dict(c))
-        assert candidate_key(back) == candidate_key(c)
+        assert candidate_to_dict(c) == {
+            "scaler": "minmax",
+            "features": [1, 4],
+            "learner": "decision_tree",
+            "params": {"max_depth": 4, "min_split": 2},
+            "meta": "adaboost",
+            "meta_params": None,
+        }
 
 
 class TestErrorRate:
@@ -433,24 +438,20 @@ class TestFoldCache:
         for c in self.CANDIDATES:
             assert ev.evaluate(c, stage="probing") == mccv_score(c, d, cfg, registry)
 
-    def test_listener_leaves_journal_unchanged(self, registry):
+    def test_invalid_candidate_reaches_no_fit(self, registry):
         d = make_dataset("separable", 60, 3, 5)
-        cfg = EvalConfig(seed=11)
-        seen = []
-        plain = Evaluator(registry=registry, dataset=d, cfg=cfg)
-        listened = Evaluator(
-            registry=registry,
+        fits = []
+        ev = Evaluator(
+            registry=spy_registry(registry, lambda component, stack: fits.append((component, stack.shape))),
             dataset=d,
-            cfg=cfg,
-            fold_listener=lambda key, r, train, val: seen.append((key, r, train.shape, val.shape)),
+            cfg=EvalConfig(seed=11),
         )
-        for ev in (plain, listened):
-            for c in self.CANDIDATES:
-                ev.evaluate(c, stage="probing")
-        assert self._journal(plain) == self._journal(listened)
+        for c in self.CANDIDATES:
+            ev.evaluate(c, stage="probing")
+        assert [r["status"] for r in self._journal(ev)] == ["ok"] * 3 + ["failed_error"]
         # k=2 lies outside knn's domain, so it is rejected before its first fold
-        assert seen == [
-            (candidate_key(c), r, (42, 3), (18, 3)) for c in self.CANDIDATES[:-1] for r in range(cfg.repeats)
+        assert fits == [("knn", (5, 42, 3))] + [("standardize", (1, 42, 3))] * 5 + [
+            ("gaussian_nb", (5, 42, 3)), ("decision_tree", (5, 42, 2))
         ]
 
     def test_no_dataset_built_per_candidate(self, registry, monkeypatch):
@@ -558,12 +559,10 @@ class TestStackedFolds:
         cfg = EvalConfig(seed=4)
         events = []
         reg = self._registry(registry, events)
-        listener = lambda key, r, train, val: events.append(("fold", r))  # noqa: E731
         for lid in ("logistic_regression", "knn", "gaussian_nb"):
             events.clear()
-            assert mccv_score(Candidate(learner=lid), d, cfg, reg, fold_listener=listener).ok
-            # the listener sees every fold before the one fit
-            assert events == [("fold", r) for r in range(5)] + [("fit", lid, 3)]
+            assert mccv_score(Candidate(learner=lid), d, cfg, reg).ok
+            assert events == [("fit", lid, 3)]
 
     def test_stacked_folds_give_the_per_fold_journal(self, registry):
         d = make_dataset("madelon_like", 60, 4, 3)
@@ -807,16 +806,12 @@ class TestEvaluateMany:
         assert out[0] == out[1]
         assert [r["stage"] for r in out[1][1]] == ["probing"] + ["meta"] * 6
 
-    def test_batches_of_one_key_and_listeners_stay_in_process(self, registry, monkeypatch):
+    def test_batches_of_one_key_stay_in_process(self, registry, monkeypatch):
         monkeypatch.setattr(evaluation, "WORKERS", 2)
         data = make_dataset("separable", 40, 3, 0)
         ev = Evaluator(registry=registry, dataset=data, cfg=EvalConfig(seed=1))
         assert ev.evaluate_many([Candidate("knn"), Candidate("knn")], stage="probing")[0].ok
         assert ev._workers is None
-        seen = []
-        ev = Evaluator(registry=registry, dataset=data, cfg=EvalConfig(seed=1), fold_listener=lambda *a: seen.append(a))
-        assert all(s.ok for s in ev.evaluate_many(_batch(), stage="meta"))
-        assert ev._workers is None and len(seen) == 7 * 5
 
     def test_unpicklable_registry_runs_in_process(self, registry, monkeypatch):
         monkeypatch.setattr(evaluation, "WORKERS", 2)

@@ -20,7 +20,7 @@ from stagedml.components.registry import LearnerSpec
 from stagedml.stages import MetaStage, ProbingStage, ScalingStage, TuningStage, ValidationConfig, ValidationStage
 from stagedml.synth import make_dataset
 
-from conftest import exiting_registry, make_numeric_dataset
+from conftest import exiting_registry, make_numeric_dataset, spy_registry
 
 
 def fast_eval(seed=0):
@@ -183,7 +183,7 @@ class TestRun:
 
 
 class TestHoldoutHygiene:
-    def test_holdout_rows_never_trained_on(self):
+    def test_holdout_rows_never_trained_on(self, registry, monkeypatch):
         data = make_dataset("separable", 100, 3, 4)
         # unique row ids in column 0 for bookkeeping
         x = data.instances.copy()
@@ -196,10 +196,15 @@ class TestHoldoutHygiene:
             validation=ValidationConfig(m=3, holdout_fraction=0.2),
         )
         seen_train_ids = []
-        run(tagged, cfg, fold_listener=lambda key, r, train, val: seen_train_ids.append(set(train[:, 0])))
+
+        def record(component, stack):
+            seen_train_ids.extend(set(rows[:, 0]) for rows in stack)
+
+        monkeypatch.setattr(orchestrator, "_registry", lambda: spy_registry(registry, record))
+        run(tagged, cfg)
         optimization, holdout = holdout_split(tagged, cfg)
         holdout_ids = set(holdout.instances[:, 0])
-        assert holdout_ids
+        assert holdout_ids and seen_train_ids
         for ids in seen_train_ids:
             assert ids.isdisjoint(holdout_ids)
 

@@ -7,10 +7,10 @@ import numpy as np
 
 from stagedml.rng import (
     Rng,
+    below,
     derive_seed,
     next_u64_block,
     node_draws,
-    randbelow_block,
     shuffled_block,
     streams,
     tree_start,
@@ -63,9 +63,9 @@ def test_random_unit_interval(seed):
 def test_block_draws_continue_the_scalar_streams(seeds, n, count, skip):
     states = streams(seeds)
     next_u64_block(states, skip)
-    draws = randbelow_block(states, n, count)
+    draws = below(next_u64_block(states, count), n)
     size = 1 + count % 9
-    shuffles = shuffled_block(randbelow_block(states, np.arange(size, 1, -1), size - 1), size)
+    shuffles = shuffled_block(below(next_u64_block(states, size - 1), np.arange(size, 1, -1)), size)
     # a stream whose state is the block's end state continues where the scalar loop is
     floats = [Rng(int(s)).random_block(count) for s in states]
     for i, seed in enumerate(seeds):
@@ -122,12 +122,6 @@ def test_forest_draws_match_the_scalar_streams(seeds, n_trees, n, size, data):
                 level = next_level
             assert [int(key) for key in keys[at * len(level) : (at + 1) * len(level)]] == level
             at += 1
-
-
-def test_block_bounds_are_checked():
-    for n in (0, 2**32):
-        with pytest.raises(ValueError):
-            randbelow_block(streams([1]), n, 3)
 
 
 def test_shuffle_is_permutation():

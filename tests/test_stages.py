@@ -211,8 +211,6 @@ class TestScaling:
             ("minmax", "-|-|gaussian_nb|default"): 0.31,
         }
         assert scalers_to_expand(baselines, scaled) == ["standardize"]
-        # epsilon raises the bar
-        assert scalers_to_expand(baselines, scaled, epsilon=0.25) == []
 
     def test_expansion_invariant_to_score_shifts(self):
         baselines = {"p": 0.40}
@@ -274,14 +272,14 @@ class TestFeatureCurve:
     def test_reference_walk(self):
         # argmin-with-smaller-l-tie-break oracle over the listed points
         table = {1: 0.30, 2: 0.25, 4: 0.25, 8: 0.26, 16: 0.27, 32: 0.10}
-        points = feature_curve(table.__getitem__, [1, 2, 4, 8, 16, 32], tol=0.005, patience=2)
+        points = feature_curve(table.__getitem__, [1, 2, 4, 8, 16, 32])
         assert points == [(1, 0.30), (2, 0.25), (4, 0.25), (8, 0.26), (16, 0.27)]
         best = select_best_prefix([("f", list(range(32)), points)])
         assert best[1] == 2  # smaller l wins the 0.25 tie
 
     def test_patience_resets_on_recovery(self):
         table = {1: 0.30, 2: 0.31, 4: 0.25, 8: 0.40, 16: 0.41}
-        points = feature_curve(table.__getitem__, [1, 2, 4, 8, 16], tol=0.005, patience=2)
+        points = feature_curve(table.__getitem__, [1, 2, 4, 8, 16])
         assert [l for l, _ in points] == [1, 2, 4, 8, 16]
 
     def test_schedule_geometric_capped(self):
