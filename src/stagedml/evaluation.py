@@ -20,12 +20,12 @@ pair of row-index arrays over the one optimization matrix; an
 and shares them across all its candidates. Scores are cached by
 (candidate key, dataset hash, config); lower is better.
 
-``Evaluator.evaluate_many`` scores a batch of candidates on ``WORKERS``
-forked processes and journals them as ``evaluate`` called once per
-candidate, in submission order, would. Candidates of a batch that differ
-only in scaler and features (of one width) go to a worker together and
-are fitted as one stack across candidates and folds
-(``mccv_score_group``).
+``Evaluator.evaluate_many`` scores a batch of at least ``POOL_CELLS``
+training cells on ``WORKERS`` forked processes and journals it as
+``evaluate`` called once per candidate, in submission order, would.
+Candidates of a batch that differ only in scaler and features (of one
+width) go to a worker together and are fitted as one stack across
+candidates and folds (``mccv_score_group``).
 """
 
 from __future__ import annotations
@@ -54,6 +54,8 @@ STATUS_ERROR = "failed_error"
 
 # processes ``Evaluator.evaluate_many`` scores a batch on: the CPUs this process may use
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+# training cells of the keys left to score from which a batch pays for starting workers
+POOL_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -569,9 +571,15 @@ class Evaluator:
         depend on the worker count; a group's wall time is split evenly
         among its members. The batch runs in this process, one candidate
         at a time, as ``evaluate_serially``, when fewer than two keys are
-        left to score, when one CPU is usable, when the context cannot go
-        to workers by value (a registry that does not pickle), or when
-        workers would be forked from a process that runs other threads.
+        left to score, when their training cells (repeats x training rows
+        x input width, summed) fall short of ``POOL_CELLS``, when one CPU
+        is usable, when the context cannot go to workers by value (a
+        registry that does not pickle), or when workers would be forked
+        from a process that runs other threads. Starting workers costs
+        11-15 ms on a 2-vCPU VM, more than a second CPU saves on the
+        500-5,000 cells of a probing, scaling or filtering batch of 40
+        rows; meta and tuning batches of such rows hold 30,000 or more,
+        and every batch of 1,500 rows and 6 columns 105,000 or more.
         """
         with self._batch_lock:
             workers = self._workers_for(candidates)
@@ -631,8 +639,7 @@ class Evaluator:
         stay within ``STACK_CELLS`` (one key alone may exceed it). Cached
         and repeated keys go with a group of their signature and take no
         room in it."""
-        folds = self._folds(self.cfg)
-        n_train = len(folds[0][0]) if folds else 0
+        cells_per_column = self._cells_per_column()
         keys = [self._cache_key(c, self.cfg) for c in candidates]
         with self._lock:
             left = {key for key in keys if key not in self._cache}
@@ -640,7 +647,7 @@ class Evaluator:
         groups, open_groups = [], {}  # signature -> [indices, keys to score, cells]
         for i, (candidate, key) in enumerate(zip(candidates, keys)):
             signature = stack_signature(candidate, self.dataset.n_columns)
-            scores, cells = key in left, self.cfg.repeats * n_train * signature[1]
+            scores, cells = key in left, cells_per_column * signature[1]
             left.discard(key)
             group = open_groups.get(signature)
             if group is None or (scores and group[1] and (group[1] >= cap or group[2] + cells > STACK_CELLS)):
@@ -671,6 +678,11 @@ class Evaluator:
             self._by_key[cache_key[0]] = candidate
             del self._scoring[cache_key]
 
+    def _cells_per_column(self) -> int:
+        """Training cells of one key per column of its input: repeats x training rows."""
+        folds = self._folds(self.cfg)
+        return self.cfg.repeats * len(folds[0][0]) if folds else 0
+
     def _workers_for(self, candidates: Sequence[Candidate]) -> "_Workers | None":
         """The worker processes for a batch of ``candidates``, forked on
         the first batch that needs them, after the fold cache is built;
@@ -678,8 +690,9 @@ class Evaluator:
         if WORKERS < 2:
             return None
         with self._lock:
-            left = {key for c in candidates if (key := self._cache_key(c, self.cfg)) not in self._cache}
-        if len(left) < 2:
+            left = {key: c for c in candidates if (key := self._cache_key(c, self.cfg)) not in self._cache}
+        widths = (stack_signature(c, self.dataset.n_columns)[1] for c in left.values())
+        if len(left) < 2 or self._cells_per_column() * sum(widths) < POOL_CELLS:
             return None
         if self._workers is None:
             if threading.active_count() > 1:

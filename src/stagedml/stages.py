@@ -10,14 +10,14 @@ The protocol the stages share is written once, in ``StageContext``:
 ``try_add_many`` returns the pool entries of a batch of candidates,
 scoring the ones the pool lacks as one ``Evaluator.evaluate_many`` batch
 and adding each whose score is ok (and, for tuning, beats its
-incumbent), in submission order; ``try_add`` is its one-candidate case.
-``expired`` is the stage-deadline check that records ``deadline_hit`` in
-the trace when it stops a stage. The meta and tuning stages build their
-whole candidate lists up front and submit each as one batch, so their
-candidates are scored on every usable CPU. Probing, scaling and
-filtering add one candidate at a time in this process: scaling and
-filtering decide later candidates from earlier scores, and probing's
-few cheap candidates cost more to send to workers than to score here.
+incumbent), in submission order. ``expired`` is the stage-deadline check
+that records ``deadline_hit`` in the trace when it stops a stage. Each
+independent phase is one batch: probing's learners, scaling's pilot grid
+and then its expansion, filtering's twins, and meta's and tuning's whole
+candidate lists; a later phase reads the scores of an earlier one. The
+feature curves score one point at a time, as a point's patience rule
+reads the points before it. A batch goes to worker processes only when
+its training cells reach ``evaluation.POOL_CELLS``.
 Settings no caller varies are module constants: ``scalers_to_expand``
 reads ``SCALING_EPSILON``, ``feature_curve`` reads ``CURVE_TOL`` and
 ``CURVE_PATIENCE``, and the filtering stage scores its feature curves
@@ -150,10 +150,6 @@ class StageContext:
         self.trace["deadline_hit"] = True
         return True
 
-    def try_add(self, pool: CandidatePool, candidate: Candidate, stage_id: str) -> ScoredCandidate | None:
-        """``try_add_many`` of one candidate."""
-        return self.try_add_many(pool, [candidate], stage_id)[0]
-
     def try_add_many(
         self,
         pool: CandidatePool,
@@ -233,15 +229,9 @@ class ProbingStage:
     time_limit: float | None = None
 
     def run(self, pool: CandidatePool, ctx: StageContext) -> CandidatePool:
-        added = []
-        for learner_id in ctx.registry.base_learner_ids():
-            if ctx.expired():
-                break
-            size = len(pool)
-            entry = ctx.try_add(pool, Candidate(learner=learner_id), self.stage_id)
-            if len(pool) > size:
-                added.append(entry.key)
-        ctx.trace["added"] = added
+        size = len(pool)
+        ctx.try_add_many(pool, [Candidate(learner=lid) for lid in ctx.registry.base_learner_ids()], self.stage_id)
+        ctx.trace["added"] = pool.keys()[size:]
         return pool
 
 
@@ -280,26 +270,17 @@ class ScalingStage:
             pilots.setdefault(candidate_key(extra), extra)
 
         # every pilot on raw data (scaler None) first, then under each scaler
-        means: dict[tuple[str | None, str], float] = {}
-        for scaler_id, key in [(s, k) for s in (None, *ctx.registry.scaler_ids()) for k in pilots]:
-            if ctx.expired():
-                break
-            entry = ctx.try_add(pool, replace(pilots[key], scaler=scaler_id), self.stage_id)
-            if entry is not None:
-                means[scaler_id, key] = entry.score.mean
+        grid = [(s, k) for s in (None, *ctx.registry.scaler_ids()) for k in pilots]
+        entries = ctx.try_add_many(pool, [replace(pilots[k], scaler=s) for s, k in grid], self.stage_id)
+        means = {sk: entry.score.mean for sk, entry in zip(grid, entries) if entry is not None}
         baselines = {key: mean for (scaler_id, key), mean in means.items() if scaler_id is None}
         scaled_means = {sk: mean for sk, mean in means.items() if sk[0] is not None}
         expanded = scalers_to_expand(baselines, scaled_means)
         ctx.trace["expanded_scalers"] = expanded
 
         pilot_learner_ids = {p.learner for p in pilots.values()}
-        for scaler_id in expanded:
-            for learner_id in ctx.registry.base_learner_ids():
-                if learner_id in pilot_learner_ids:
-                    continue
-                if ctx.expired():
-                    return pool
-                ctx.try_add(pool, Candidate(learner=learner_id, scaler=scaler_id), self.stage_id)
+        others = [lid for lid in ctx.registry.base_learner_ids() if lid not in pilot_learner_ids]
+        ctx.try_add_many(pool, [Candidate(learner=lid, scaler=s) for s in expanded for lid in others], self.stage_id)
         return pool
 
 
@@ -403,12 +384,10 @@ class FilteringStage:
         features, curves = compute_feature_set(ctx)
         ctx.trace["feature_set"] = list(features)
         ctx.trace["curves"] = curves
-        covers_all = len(features) == ctx.data.n_columns
-        for entry in pool.sorted_by_score():
-            if ctx.expired():
-                break
-            if entry.candidate.features is None:
-                ctx.try_add(pool, entry.candidate.with_features(None if covers_all else features), self.stage_id)
+        twin_features = None if len(features) == ctx.data.n_columns else features
+        raw = [e.candidate for e in pool.sorted_by_score() if e.candidate.features is None]
+        twins = [c.with_features(twin_features) for c in raw]
+        ctx.try_add_many(pool, twins, self.stage_id)
         return pool
 
 

@@ -789,6 +789,27 @@ class TestEvaluateMany:
         yield
         assert multiprocessing.active_children() == []
 
+    @pytest.fixture(autouse=True)
+    def pool_cells_of_one(self, monkeypatch):
+        """These batches hold far fewer training cells than POOL_CELLS;
+        they test the worker mechanics, so any batch of two keys may go
+        to workers."""
+        monkeypatch.setattr(evaluation, "POOL_CELLS", 1)
+
+    def test_batches_below_pool_cells_stay_in_process(self, registry, monkeypatch):
+        monkeypatch.setattr(evaluation, "WORKERS", 2)
+        data = make_dataset("separable", 40, 3, 0)
+        ev = Evaluator(registry=registry, dataset=data, cfg=EvalConfig(seed=1))
+        cells = ev._cells_per_column() * 3 * 2  # two keys left, each of all three columns
+        monkeypatch.setattr(evaluation, "POOL_CELLS", cells + 1)
+        pair = [Candidate("knn"), Candidate("gaussian_nb")]
+        assert all(s.ok for s in ev.evaluate_many(pair, stage="probing"))
+        assert ev._workers is None
+        monkeypatch.setattr(evaluation, "POOL_CELLS", cells)
+        assert all(s.ok for s in ev.evaluate_many(_batch()[:2], stage="meta"))
+        assert ev._workers is not None
+        ev.close()
+
     def test_journal_and_scores_independent_of_worker_count(self, registry, monkeypatch):
         data = make_dataset("madelon_like", 60, 4, 3)
         out = []

@@ -353,6 +353,7 @@ class TestWorkers:
 
     def test_learner_killing_its_worker_ends_failed_error(self, registry, monkeypatch):
         monkeypatch.setattr(orchestrator, "_registry", lambda: exiting_registry(registry))
+        monkeypatch.setattr(evaluation, "POOL_CELLS", 3000)  # probing's batch holds 2,520 cells, meta's 5,040
         cfg = presets_for_tests(2)["single-meta"]
         report = run(make_dataset("separable", 40, 3, 0), cfg)
         assert report.ok and multiprocessing.active_children() == []
@@ -396,7 +397,9 @@ class TestWorkers:
         assert 0 < len(meta_tasks) < len(meta)
         assert sum(len(task) for task in meta_tasks) == len(meta)
 
-    def test_run_that_raises_stops_its_workers(self):
+    def test_run_that_raises_stops_its_workers(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "POOL_CELLS", 3000)  # below the meta batch's 4,200 cells
+
         class Boom:
             stage_id = "boom"
             time_limit = None
@@ -416,6 +419,26 @@ class TestWorkers:
 
         monkeypatch.setattr(evaluation, "_Workers", no_fork)
         assert run(make_dataset("scale_sensitive", 60, 4, 1), presets_for_tests(1)["monotone-filtering"]).ok
+
+    def test_phase_batches_fork_workers_once_their_cells_reach_pool_cells(self, monkeypatch):
+        forks = []
+
+        class Counted(evaluation._Workers):
+            def __init__(self, *args):
+                forks.append(args)
+                super().__init__(*args)
+
+        tasks = _spy_on_tasks(monkeypatch)
+        monkeypatch.setattr(evaluation, "_Workers", Counted)
+        cfg = presets_for_tests(1)["monotone-filtering"]
+        assert run(make_dataset("scale_sensitive", 40, 4, 1), cfg).ok
+        assert forks == [] and tasks == []
+        # 300 rows: each probing key holds 5 x 210 x 4 = 4,200 cells, the batch 21,000
+        report = run(make_dataset("scale_sensitive", 300, 4, 1), cfg)
+        assert report.ok and len(forks) == 1 and multiprocessing.active_children() == []
+        stage_of = {r["candidate_key"]: r["stage"] for r in report.journal}
+        assert {stage_of[key] for key in tasks[0]} == {"probing"}
+        assert {stage_of[key] for task in tasks for key in task} == {"probing", "scaling", "filtering"}
 
     def test_journal_independent_of_worker_count(self, monkeypatch):
         data = make_dataset("madelon_like", 40, 4, 6)

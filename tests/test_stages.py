@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stagedml.components.learners import fit_gaussian_nb
 from stagedml.components.registry import LearnerSpec, Registry
 from stagedml.data import FeatureSet
 from stagedml import evaluation
@@ -636,6 +637,40 @@ def test_pool_min_never_worsens_across_stages(registry):
         best = min(best, current)
 
 
+def test_each_phase_reaches_the_evaluator_as_one_batch(registry, monkeypatch):
+    batches = []
+    evaluate_many = Evaluator.evaluate_many
+
+    def spy(self, candidates, stage, deadline=None, budgets=None):
+        batches.append((stage, [candidate_key(c) for c in candidates]))
+        return evaluate_many(self, candidates, stage, deadline, budgets)
+
+    monkeypatch.setattr(Evaluator, "evaluate_many", spy)
+    data = make_dataset("scale_sensitive", 120, 5, 0)
+    ev = Evaluator(registry=registry, dataset=data, cfg=EvalConfig(seed=3))
+    pool, traces = CandidatePool(), {}
+    for stage in (ProbingStage(), ScalingStage(), FilteringStage()):
+        ctx = ctx_for(ev, data, registry)
+        pool = stage.run(pool, ctx)
+        traces[stage.stage_id] = ctx.trace
+    ev.close()
+    # probing; scaling's pilot grid, then its expansion; filtering's twins
+    assert [stage for stage, _ in batches] == ["probing", "scaling", "scaling", "filtering"]
+    assert batches[0][1] == [f"-|-|{lid}|default" for lid in registry.base_learner_ids()]
+    pilots = {key.split("|")[2] for key in batches[1][1]}
+    assert {key.split("|")[0] for key in batches[1][1]} == set(registry.scaler_ids())  # probing scored them raw
+    assert batches[2][1] == [
+        f"{scaler}|-|{lid}|default"
+        for scaler in traces["scaling"]["expanded_scalers"]
+        for lid in registry.base_learner_ids()
+        if lid not in pilots
+    ]
+    assert traces["scaling"]["expanded_scalers"] and len(traces["filtering"]["feature_set"]) < data.n_columns
+    # every full-protocol scoring of these stages came from those batches, in their order
+    journaled = [r.candidate_key for r in ev.journal_records() if not r.auxiliary]
+    assert journaled == [key for _, keys in batches for key in keys]
+
+
 # ---------------------------------------------------------------------------
 # meta and tuning batches on worker processes
 
@@ -651,6 +686,7 @@ def _slow_meta_fit(base, base_params, X, y, n_classes, params, seed=None, deadli
 
 def test_stage_deadline_lapsing_mid_batch_stops_dispatch(registry, monkeypatch):
     monkeypatch.setattr(evaluation, "WORKERS", 2)
+    monkeypatch.setattr(evaluation, "POOL_CELLS", 1)  # these batches hold a few thousand cells
     slow = LearnerSpec(id="slow", default_params={}, param_space={}, is_meta=True, fit=_slow_meta_fit)
     base = {lid: spec for lid, spec in registry.learners.items() if not spec.is_meta}
     reg = replace(registry, learners={**base, "slow": slow})
@@ -674,6 +710,38 @@ def test_stage_deadline_lapsing_mid_batch_stops_dispatch(registry, monkeypatch):
     assert 2 <= len(sent) < len(stacks) and sent == stacks[: len(sent)]
     assert journaled == [key for key in submitted if any(key in stack for stack in sent)]
     assert ctx.trace["deadline_hit"] is True
+    assert multiprocessing.active_children() == []
+
+
+def _slow_on_unit_range_fit(X, y, n_classes, params, seed=0, deadline=None):
+    """Gaussian NB, except that a stack holding a slice scaled into
+    [0, 1] (minmax, quantile_rank) runs until its deadline lapses."""
+    if any(x.min() >= -1e-9 and x.max() <= 1.0 + 1e-9 for x in X):
+        while not deadline.expired():
+            time.sleep(0.005)
+        deadline.check()
+    return fit_gaussian_nb(X, y, n_classes, params, seed=seed, deadline=deadline)
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=["in-process", "workers"])
+def test_stage_deadline_lapsing_in_scaling_pilots_leaves_expansion_undispatched(registry, monkeypatch, workers):
+    monkeypatch.setattr(evaluation, "WORKERS", workers)
+    monkeypatch.setattr(evaluation, "POOL_CELLS", 1)
+    slow = LearnerSpec(id="slow", default_params={}, param_space={}, is_meta=False, fit=_slow_on_unit_range_fit)
+    reg = replace(registry, learners={**registry.learners, "slow": slow})
+    data = make_dataset("scale_sensitive", 60, 4, 1)
+    ev = Evaluator(registry=reg, dataset=data, cfg=EvalConfig(seed=0))
+    # the pool's best, ``slow``, joins the pilots: under minmax it runs past
+    # the stage deadline, after standardize has improved knn
+    pool = CandidatePool([entry(0.05, learner="slow")])
+    ctx = ctx_for(ev, data, reg, deadline=Deadline(1.0))
+    ScalingStage().run(pool, ctx)
+    forked = ev._workers is not None
+    ev.close()
+    assert forked == (workers == 2)
+    assert "standardize" in ctx.trace["expanded_scalers"] and ctx.trace["deadline_hit"] is True
+    scored = {r.candidate_key.split("|")[2] for r in ev.journal_records()}
+    assert scored == {"knn", "gaussian_nb", "slow"}  # pilots only: no expansion
     assert multiprocessing.active_children() == []
 
 
