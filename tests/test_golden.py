@@ -6,7 +6,8 @@ evaluations however fast the code is. The sha256 of their journals
 traces and pool snapshots, the config of every preset, and the journal
 of fixed lists of logistic-regression, decision-tree and forest
 candidates, plain and wrapped in a meta-learner, that cover the stacked
-fits. A change that alters search behaviour on
+fits. The files the command line writes for synth, bench, report and
+run are pinned too, byte for byte but for their wall-clock fields. A change that alters search behaviour on
 purpose re-pins the hash and says why; a change meant to be a pure
 refactor or speed-up must leave it alone. Every pinned output is made
 with one worker process and with two, and both must agree.
@@ -15,12 +16,13 @@ with one worker process and with two, and both must agree.
 import hashlib
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from stagedml import evaluation, orchestrator
+from stagedml import cli, evaluation, orchestrator
 from stagedml.components.registry import registry_default
 from stagedml.data import FeatureSet
 from stagedml.evaluation import Candidate, EvalConfig, Evaluator
@@ -40,6 +42,8 @@ TRACES_CONFIGS_SHA256 = "a190198e41ce026a8b2a461670c19f2bbc47d60a287d2e9ac4bce0b
 TREE_SHA256 = "c6b61f23d215887d6de5b7a18c11dd0844e6d9784010105e2517e55980f0a85f"
 # tree, forest, bagged-forest and boosted candidates, scored directly
 FOREST_SHA256 = "b9b73fce283451eb2e1bdc8a755c5dd70db710315b67e67767d10a00d051174a"
+# the report, journal, stage, results and table files of synth, bench, report and run
+CLI_OUTPUTS_SHA256 = "10dfef3c50b71e84a0e929ce8789ef49c136635e34f9efee0e8392465d4b9a54"
 
 
 def _fixed_work(cfg: orchestrator.SchemeConfig) -> orchestrator.SchemeConfig:
@@ -266,3 +270,35 @@ def test_forest_journal_unchanged():
     assert len(journal) == 2 * 46 and all(r["status"] == "ok" for r in journal)
     blob = json.dumps(journal, sort_keys=True).encode("utf-8")
     assert hashlib.sha256(blob).hexdigest() == FOREST_SHA256
+
+
+# the values of the wall-clock fields, the only bytes the CLI-output pin leaves out
+_CLOCK_VALUES = re.compile(r'"(wall_ms|total_wall_s|started|ended)": [^,\n}]*')
+
+
+def test_cli_outputs_unchanged(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # relative paths, so config echoes do not name the temporary directory
+    fixed_work = ["--global-timeout", "inf", "--per-eval-timeout", "inf", "--tuning-candidate-seconds", "inf",
+                  "--stage-time-limit", "meta=inf", "--stage-time-limit", "tuning=inf"]
+    commands = [
+        ["synth", "--kind", "madelon_like", "--n", "40", "--d", "4", "--seed", "3", "--out", "d.csv"],
+        ["bench", "--data", "d.csv", "--preset", "primitive", "--preset", "single-validation",
+         "--splits", "3", "--seed", "5", "--out", "bench", *fixed_work],
+        ["report", "--results", "bench", "--baseline", "primitive", "--range", "single-validation=primitive",
+         "--out", "tables"],
+        ["run", "--data", "d.csv", "--preset", "full", "--seed", "5", "--tuning-max-evals", "2",
+         "--out", "run", *fixed_work],
+    ]
+    for argv in commands:
+        assert cli.main(argv) == 0, argv
+    pinned = sorted(
+        path for path in tmp_path.rglob("*")
+        if path.name in ("report.json", "journal.jsonl", "stages.json", "results.csv")
+        or path.parent.name == "tables"
+    )
+    assert len(pinned) == 3 * 2 + 2 + 3 + 6  # bench cells, bench files, run files, tables
+    digest = hashlib.sha256()
+    for path in pinned:
+        text = _CLOCK_VALUES.sub(r'"\1": null', path.read_text(encoding="utf-8"))
+        digest.update(f"{path.relative_to(tmp_path).as_posix()}\0{text}\0".encode("utf-8"))
+    assert digest.hexdigest() == CLI_OUTPUTS_SHA256
