@@ -6,8 +6,11 @@ For each workload of ``benchmark/workloads.py``, each seed and each
 inputs of that seed and prints the record count and the sha256 of
 ``json.dumps(journal, sort_keys=True)``, the journal without
 ``wall_ms``. cli-bench-tiny runs through ``cli.main`` in this process,
-with its files in a temporary directory. The script exits 1 if the two
-worker counts give different hashes for any workload and seed.
+with its files in a temporary directory; for it the script also prints
+the sha256 of the files it writes besides the journal, ``results.csv``
+and every table ``.csv`` and ``.txt``, hashed in name order with their
+names. The script exits 1 if the two worker counts give different
+hashes, of journals or of files, for any workload and seed.
 
 Usage: python scripts/journal_hashes.py [--workload NAME ...] [--seeds 3 5]
 """
@@ -43,6 +46,16 @@ def journal_hash(workload, seed: int) -> tuple[int, str]:
     return len(journal), hashlib.sha256(json.dumps(journal, sort_keys=True).encode()).hexdigest()
 
 
+def output_hash(workload) -> tuple[int, str]:
+    """The file count and sha256 of the results and table files of the
+    round of ``workload`` that ran last."""
+    paths = [workload.dir / "bench" / "results.csv", *sorted((workload.dir / "tables").iterdir())]
+    digest = hashlib.sha256()
+    for path in paths:
+        digest.update(path.relative_to(workload.dir).as_posix().encode() + b"\0" + path.read_bytes())
+    return len(paths), digest.hexdigest()
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--workload", action="append", choices=list(workloads.WORKLOADS))
@@ -59,11 +72,15 @@ def main() -> int:
                 for workers in WORKER_COUNTS:
                     evaluation.WORKERS = workers
                     count, digest = journal_hash(workload, seed)
-                    hashes.add(digest)
                     print(f"{name}\tseed {seed}\tWORKERS {workers}\t{count} records\t{digest}", flush=True)
+                    if workload.runs_children:
+                        files, files_digest = output_hash(workload)
+                        print(f"{name}\tseed {seed}\tWORKERS {workers}\t{files} files\t{files_digest}", flush=True)
+                        digest += files_digest
+                    hashes.add(digest)
                 differ |= len(hashes) > 1
     if differ:
-        print("error: the worker counts give different journals", file=sys.stderr)
+        print("error: the worker counts give different journals or files", file=sys.stderr)
     return 1 if differ else 0
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 from stagedml import orchestrator, stats, synth, tables
 from stagedml.components.registry import registry_default
 from stagedml.data import FORMATS, DataFormatError, SplitSpec, load_dataset, save_csv, split
-from stagedml.evaluation import EvalConfig, fit_pipeline, error_rate
+from stagedml.evaluation import EvalConfig, holdout_error
 from stagedml.rng import derive_seed
 from stagedml.stages import ValidationConfig
 
@@ -104,12 +104,15 @@ def _write_json(path: Path, doc) -> None:
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
+def _journal_lines(journal: list[dict]) -> str:
+    """The records of ``journal`` as ``journal.jsonl`` lines, one JSON object a line."""
+    return "".join(json.dumps(record) + "\n" for record in journal)
+
+
 def write_run_outputs(report: orchestrator.RunReport, spec: RunSpec, outdir: Path) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     _write_json(outdir / "report.json", {**report.to_json_dict(), "config_echo": spec.to_config_echo()})
-    with open(outdir / "journal.jsonl", "w", encoding="utf-8") as fh:
-        for record in report.journal:
-            fh.write(json.dumps(record) + "\n")
+    (outdir / "journal.jsonl").write_text(_journal_lines(report.journal), encoding="utf-8")
     _write_json(outdir / "stages.json", report.stage_traces)
     _write_json(outdir / "registry.json", registry_default().to_json_dict())
     curves = [
@@ -215,8 +218,13 @@ def cmd_bench(args) -> int:
         if dataset_id in dataset_ids[:i]:
             first = datasets[dataset_ids.index(dataset_id)]
             raise UsageError(f"--data {first} and {datasets[i]} share the dataset id {dataset_id!r}")
+    # type-check every preset and the outer split before any work
     for preset in presets:
-        replace(spec, preset=preset).scheme()  # type-check every preset before any work
+        replace(spec, preset=preset).scheme()
+    try:
+        outer = SplitSpec(train_fraction=args.outer_train_fraction, seed=spec.seed)
+    except ValueError as exc:
+        raise UsageError(f"--outer-train-fraction {args.outer_train_fraction!r}: {exc}") from None
     outdir = Path(spec.out)
     outdir.mkdir(parents=True, exist_ok=True)
     registry = registry_default()
@@ -228,31 +236,21 @@ def cmd_bench(args) -> int:
             # paired outer splits: their seeds never see the preset name
             split_seeds = [derive_seed(spec.seed, dataset_id, s) for s in range(args.splits)]
             for s, split_seed in enumerate(split_seeds):
-                train, test = split(
-                    dataset,
-                    SplitSpec(train_fraction=args.outer_train_fraction, seed=split_seed),
-                    stratified=True,
-                )
+                train, test = split(dataset, replace(outer, seed=split_seed), stratified=True)
                 for preset in presets:
                     cell_spec = replace(
                         spec, preset=preset, seed=derive_seed(spec.seed, dataset_id, s, preset)
                     )
                     report = orchestrator.run(train, cell_spec.scheme())
-                    for record in report.journal:
-                        journal_fh.write(json.dumps(record) + "\n")
+                    journal_fh.write(_journal_lines(report.journal))
                     cell_dir = outdir / "runs" / f"{dataset_id}__{preset}__s{s}"
                     cell_dir.mkdir(parents=True, exist_ok=True)
                     doc = report.to_json_dict()
                     test_error = None
                     if report.ok:
                         try:
-                            fitted = fit_pipeline(
-                                report.best_candidate,
-                                train,
-                                registry,
-                                seed=derive_seed(cell_spec.seed, "refit"),
-                            )
-                            test_error = error_rate(test.labels, fitted.predict(test.instances))
+                            refit_seed = derive_seed(cell_spec.seed, "refit")
+                            test_error = holdout_error(report.best_candidate, train, test, registry, refit_seed)
                         except Exception as exc:
                             print(
                                 f"warning: refit failed for {dataset_id}/{preset}/split{s}: {exc}",
@@ -307,6 +305,15 @@ def cmd_report(args) -> int:
     baseline = args.baseline
     if baseline not in approaches:
         raise UsageError(f"baseline {baseline!r} absent; approaches: {', '.join(approaches)}")
+    ranges = {}
+    for item in args.range or []:
+        range_id, _, singles = item.partition("=")
+        ranges[range_id] = [s for s in singles.split(",") if s]
+        if not ranges[range_id]:
+            raise UsageError("--range expects RANGE_ID=SINGLE1,SINGLE2,...")
+        absent = [a for a in (range_id, *ranges[range_id]) if a not in approaches]
+        if absent:
+            raise UsageError(f"--range {item}: {', '.join(absent)} absent; approaches: {', '.join(approaches)}")
     # the tests are paired; unpaired split lists are a hard error
     for ds in matrix.datasets():
         lengths = {
@@ -317,30 +324,14 @@ def cmd_report(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    mean_rows = tables.mean_table(matrix, args.alpha, args.delta, args.trim)
     mean_cols = ["dataset_id", "approach_id", "trimmed_mean", "std", "n_splits", "mark"]
-    tables.write_csv(outdir / "mean_table.csv", mean_rows, mean_cols)
-    (outdir / "mean_table.txt").write_text(tables.render_text(mean_rows, mean_cols), encoding="utf-8")
-
+    tables.write(outdir / "mean_table", tables.mean_table(matrix, args.alpha, args.delta, args.trim), mean_cols)
     variants = [a for a in approaches if a != baseline]
     tour = stats.tournament(matrix, baseline, variants, args.alpha, args.delta, args.trim)
-    tour_rows = tables.tournament_rows(tour)
-    tour_cols = ["approach_id", "wins", "unique_wins", "losses", "draws"]
-    tables.write_csv(outdir / "tournament.csv", tour_rows, tour_cols)
-    (outdir / "tournament.txt").write_text(tables.render_text(tour_rows, tour_cols), encoding="utf-8")
-
-    ranges = {}
-    for item in args.range or []:
-        range_id, _, singles = item.partition("=")
-        if not singles:
-            raise UsageError("--range expects RANGE_ID=SINGLE1,SINGLE2,...")
-        ranges[range_id] = [s for s in singles.split(",") if s]
+    tables.write(outdir / "tournament", tables.rows(tour), ["approach_id", "wins", "unique_wins", "losses", "draws"])
     if ranges:
         syn = stats.synergy(matrix, ranges, baseline, args.alpha, args.delta, args.trim)
-        syn_rows = tables.synergy_rows(syn)
-        syn_cols = ["range_id", "wins", "losses", "draws"]
-        tables.write_csv(outdir / "synergy.csv", syn_rows, syn_cols)
-        (outdir / "synergy.txt").write_text(tables.render_text(syn_rows, syn_cols), encoding="utf-8")
+        tables.write(outdir / "synergy", tables.rows(syn), ["range_id", "wins", "losses", "draws"])
     print(f"tables written to {outdir}")
     return EXIT_OK
 

@@ -139,16 +139,6 @@ class Dataset:
             and self.class_names == other.class_names
         )
 
-    def content_hash(self) -> str:
-        import hashlib
-
-        h = hashlib.blake2b(digest_size=16)
-        h.update(self.instances.tobytes())
-        h.update(self.labels.tobytes())
-        h.update("\x1f".join(self.feature_names).encode("utf-8"))
-        h.update("\x1f".join(self.class_names).encode("utf-8"))
-        return h.hexdigest()
-
 
 # ---------------------------------------------------------------------------
 # ingestion

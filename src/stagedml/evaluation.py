@@ -8,7 +8,10 @@ registry, the scaler is fitted on the training matrix, the feature
 columns are taken as an array slice and the learner's (or
 meta-learner's) fit runs on a stack of training matrices. ``fit_pipeline``
 does that for one training set, a stack of one; ``mccv_score`` scales
-every fold the same way and fits all folds as one stack.
+every fold the same way and fits all folds as one stack. ``holdout_error``
+is the one held-out score: ``fit_pipeline`` on a training set, then the
+error rate on a test set (the validation stage's holdout and a bench
+cell's outer test split).
 
 Scoring runs ``repeats`` stratified splits of the optimization data.
 The split seeds derive from (seed, repeat index) only, so every
@@ -18,7 +21,7 @@ stay decorrelated without depending on evaluation order. A fold is a
 pair of row-index arrays over the one optimization matrix; an
 ``Evaluator`` draws the folds once per (seed, repeats, train_fraction)
 and shares them across all its candidates. Scores are cached by
-(candidate key, dataset hash, config); lower is better.
+(candidate key, config); lower is better.
 
 ``Evaluator.evaluate_many`` scores a batch of at least ``POOL_CELLS``
 training cells on ``WORKERS`` forked processes and journals it as
@@ -36,7 +39,7 @@ import signal
 import threading
 import time
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -284,6 +287,21 @@ def fit_pipeline(
     return pipeline
 
 
+def holdout_error(
+    candidate: Candidate,
+    train: Dataset,
+    test: Dataset,
+    registry: Registry,
+    seed: int,
+    deadline: Deadline | None = None,
+) -> float:
+    """The error rate on ``test`` of ``candidate`` fitted on ``train`` by
+    ``fit_pipeline`` with ``seed``; ``deadline`` bounds the fit and the
+    predict. Raises what they raise."""
+    fitted = fit_pipeline(candidate, train, registry, seed=seed, deadline=deadline)
+    return error_rate(test.labels, fitted.predict(test.instances, deadline=deadline))
+
+
 # ---------------------------------------------------------------------------
 # MCCV scoring
 
@@ -436,17 +454,8 @@ class JournalRecord:
     auxiliary: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "candidate_key": self.candidate_key,
-            "stage": self.stage,
-            "mean": self.mean,
-            "std": self.std,
-            "per_fold": list(self.per_fold),
-            "status": self.status,
-            "wall_ms": self.wall_ms,
-            "seed": self.seed,
-            "auxiliary": self.auxiliary,
-        }
+        """The fields in order, as JSON values."""
+        return {f.name: getattr(self, f.name) for f in fields(self)} | {"per_fold": list(self.per_fold)}
 
 
 def _dispatches(
@@ -515,11 +524,9 @@ class Evaluator:
     _workers: "_Workers | None" = None
     _stop_workers: weakref.finalize | None = None
 
-    def __post_init__(self) -> None:
-        self._dataset_hash = self.dataset.content_hash()
-
-    def _cache_key(self, candidate: Candidate, cfg: EvalConfig) -> tuple[str, str, str]:
-        return candidate_key(candidate), self._dataset_hash, cfg.key()
+    def _cache_key(self, candidate: Candidate, cfg: EvalConfig) -> tuple[str, str]:
+        # ``dataset`` never changes (its arrays are write-protected), so the key need not name it
+        return candidate_key(candidate), cfg.key()
 
     def evaluate(
         self,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -104,23 +104,18 @@ class RunReport:
         return self.failure is None
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "best_key": self.best_key,
-            "best_candidate": candidate_to_dict(self.best_candidate) if self.best_candidate else None,
-            "best_score": self.best_score,
-            "selection_basis": self.selection_basis,
-            "internal_best_key": self.internal_best_key,
-            "internal_best_score": self.internal_best_score,
-            "failure": self.failure,
-            "stage_traces": self.stage_traces,
-            "pool_snapshots": self.pool_snapshots,
-            "journal_file": "journal.jsonl",
-            "config": self.config,
-            "total_wall_s": self.total_wall_s,
-            "holdout_rows": self.holdout_rows,
-            "reproducible": self.reproducible,
-        }
+        """The schema version, then the fields in order as JSON values;
+        ``journal_file``, the name of the journal's file, stands where
+        the journal sits."""
+        doc = {"schema_version": REPORT_SCHEMA_VERSION}
+        for f in fields(self):
+            if f.name == "journal":
+                doc["journal_file"] = "journal.jsonl"
+            else:
+                doc[f.name] = getattr(self, f.name)
+        if self.best_candidate is not None:
+            doc["best_candidate"] = candidate_to_dict(self.best_candidate)
+        return doc
 
 
 def holdout_split(dataset: Dataset, cfg: SchemeConfig) -> tuple[Dataset, Dataset | None]:

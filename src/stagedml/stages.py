@@ -33,14 +33,7 @@ from typing import Callable, ClassVar, Iterable, Sequence
 from stagedml.components.domains import enumerate_grid, space_grid_size, space_is_enumerable
 from stagedml.components.registry import Registry
 from stagedml.data import Dataset, FeatureSet
-from stagedml.evaluation import (
-    Candidate,
-    Evaluator,
-    Score,
-    candidate_key,
-    error_rate,
-    fit_pipeline,
-)
+from stagedml.evaluation import Candidate, Evaluator, Score, candidate_key, holdout_error
 from stagedml.rng import Rng, derive_seed
 from stagedml.timing import Budget, Deadline
 
@@ -458,7 +451,9 @@ class TuningStage:
 @dataclass
 class ValidationStage:
     """Re-rank the m internally-best candidates by blending internal and
-    single-shot holdout scores; the output pool is terminal."""
+    single-shot holdout scores (``holdout_error``: refit on the
+    optimization data, scored on the holdout); the output pool is
+    terminal."""
 
     stage_id: ClassVar[str] = "validation"
     time_limit: float | None = None
@@ -481,15 +476,8 @@ class ValidationStage:
             if ctx.expired():
                 break
             try:
-                fitted = fit_pipeline(
-                    entry.candidate,
-                    ctx.data,
-                    ctx.registry,
-                    seed=derive_seed(ctx.seed, "validate", entry.key),
-                    deadline=ctx.deadline,
-                )
-                preds = fitted.predict(ctx.holdout.instances, deadline=ctx.deadline)
-                phi_val = error_rate(ctx.holdout.labels, preds)
+                seed = derive_seed(ctx.seed, "validate", entry.key)
+                phi_val = holdout_error(entry.candidate, ctx.data, ctx.holdout, ctx.registry, seed, ctx.deadline)
             except Exception:
                 if ctx.expired():
                     break  # the refit or the holdout predict ran out of stage time

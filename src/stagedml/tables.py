@@ -1,8 +1,9 @@
 """Report tables: trimmed-mean summaries, tournaments, synergies.
 
-Every table renders both as CSV (machine-readable) and as aligned plain
-text. In the mean table the per-dataset best approach is marked ``*``
-and approaches not substantially different from it are marked ``~``.
+``write`` writes every table both as CSV (machine-readable) and as
+aligned plain text. In the mean table the per-dataset best approach is
+marked ``*`` and approaches not substantially different from it are
+marked ``~``.
 """
 
 from __future__ import annotations
@@ -14,16 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from stagedml.stats import (
-    DEFAULT_ALPHA,
-    DEFAULT_DELTA,
-    DEFAULT_TRIM,
-    ResultMatrix,
-    SynergyRow,
-    TournamentRow,
-    trimmed_mean,
-    verdict,
-)
+from stagedml.stats import DEFAULT_ALPHA, DEFAULT_DELTA, DEFAULT_TRIM, ResultMatrix, trimmed_mean, verdict
 
 BEST_MARK = "*"
 INDISTINGUISHABLE_MARK = "~"
@@ -61,12 +53,13 @@ def mean_table(
     return rows
 
 
-def write_csv(path: str | Path, rows: Sequence[Mapping], columns: Sequence[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+def write(stem: Path, rows: Sequence[Mapping], columns: Sequence[str]) -> None:
+    """The ``columns`` of ``rows`` as ``<stem>.csv`` and as aligned text in ``<stem>.txt``."""
+    with open(stem.with_suffix(".csv"), "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(columns))
         writer.writeheader()
-        for row in rows:
-            writer.writerow({c: row[c] for c in columns})
+        writer.writerows({c: row[c] for c in columns} for row in rows)
+    stem.with_suffix(".txt").write_text(render_text(rows, columns), encoding="utf-8")
 
 
 def render_text(rows: Sequence[Mapping], columns: Sequence[str]) -> str:
@@ -84,9 +77,6 @@ def render_text(rows: Sequence[Mapping], columns: Sequence[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def tournament_rows(table: Mapping[str, TournamentRow]) -> list[dict]:
-    return [asdict(r) for r in table.values()]
-
-
-def synergy_rows(table: Mapping[str, SynergyRow]) -> list[dict]:
+def rows(table: Mapping) -> list[dict]:
+    """The dataclass rows of a tournament or synergy table as dicts."""
     return [asdict(r) for r in table.values()]

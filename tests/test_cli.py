@@ -246,6 +246,17 @@ class TestBench:
         assert "bogus" in err and "primitive" in err  # the preset is named, not the missing file
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("fraction", ["1.5", "0", "1", "-0.2", "nan"])
+    def test_outer_fraction_outside_unit_interval_writes_nothing(self, synth_csv, tmp_path, capsys, fraction):
+        outdir = tmp_path / "bench"
+        code = main([
+            "bench", "--data", str(tmp_path / "missing.csv"), "--data", str(synth_csv), "--preset", "primitive",
+            "--splits", "1", "--outer-train-fraction", fraction, "--out", str(outdir),
+        ])
+        assert code == EXIT_USAGE
+        assert "--outer-train-fraction" in capsys.readouterr().err  # the fraction is named, not the missing file
+        assert not outdir.exists()
+
     def test_repeated_dataset_id_is_usage_error(self, synth_csv, tmp_path, capsys):
         other = tmp_path / "y" / synth_csv.name  # another file with the same stem
         other.parent.mkdir()
@@ -362,3 +373,27 @@ class TestReport:
         path = self._results_csv(tmp_path)
         assert main(["report", "--results", str(path), "--baseline", "nope",
                      "--out", str(tmp_path / "t")]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("item", ["monotone-filtering", "monotone-filtering=", "monotone-filtering=,"])
+    def test_range_without_singles_is_usage_error(self, tmp_path, capsys, item):
+        path = self._results_csv(tmp_path)
+        code = main(["report", "--results", str(path), "--range", item, "--out", str(tmp_path / "t")])
+        assert code == EXIT_USAGE and "--range expects RANGE_ID=SINGLE1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "item, absent",
+        [
+            ("nosuch=single-filtering", ["nosuch"]),
+            ("monotone-filtering=single-filtering,typo", ["typo"]),
+            ("nosuch=single-scaling,typo", ["nosuch", "single-scaling", "typo"]),
+        ],
+    )
+    def test_range_of_absent_approach_is_usage_error(self, tmp_path, capsys, item, absent):
+        path = self._results_csv(tmp_path)
+        outdir = tmp_path / "t"
+        code = main(["report", "--results", str(path), "--baseline", "primitive", "--range", item,
+                     "--out", str(outdir)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{', '.join(absent)} absent; approaches: monotone-filtering, primitive, single-filtering" in err
+        assert not outdir.exists()

@@ -22,12 +22,13 @@ from stagedml.evaluation import (
     candidate_to_dict,
     error_rate,
     fit_pipeline,
+    holdout_error,
     mccv_score,
     mccv_splits,
 )
 from stagedml.rng import derive_seed
 from stagedml.synth import make_dataset
-from stagedml.timing import Deadline
+from stagedml.timing import Deadline, DeadlineExceeded
 
 from conftest import exiting_registry, make_numeric_dataset, random_dataset, spy_registry
 
@@ -189,6 +190,14 @@ class TestMaterialize:
         assert fitted.scaler.center.shape == (2,)
         preds = fitted.predict(train.instances)
         assert preds.shape == (4,)
+
+    def test_holdout_error_scores_the_refit_on_the_test_rows(self, registry):
+        train, test = make_dataset("madelon_like", 40, 4, 1), make_dataset("madelon_like", 30, 4, 2)
+        c = Candidate(learner="random_forest", scaler="minmax")
+        fitted = fit_pipeline(c, train, registry, seed=9)
+        assert holdout_error(c, train, test, registry, 9) == error_rate(test.labels, fitted.predict(test.instances))
+        with pytest.raises(DeadlineExceeded):
+            holdout_error(c, train, test, registry, 9, deadline=Deadline(0.0))
 
 
 class TestMccv:
