@@ -44,6 +44,8 @@ TREE_SHA256 = "c6b61f23d215887d6de5b7a18c11dd0844e6d9784010105e2517e55980f0a85f"
 FOREST_SHA256 = "b9b73fce283451eb2e1bdc8a755c5dd70db710315b67e67767d10a00d051174a"
 # the report, journal, stage, results and table files of synth, bench, report and run
 CLI_OUTPUTS_SHA256 = "10dfef3c50b71e84a0e929ce8789ef49c136635e34f9efee0e8392465d4b9a54"
+# the bytes of the run's feature curves and registry, which hold no wall-clock field
+CLI_RUN_EXTRAS_SHA256 = "fcf5596450947c858fd88debf946e469b47bb922f33d2cb9e804ea0349e2c796"
 
 
 def _fixed_work(cfg: orchestrator.SchemeConfig) -> orchestrator.SchemeConfig:
@@ -302,3 +304,7 @@ def test_cli_outputs_unchanged(tmp_path, monkeypatch):
         text = _CLOCK_VALUES.sub(r'"\1": null', path.read_text(encoding="utf-8"))
         digest.update(f"{path.relative_to(tmp_path).as_posix()}\0{text}\0".encode("utf-8"))
     assert digest.hexdigest() == CLI_OUTPUTS_SHA256
+    extras = hashlib.sha256()
+    for name in ("curves.csv", "registry.json"):
+        extras.update(f"run/{name}\0".encode("utf-8") + (tmp_path / "run" / name).read_bytes() + b"\0")
+    assert extras.hexdigest() == CLI_RUN_EXTRAS_SHA256
