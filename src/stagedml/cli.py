@@ -308,6 +308,8 @@ def cmd_report(args) -> int:
     ranges = {}
     for item in args.range or []:
         range_id, _, singles = item.partition("=")
+        if range_id in ranges:
+            raise UsageError(f"--range {range_id} given twice; each range id takes one --range")
         ranges[range_id] = [s for s in singles.split(",") if s]
         if not ranges[range_id]:
             raise UsageError("--range expects RANGE_ID=SINGLE1,SINGLE2,...")

@@ -81,8 +81,8 @@ class Dataset:
     """Encoded instance matrix plus labels and column metadata.
 
     Instances and labels are frozen (numpy write flag cleared) after
-    construction, so a Dataset can be shared across concurrent
-    evaluation workers without copying.
+    construction, so folds and candidates can share a Dataset without
+    copying; worker processes receive it pickled, by value.
     """
 
     instances: np.ndarray

@@ -501,10 +501,9 @@ class Evaluator:
     later candidate; ``dataset`` is write-protected and never changes, so
     sharing them cannot leak state between candidates.
 
-    ``evaluate`` and ``evaluate_many`` are safe to call concurrently: the
-    cache, fold cache and journal are lock-protected and seeds derive from
-    candidate keys, never from arrival order; a key being scored is waited
-    for, never scored twice. Batches run one at a time.
+    It serves one caller at a time: the cache, fold cache and journal
+    hold no locks. Seeds derive from candidate keys, never from arrival
+    order, and a key is scored and journaled once.
 
     ``evaluate_many`` forks its worker processes on the first batch that
     needs them; ``close`` stops them (``orchestrator.run`` does when it
@@ -518,9 +517,6 @@ class Evaluator:
     _journal: list = field(default_factory=list)
     _by_key: dict = field(default_factory=dict)
     _fold_cache: dict = field(default_factory=dict)
-    _lock: threading.Lock = field(default_factory=threading.Lock)
-    _scoring: dict = field(default_factory=dict)  # cache key -> lock held while it is scored
-    _batch_lock: threading.Lock = field(default_factory=threading.Lock)  # one batch at a time uses the workers
     _workers: "_Workers | None" = None
     _stop_workers: weakref.finalize | None = None
 
@@ -539,20 +535,14 @@ class Evaluator:
         other than the evaluator's own is journaled as auxiliary."""
         cfg = cfg if cfg is not None else self.cfg
         cache_key = self._cache_key(candidate, cfg)
-        with self._lock:
-            if cache_key in self._cache:
-                return self._cache[cache_key]
-            scoring = self._scoring.setdefault(cache_key, threading.Lock())
-        with scoring:  # a second caller of the key waits here for the first one's score
-            with self._lock:
-                if cache_key in self._cache:
-                    return self._cache[cache_key]
-            started = time.monotonic()
-            score = mccv_score(
-                candidate, self.dataset, cfg, self.registry, deadline=deadline,
-                folds=self._folds(cfg),
-            )
-            self._record(cache_key, candidate, stage, score, (time.monotonic() - started) * 1000.0, cfg)
+        if cache_key in self._cache:
+            return self._cache[cache_key]
+        started = time.monotonic()
+        score = mccv_score(
+            candidate, self.dataset, cfg, self.registry, deadline=deadline,
+            folds=self._folds(cfg),
+        )
+        self._record(cache_key, candidate, stage, score, (time.monotonic() - started) * 1000.0, cfg)
         return score
 
     def evaluate_many(
@@ -588,74 +578,52 @@ class Evaluator:
         rows; meta and tuning batches of such rows hold 30,000 or more,
         and every batch of 1,500 rows and 6 columns 105,000 or more.
         """
-        with self._batch_lock:
-            workers = self._workers_for(candidates)
-            if workers is None:
-                return evaluate_serially(self, candidates, stage, deadline, budgets)
-            return self._evaluate_on(workers, candidates, stage, deadline, budgets)
+        keys = [self._cache_key(c, self.cfg) for c in candidates]
+        left = {key: c for key, c in zip(keys, candidates) if key not in self._cache}  # keys to score
+        workers = self._workers_for(left)
+        if workers is None:
+            return evaluate_serially(self, candidates, stage, deadline, budgets)
+        return self._evaluate_on(workers, candidates, keys, left, stage, deadline, budgets)
 
-    def _evaluate_on(self, workers: "_Workers", candidates, stage, deadline, budgets) -> list[Score | None]:
-        """``evaluate_many`` on ``workers``."""
-        scores: list[Score | None] = [None] * len(candidates)
+    def _evaluate_on(self, workers: "_Workers", candidates, keys, left, stage, deadline, budgets) -> list[Score | None]:
+        """``evaluate_many`` on ``workers``, with its cache ``keys`` and keys ``left`` to score."""
+        dispatched = []  # indices of the members dispatched, scored or not
         firsts: dict = {}  # cache key -> index of the member that scores it
-        repeats, deferred, results = [], [], {}
-        claimed: dict = {}  # cache key -> its single-flight lock, held until it is recorded
-        groups = self._stack_groups(candidates)
-        try:
-            for group in _dispatches(candidates, deadline, budgets, groups, lambda: workers.ready(results)):
-                task = []
-                for i, candidate, own in group:
-                    cache_key = self._cache_key(candidate, self.cfg)
-                    with self._lock:
-                        if cache_key in self._cache:
-                            scores[i] = self._cache[cache_key]
-                            continue
-                        if cache_key in firsts:
-                            repeats.append((i, firsts[cache_key]))
-                            continue
-                        scoring = self._scoring.setdefault(cache_key, threading.Lock())
-                    if not scoring.acquire(blocking=False):
-                        deferred.append((i, candidate, own))  # another caller is scoring it
-                        continue
-                    claimed[cache_key] = scoring
-                    firsts[cache_key] = i
+        results: dict = {}
+        groups = self._stack_groups(candidates, keys, left)
+        for group in _dispatches(candidates, deadline, budgets, groups, lambda: workers.ready(results)):
+            task = []
+            for i, candidate, own in group:
+                dispatched.append(i)
+                if keys[i] in left and keys[i] not in firsts:
+                    firsts[keys[i]] = i
                     task.append((i, candidate, own))
-                if task:
-                    workers.submit(task)
-            workers.drain(results)
-            for cache_key, i in sorted(firsts.items(), key=lambda item: item[1]):  # submission order
-                scores[i], wall_ms = results[i]
-                self._record(cache_key, candidates[i], stage, scores[i], wall_ms, self.cfg)
-                claimed.pop(cache_key).release()
-        finally:
-            for cache_key, scoring in claimed.items():  # the batch was cut short
-                with self._lock:
-                    del self._scoring[cache_key]
-                scoring.release()
-        for i, first in repeats:
-            scores[i] = scores[first]
-        for i, candidate, own in deferred:
-            scores[i] = self.evaluate(candidate, stage, deadline=own)
+            if task:
+                workers.submit(task)
+        workers.drain(results)
+        for cache_key, i in sorted(firsts.items(), key=lambda item: item[1]):  # submission order
+            self._record(cache_key, candidates[i], stage, *results[i], self.cfg)
+        scores: list[Score | None] = [None] * len(candidates)
+        for i in dispatched:  # cached, repeated and just-scored keys alike
+            scores[i] = self._cache[keys[i]]
         return scores
 
-    def _stack_groups(self, candidates: Sequence[Candidate]) -> list[list[int]]:
-        """The indices of ``candidates`` in dispatch groups, ordered by
-        their first index. A group holds candidates of one
-        ``stack_signature``: at most ceil(keys left / ``WORKERS``) keys to
-        score, so every worker gets work, whose stacked training cells
-        stay within ``STACK_CELLS`` (one key alone may exceed it). Cached
-        and repeated keys go with a group of their signature and take no
-        room in it."""
+    def _stack_groups(self, candidates: Sequence[Candidate], keys: list, left) -> list[list[int]]:
+        """The indices of ``candidates`` (of cache keys ``keys``) in
+        dispatch groups, ordered by their first index. A group holds
+        candidates of one ``stack_signature``: at most ceil(keys
+        ``left`` to score / ``WORKERS``) keys to score, so every worker
+        gets work, whose stacked training cells stay within
+        ``STACK_CELLS`` (one key alone may exceed it). Cached and repeated
+        keys go with a group of their signature and take no room in it."""
         cells_per_column = self._cells_per_column()
-        keys = [self._cache_key(c, self.cfg) for c in candidates]
-        with self._lock:
-            left = {key for key in keys if key not in self._cache}
         cap = -(-len(left) // WORKERS)
+        pending = set(left)  # keys to score not yet placed
         groups, open_groups = [], {}  # signature -> [indices, keys to score, cells]
         for i, (candidate, key) in enumerate(zip(candidates, keys)):
             signature = stack_signature(candidate, self.dataset.n_columns)
-            scores, cells = key in left, cells_per_column * signature[1]
-            left.discard(key)
+            scores, cells = key in pending, cells_per_column * signature[1]
+            pending.discard(key)
             group = open_groups.get(signature)
             if group is None or (scores and group[1] and (group[1] >= cap or group[2] + cells > STACK_CELLS)):
                 group = open_groups[signature] = [[], 0, 0]
@@ -667,7 +635,7 @@ class Evaluator:
         return groups
 
     def _record(self, cache_key, candidate: Candidate, stage: str, score: Score, wall_ms: float, cfg: EvalConfig) -> None:
-        """Cache and journal one scoring; its key is no longer being scored."""
+        """Cache and journal one scoring."""
         record = JournalRecord(
             candidate_key=cache_key[0],
             stage=stage,
@@ -679,25 +647,22 @@ class Evaluator:
             seed=cfg.seed,
             auxiliary=cfg.key() != self.cfg.key(),
         )
-        with self._lock:
-            self._cache[cache_key] = score
-            self._journal.append(record)
-            self._by_key[cache_key[0]] = candidate
-            del self._scoring[cache_key]
+        self._cache[cache_key] = score
+        self._journal.append(record)
+        self._by_key[cache_key[0]] = candidate
 
     def _cells_per_column(self) -> int:
         """Training cells of one key per column of its input: repeats x training rows."""
         folds = self._folds(self.cfg)
         return self.cfg.repeats * len(folds[0][0]) if folds else 0
 
-    def _workers_for(self, candidates: Sequence[Candidate]) -> "_Workers | None":
-        """The worker processes for a batch of ``candidates``, forked on
-        the first batch that needs them, after the fold cache is built;
-        None when the batch runs in this process."""
+    def _workers_for(self, left: dict) -> "_Workers | None":
+        """The worker processes for a batch whose keys left to score map
+        to their candidates in ``left``, forked on the first batch that
+        needs them, after the fold cache is built; None when the batch
+        runs in this process."""
         if WORKERS < 2:
             return None
-        with self._lock:
-            left = {key: c for c in candidates if (key := self._cache_key(c, self.cfg)) not in self._cache}
         widths = (stack_signature(c, self.dataset.n_columns)[1] for c in left.values())
         if len(left) < 2 or self._cells_per_column() * sum(widths) < POOL_CELLS:
             return None
@@ -723,13 +688,12 @@ class Evaluator:
         cannot be split; ``mccv_score`` then reports that for each
         candidate."""
         fold_key = (cfg.seed, cfg.repeats, cfg.train_fraction)
-        with self._lock:
-            if fold_key not in self._fold_cache:
-                try:
-                    self._fold_cache[fold_key] = mccv_splits(self.dataset, cfg)
-                except ValueError:
-                    self._fold_cache[fold_key] = None
-            return self._fold_cache[fold_key]
+        if fold_key not in self._fold_cache:
+            try:
+                self._fold_cache[fold_key] = mccv_splits(self.dataset, cfg)
+            except ValueError:
+                self._fold_cache[fold_key] = None
+        return self._fold_cache[fold_key]
 
     # -- journal and bookkeeping ---------------------------------------
 
@@ -738,8 +702,7 @@ class Evaluator:
         return len(self._journal)
 
     def journal_records(self) -> list[JournalRecord]:
-        with self._lock:
-            return list(self._journal)
+        return list(self._journal)
 
     def candidate_for_key(self, key: str) -> Candidate | None:
         return self._by_key.get(key)

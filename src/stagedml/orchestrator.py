@@ -135,10 +135,10 @@ def holdout_split(dataset: Dataset, cfg: SchemeConfig) -> tuple[Dataset, Dataset
 def run(dataset: Dataset, cfg: SchemeConfig) -> RunReport:
     """Search ``dataset`` under ``cfg`` and report the best pipeline.
 
-    The meta and tuning stages score their batches on worker processes
-    forked from this one (see ``Evaluator.evaluate_many``); they are
-    stopped when the run returns or raises. The journal is the same for
-    any number of workers.
+    Any stage's batch whose training cells reach ``POOL_CELLS`` is scored
+    on worker processes forked from this one (see
+    ``Evaluator.evaluate_many``); they are stopped when the run returns or
+    raises. The journal is the same for any number of workers.
     """
     started = time.monotonic()
     global_deadline = Deadline(cfg.global_timeout)

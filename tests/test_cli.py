@@ -397,3 +397,13 @@ class TestReport:
         err = capsys.readouterr().err
         assert f"{', '.join(absent)} absent; approaches: monotone-filtering, primitive, single-filtering" in err
         assert not outdir.exists()
+
+    def test_repeated_range_id_is_usage_error(self, tmp_path, capsys):
+        path = self._results_csv(tmp_path)
+        outdir = tmp_path / "t"
+        code = main(["report", "--results", str(path), "--baseline", "primitive",
+                     "--range", "monotone-filtering=single-filtering", "--range", "monotone-filtering=primitive",
+                     "--out", str(outdir)])
+        assert code == EXIT_USAGE
+        assert "--range monotone-filtering given twice" in capsys.readouterr().err
+        assert not outdir.exists()

@@ -1,5 +1,4 @@
 import multiprocessing
-import sys
 import threading
 import time
 from dataclasses import replace
@@ -384,61 +383,6 @@ class TestFoldCache:
             ev.evaluate(c, stage="filtering", cfg=cheap)
         assert built == [cfg.key(), cheap.key()]
         assert ev.evaluation_count == 2 * len(self.CANDIDATES)
-
-    def test_concurrent_first_use_builds_folds_once(self, registry, built):
-        d = make_dataset("separable", 60, 3, 5)
-        cfg = EvalConfig(seed=11)
-        ev = Evaluator(registry=registry, dataset=d, cfg=cfg)
-        candidates = [Candidate(learner="knn", params={"k": k}) for k in (1, 3, 5, 7, 11, 15)]
-        scores = {}
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [
-                threading.Thread(target=lambda c=c: scores.setdefault(candidate_key(c), ev.evaluate(c, "probing")))
-                for c in candidates
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(switch)
-        assert not any(t.is_alive() for t in threads)
-        assert built == [cfg.key()]
-        for c in candidates:
-            assert scores[candidate_key(c)] == mccv_score(c, d, cfg, registry)
-
-    def test_concurrent_callers_of_one_key_score_it_once(self, registry):
-        """Threads asking for a key while it is being scored wait for that
-        one score: one stacked fit and one journal record per key."""
-        fits = []
-        knn = registry.learners["knn"]
-
-        def slow_fit(*args, **kwargs):
-            fits.append(1)
-            time.sleep(0.02)
-            return knn.fit(*args, **kwargs)
-
-        reg = replace(registry, learners={**registry.learners, "knn": replace(knn, fit=slow_fit)})
-        d = make_dataset("separable", 60, 3, 5)
-        ev = Evaluator(registry=reg, dataset=d, cfg=EvalConfig(seed=11))
-        candidates = [Candidate(learner="knn", params={"k": k}) for k in (1, 3)] * 4
-        scores = []
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=lambda c=c: scores.append((candidate_key(c), ev.evaluate(c, "probing"))))
-                       for c in candidates]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(switch)
-        assert not any(t.is_alive() for t in threads)
-        assert len(fits) == 2 and len(ev.journal_records()) == 2
-        assert len(scores) == 8 and len({(key, score) for key, score in scores}) == 2
 
     def test_cached_folds_score_like_fresh_folds(self, registry):
         d = make_dataset("madelon_like", 60, 4, 3)
@@ -859,37 +803,24 @@ class TestEvaluateMany:
         assert ev.evaluation_count == 0
         ev.close()
 
-    def test_concurrent_batches_and_calls_score_each_key_once(self, registry, monkeypatch):
+    def test_no_workers_forked_while_another_thread_runs(self, registry, monkeypatch):
+        """Forking a process that runs other threads can deadlock the
+        child, so the batch runs in this process instead."""
         monkeypatch.setattr(evaluation, "WORKERS", 2)
         data = make_dataset("separable", 40, 3, 0)
-        reference = Evaluator(registry=registry, dataset=data, cfg=EvalConfig(seed=1))
-        expected = {candidate_key(c): reference.evaluate(c, stage="meta") for c in _batch()}
-        ev = Evaluator(registry=registry, dataset=data, cfg=EvalConfig(seed=1))
-        ev.evaluate_many([Candidate("knn", params={"k": 7}), Candidate("knn", params={"k": 9})], stage="probing")
-        assert ev._workers is not None  # forked before any thread starts
-        batch = _batch()
-        jobs = [batch, batch[::-1]] + [[c] for c in batch[:6]]  # two batches, six single calls
-        out = {}
-
-        def work(i, cands):
-            out[i] = ev.evaluate_many(cands, stage="meta") if i < 2 else [ev.evaluate(cands[0], stage="meta")]
-
-        threads = [threading.Thread(target=work, args=(i, cands)) for i, cands in enumerate(jobs)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
+        cfg = EvalConfig(seed=1)
+        ev = Evaluator(registry=registry, dataset=data, cfg=cfg)
+        pair = [Candidate("knn"), Candidate("gaussian_nb")]
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
         try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
+            scores = ev.evaluate_many(pair, stage="meta")
         finally:
-            sys.setswitchinterval(interval)
-        ev.close()
-        assert not any(t.is_alive() for t in threads) and len(out) == len(jobs)
-        for i, cands in enumerate(jobs):
-            assert out[i] == [expected[candidate_key(c)] for c in cands]
-        keys = [r.candidate_key for r in ev.journal_records() if r.stage == "meta"]
-        assert sorted(keys) == sorted(expected)  # every key journaled once
+            release.set()
+            waiter.join(timeout=60)
+        assert not waiter.is_alive() and ev._workers is None
+        assert scores == [mccv_score(c, data, cfg, registry) for c in pair]
 
     def test_stack_past_its_timeout_scores_each_member_alone(self, registry, monkeypatch):
         monkeypatch.setattr(evaluation, "WORKERS", 2)
