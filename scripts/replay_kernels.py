@@ -43,6 +43,7 @@ import numpy as np  # noqa: E402
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from stagedml.components import learners  # noqa: E402
+from stagedml.timing import NO_DEADLINE  # noqa: E402
 
 # (workload, what, r, n, d): LR stacks of r problems of n rows, d columns
 LR_SHAPES = [
@@ -146,7 +147,7 @@ def _forest(r, n, d, n_trees, m, rng):
     params = {"n_trees": n_trees, "max_depth": 0, "feature_subsample": 0.5}
     seeds = rng.integers(0, 2**63, size=r).tolist()
 
-    def fit(at=slice(None), deadline=None):
+    def fit(at=slice(None), deadline=NO_DEADLINE):
         return learners.fit_random_forest(X[at], y[at], 2, params, seed=seeds[at], deadline=deadline)
 
     model = fit()

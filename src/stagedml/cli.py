@@ -236,7 +236,7 @@ def cmd_bench(args) -> int:
             # paired outer splits: their seeds never see the preset name
             split_seeds = [derive_seed(spec.seed, dataset_id, s) for s in range(args.splits)]
             for s, split_seed in enumerate(split_seeds):
-                train, test = split(dataset, replace(outer, seed=split_seed), stratified=True)
+                train, test = split(dataset, replace(outer, seed=split_seed))
                 for preset in presets:
                     cell_spec = replace(
                         spec, preset=preset, seed=derive_seed(spec.seed, dataset_id, s, preset)

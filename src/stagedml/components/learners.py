@@ -3,9 +3,9 @@
 Every fit is a pure function of (X, y, params, seed); all internal
 randomness comes from seeded splitmix64 streams and every argmax
 breaks ties toward the smallest class index, so repeated fits are
-bit-identical. Long fits cooperate with an optional deadline, checking
-it between coarse work units (per growth step, per epoch, per
-prediction chunk).
+bit-identical. Every fit and predict takes a ``Deadline``
+(``NO_DEADLINE`` by default) and checks it between coarse work units
+(a growth step, every 8th epoch, a prediction chunk).
 
 Every fit takes a stack of r equal-sized independent problems: ``X``
 (r, n, d), ``y`` (r, n) and ``seed`` a sequence of r seeds, one per
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from stagedml.rng import next_u64_block, node_draws, streams, tree_start
-from stagedml.timing import Deadline
+from stagedml.timing import NO_DEADLINE, Deadline
 
 _PREDICT_CHUNK = 512
 # most (feature, row, class) cells of one split-search block, and most rows
@@ -83,7 +83,7 @@ class KnnModel:
     k: int
     n_classes: int
 
-    def predict(self, rows: np.ndarray, deadline: Deadline | None = None) -> np.ndarray:
+    def predict(self, rows: np.ndarray, deadline: Deadline = NO_DEADLINE) -> np.ndarray:
         """Majority vote of the k nearest train rows; distance ties at
         the k-th place go to the earlier train row, class ties to the
         smaller class index. (r, m, d) rows -> (r, m), slice i by train
@@ -107,8 +107,7 @@ class KnnModel:
             train_sq = np.einsum("ij,ij->i", x[s], x[s])
             train_t = x[s].T
             for start in range(0, m, _PREDICT_CHUNK):
-                if deadline is not None:
-                    deadline.check()
+                deadline.check()
                 chunk = rows[s, start : start + _PREDICT_CHUNK]
                 d2, part = d2_buffer[: len(chunk)], part_buffer[: len(chunk)]
                 np.matmul(2.0 * chunk, train_t, out=d2)
@@ -129,7 +128,7 @@ class KnnModel:
         return out
 
 
-def fit_knn(X, y, n_classes, params, seed=0, deadline=None):
+def fit_knn(X, y, n_classes, params, seed=0, deadline=NO_DEADLINE):
     """Stores the train rows of the stack: a fit draws nothing and does no
     work, so ``seed`` and ``deadline`` go unused."""
     X, y = check_fit(X, y)
@@ -146,14 +145,13 @@ class GaussianNbModel:
     means: np.ndarray  # (r, n_classes, d)
     variances: np.ndarray  # (r, n_classes, d), smoothed
 
-    def predict(self, rows: np.ndarray, deadline: Deadline | None = None) -> np.ndarray:
+    def predict(self, rows: np.ndarray, deadline: Deadline = NO_DEADLINE) -> np.ndarray:
         """The class of largest log prior plus gaussian log likelihood,
         ties to the smaller class index; a class absent from a slice is
         never predicted there. (r, m, d) rows -> (r, m)."""
         r, n_classes, d = self.means.shape
         rows = check_stack(rows, r, d)
-        if deadline is not None:
-            deadline.check()
+        deadline.check()
         scores = np.empty((r, rows.shape[1], n_classes))
         for c in range(n_classes):
             var = self.variances[:, c, None]
@@ -163,7 +161,7 @@ class GaussianNbModel:
         return np.argmax(scores, axis=2).astype(np.int64)
 
 
-def fit_gaussian_nb(X, y, n_classes, params, seed=0, deadline=None) -> GaussianNbModel:
+def fit_gaussian_nb(X, y, n_classes, params, seed=0, deadline=NO_DEADLINE) -> GaussianNbModel:
     """Each slice's class priors, means and variances, the variances
     smoothed by 1e-9 of the slice's largest column variance (1e-12 when
     every column is constant). Draws nothing, so ``seed`` goes unused;
@@ -174,8 +172,7 @@ def fit_gaussian_nb(X, y, n_classes, params, seed=0, deadline=None) -> GaussianN
     variances = np.ones((r, n_classes, d))
     log_priors = np.full((r, n_classes), -np.inf)
     for s, (slice_X, slice_y) in enumerate(zip(X, y)):
-        if deadline is not None:
-            deadline.check()
+        deadline.check()
         overall_var = float(np.max(np.var(slice_X, axis=0))) if slice_X.size else 0.0
         eps = 1e-9 * overall_var if overall_var > 0 else 1e-12
         for c in range(n_classes):
@@ -217,7 +214,7 @@ class ForestModel:
     n_features: int
     n_classes: int
 
-    def predict(self, rows: np.ndarray, deadline: Deadline | None = None) -> np.ndarray:
+    def predict(self, rows: np.ndarray, deadline: Deadline = NO_DEADLINE) -> np.ndarray:
         """Majority vote of each forest's trees, ties to the smaller class
         index: (r, m, d) rows -> (r, m), slice i by forest i. The rows
         descend all trees one level at a time, in chunks of rows, and the
@@ -231,8 +228,7 @@ class ForestModel:
         out = np.empty((r, m), dtype=np.int64)
         chunk = max(1, _DESCENT_CELLS // self.roots.size)
         for lo in range(0, m, chunk):
-            if deadline is not None:
-                deadline.check()
+            deadline.check()
             c = min(chunk, m - lo)
             at = np.arange(lo, lo + c) * d + (np.arange(r) * (m * d))[:, None, None]
             node = np.repeat(self.roots[:, :, None], c, axis=2)
@@ -420,8 +416,7 @@ def _grow(X, y, n_classes, seeds, n_trees, max_depth, min_split, n_sampled, boot
         roots[trees] = np.arange(n_nodes, n_nodes + trees.size)
         nodes = nodes[make(nodes)]
         while nodes.size:
-            if deadline is not None:
-                deadline.check()
+            deadline.check()
             if draws:
                 features, child_keys = node_draws(nodes[:, 4].view(np.uint64), d, n_sampled)
             else:
@@ -479,7 +474,7 @@ def _assemble(labels, splits, roots, n_features, n_classes) -> ForestModel:
     return model
 
 
-def fit_decision_tree(X, y, n_classes, params, seed=0, deadline=None) -> ForestModel:
+def fit_decision_tree(X, y, n_classes, params, seed=0, deadline=NO_DEADLINE) -> ForestModel:
     """One tree on all rows, every feature a candidate at every node; draws
     nothing, so ``seed`` is unused."""
     max_depth = int(params["max_depth"])  # 0 means unbounded
@@ -487,7 +482,7 @@ def fit_decision_tree(X, y, n_classes, params, seed=0, deadline=None) -> ForestM
     return _grow(X, y, n_classes, seed, 1, max_depth, min_split, X.shape[-1], False, deadline)
 
 
-def fit_random_forest(X, y, n_classes, params, seed=0, deadline=None) -> ForestModel:
+def fit_random_forest(X, y, n_classes, params, seed=0, deadline=NO_DEADLINE) -> ForestModel:
     """``n_trees`` trees per slice, each on a bootstrap of the rows, each
     searched node choosing among round(``feature_subsample`` * d) features
     (at least one). Tree t of slice i draws its bootstrap and then its
@@ -509,17 +504,16 @@ class LogisticModel:
     weights: np.ndarray  # (r, d + 1, n_classes); last row of each slice is the bias
     n_classes: int
 
-    def predict(self, rows: np.ndarray, deadline: Deadline | None = None) -> np.ndarray:
+    def predict(self, rows: np.ndarray, deadline: Deadline = NO_DEADLINE) -> np.ndarray:
         """(r, m, d) rows -> (r, m) labels, slice i by model i."""
-        if deadline is not None:
-            deadline.check()
+        deadline.check()
         r, d_bias, _ = self.weights.shape
         rows = check_stack(rows, r, d_bias - 1)
         logits = rows @ self.weights[:, :-1, :] + self.weights[:, -1:, :]
         return np.argmax(logits, axis=-1).astype(np.int64)
 
 
-def fit_logistic_regression(X, y, n_classes, params, seed=0, deadline=None) -> LogisticModel:
+def fit_logistic_regression(X, y, n_classes, params, seed=0, deadline=NO_DEADLINE) -> LogisticModel:
     """Full-batch gradient descent on the softmax loss.
 
     The r problems of the stack are fitted together: every numpy call of
@@ -545,7 +539,7 @@ def fit_logistic_regression(X, y, n_classes, params, seed=0, deadline=None) -> L
     onehot = np.zeros((r, n, n_classes))
     onehot[np.arange(r)[:, None], np.arange(n), y] = 1.0
     for epoch in range(epochs):
-        if deadline is not None and epoch % 8 == 0:
+        if epoch % 8 == 0:
             deadline.check()
         logits = Xb @ W
         classes = logits.transpose(2, 0, 1)  # views: class c of every row is classes[c]

@@ -24,7 +24,7 @@ import numpy as np
 
 from stagedml.components.learners import STACK_CELLS, check_fit, check_stack
 from stagedml.rng import Rng, below, next_u64_block, shuffled_block, streams
-from stagedml.timing import Deadline
+from stagedml.timing import NO_DEADLINE, Deadline
 
 if TYPE_CHECKING:
     from stagedml.components.registry import LearnerSpec
@@ -44,22 +44,21 @@ class VotingModel:
     n_features: int
     n_classes: int
 
-    def predict(self, rows: np.ndarray, deadline: Deadline | None = None) -> np.ndarray:
+    def predict(self, rows: np.ndarray, deadline: Deadline = NO_DEADLINE) -> np.ndarray:
         """(r, m, d) rows -> (r, m) labels, slice i by the members of slice
         i. Score ties go to the smaller class index."""
         rows = check_stack(rows, self.n_slices, self.n_features)
         m = rows.shape[1]
         scores = np.zeros((self.n_slices, m, self.n_classes))
         for model, slices, weights in self.members:
-            if deadline is not None:
-                deadline.check()
+            deadline.check()
             preds = model.predict(rows[slices], deadline=deadline)
             # unbuffered, so the votes of one slice add up in estimator order
             np.add.at(scores, (slices[:, None], np.arange(m), preds), np.reshape(weights, (-1, 1)))
         return np.argmax(scores, axis=2).astype(np.int64)
 
 
-def fit_bagging(base: LearnerSpec, base_params, X, y, n_classes, params, seed=0, deadline=None) -> VotingModel:
+def fit_bagging(base: LearnerSpec, base_params, X, y, n_classes, params, seed=0, deadline=NO_DEADLINE) -> VotingModel:
     """Unweighted vote of base fits on row samples.
 
     Each slice draws every estimator's rows and fit seed first, in
@@ -86,8 +85,7 @@ def fit_bagging(base: LearnerSpec, base_params, X, y, n_classes, params, seed=0,
     chunk = max(1, STACK_CELLS // max(1, m * d))
     members = []
     for lo in range(0, r * n_estimators, chunk):
-        if deadline is not None:
-            deadline.check()
+        deadline.check()
         at = slice(lo, lo + chunk)
         rows = (owner[at, None], samples[at])
         model = base.fit(X[rows], y[rows], n_classes, base_params, seed=fit_seeds[at], deadline=deadline)
@@ -103,7 +101,7 @@ def _weighted_resample(weights: np.ndarray, n: int, rng: Rng) -> np.ndarray:
     return np.minimum(np.sort(draws), n - 1)
 
 
-def fit_adaboost(base: LearnerSpec, base_params, X, y, n_classes, params, seed=0, deadline=None) -> VotingModel:
+def fit_adaboost(base: LearnerSpec, base_params, X, y, n_classes, params, seed=0, deadline=NO_DEADLINE) -> VotingModel:
     """Multi-class discrete boosting (SAMME weight updates).
 
     Every slice boosts with its own stream, weights and stopping round.
@@ -124,8 +122,7 @@ def fit_adaboost(base: LearnerSpec, base_params, X, y, n_classes, params, seed=0
     for _ in range(n_estimators):
         if not boosting:
             break
-        if deadline is not None:
-            deadline.check()
+        deadline.check()
         slices = np.array(boosting)
         rows = (slices[:, None], np.stack([_weighted_resample(w[i], n, rngs[i]) for i in boosting]))
         fit_seeds = [rngs[i].next_u64() for i in boosting]

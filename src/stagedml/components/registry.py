@@ -52,6 +52,9 @@ class LearnerSpec:
     stack of one with seed i gives. A fit written for one problem loops
     over the slices itself, as ``learners.fit_gaussian_nb`` does, and one
     problem is fitted as a stack of one (``evaluation.fit_pipeline``).
+    Every fit and predict always receives a ``timing.Deadline``
+    (``NO_DEADLINE`` when the caller sets none) and calls its ``check()``
+    between coarse units of work, with no ``None`` test.
     """
 
     id: str

@@ -402,39 +402,30 @@ def _train_size(fraction: float, n: int) -> int:
     return min(n, max(0, int(math.floor(fraction * n + 0.5))))
 
 
-def split_indices(
-    labels: np.ndarray, spec: SplitSpec, stratified: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic row partition; returns (train_rows, test_rows) ascending.
-    Stratified, a class of a single row goes wholly to train."""
+def split_indices(labels: np.ndarray, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic stratified row partition; returns (train_rows, test_rows)
+    ascending. Each class present is one stratum, the one class of
+    single-class data too; a class of a single row goes wholly to train."""
     n = int(labels.shape[0])
     if n == 0:
         raise ValueError("cannot split an empty dataset")
     target = _train_size(spec.train_fraction, n)
     rng = Rng(spec.seed)
+    groups = [np.flatnonzero(labels == c) for c in range(int(labels.max()) + 1)]
+    groups = [g for g in groups if g.size > 0]
+    # a class of one row cannot be split: it goes wholly to train
+    quotas = [spec.train_fraction * g.size if g.size > 1 else 1.0 for g in groups]
+    base = [int(math.floor(q)) for q in quotas]
+    extra = target - sum(base)
+    order = sorted(range(len(groups)), key=lambda i: (-(quotas[i] - base[i]), i))
+    take = list(base)
+    for i in order[: max(0, extra)]:
+        take[i] += 1
     picked: list[int] = []
-    if stratified:
-        n_classes = int(labels.max()) + 1 if n else 0
-        groups = [np.flatnonzero(labels == c) for c in range(n_classes)]
-        groups = [g for g in groups if g.size > 0]
-        if len(groups) < 2:
-            raise ValueError("stratified split needs at least 2 distinct label values")
-        # a class of one row cannot be split: it goes wholly to train
-        quotas = [spec.train_fraction * g.size if g.size > 1 else 1.0 for g in groups]
-        base = [int(math.floor(q)) for q in quotas]
-        extra = target - sum(base)
-        order = sorted(range(len(groups)), key=lambda i: (-(quotas[i] - base[i]), i))
-        take = list(base)
-        for i in order[: max(0, extra)]:
-            take[i] += 1
-        for g, k in zip(groups, take):
-            idx = list(map(int, g))
-            rng.shuffle(idx)
-            picked.extend(idx[:k])
-    else:
-        idx = list(range(n))
+    for g, k in zip(groups, take):
+        idx = list(map(int, g))
         rng.shuffle(idx)
-        picked = idx[:target]
+        picked.extend(idx[:k])
     train = np.array(sorted(picked), dtype=np.int64)
     mask = np.ones(n, dtype=bool)
     mask[train] = False
@@ -442,14 +433,14 @@ def split_indices(
     return train, test
 
 
-def split(dataset: Dataset, spec: SplitSpec, stratified: bool = True) -> tuple[Dataset, Dataset]:
+def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     """Split into disjoint (train, test) parts with round(f*N) train rows.
 
-    Stratified splitting keeps per-class train proportions within one
-    example of the global proportions (floor quotas plus largest
+    The split is stratified: it keeps per-class train proportions within
+    one example of the global proportions (floor quotas plus largest
     remainders); a class of one row goes wholly to train.
     """
-    train_rows, test_rows = split_indices(dataset.labels, spec, stratified=stratified)
+    train_rows, test_rows = split_indices(dataset.labels, spec)
     return dataset.subset_rows(train_rows), dataset.subset_rows(test_rows)
 
 

@@ -49,7 +49,7 @@ from stagedml.components.registry import Registry, ScalerSpec
 from stagedml.data import Dataset, FeatureSet, SplitSpec, split_indices
 from stagedml.data import project  # noqa: F401  (kept importable from this module)
 from stagedml.rng import derive_seed
-from stagedml.timing import Budget, Deadline, DeadlineExceeded
+from stagedml.timing import NO_DEADLINE, Budget, Deadline, DeadlineExceeded
 
 STATUS_OK = "ok"
 STATUS_TIMEOUT = "failed_timeout"
@@ -191,7 +191,7 @@ class FittedPipeline:
     model: object
     n_columns: int
 
-    def predict(self, rows: np.ndarray, deadline: Deadline | None = None) -> np.ndarray:
+    def predict(self, rows: np.ndarray, deadline: Deadline = NO_DEADLINE) -> np.ndarray:
         return self.model.predict(self.transform(rows)[None], deadline=deadline)[0]
 
     def transform(self, rows: np.ndarray) -> np.ndarray:
@@ -270,7 +270,7 @@ def fit_pipeline(
     train: Dataset,
     registry: Registry,
     seed: int = 0,
-    deadline: Deadline | None = None,
+    deadline: Deadline = NO_DEADLINE,
 ) -> FittedPipeline:
     """Fit scaler -> feature columns -> (meta-wrapped) learner on ``train``.
 
@@ -293,7 +293,7 @@ def holdout_error(
     test: Dataset,
     registry: Registry,
     seed: int,
-    deadline: Deadline | None = None,
+    deadline: Deadline = NO_DEADLINE,
 ) -> float:
     """The error rate on ``test`` of ``candidate`` fitted on ``train`` by
     ``fit_pipeline`` with ``seed``; ``deadline`` bounds the fit and the
@@ -317,7 +317,7 @@ def mccv_splits(dataset: Dataset, cfg: EvalConfig) -> list[tuple[np.ndarray, np.
     out = []
     for r in range(cfg.repeats):
         spec = SplitSpec(train_fraction=cfg.train_fraction, seed=derive_seed(cfg.seed, "mccv", r))
-        out.append(split_indices(dataset.labels, spec, stratified=True))
+        out.append(split_indices(dataset.labels, spec))
     return out
 
 
@@ -334,7 +334,7 @@ def mccv_score(
     dataset: Dataset,
     cfg: EvalConfig,
     registry: Registry,
-    deadline: Deadline | None = None,
+    deadline: Deadline = NO_DEADLINE,
     folds: Sequence[tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> Score:
     """Average validation error over `repeats` stratified splits: the
@@ -349,9 +349,9 @@ def mccv_score(
     one stacked call of the model.
 
     Failures are statuses, not exceptions: a lapsed deadline yields
-    ``failed_timeout`` (partial folds discarded), an invalid candidate,
-    a learner error or labels that cannot be split yield
-    ``failed_error``. Single-class data scores 0 trivially.
+    ``failed_timeout`` (partial folds discarded), an invalid candidate
+    or a learner error yield ``failed_error``. A valid candidate scores
+    0 trivially on data of fewer than two classes.
     """
     return mccv_score_group([candidate], dataset, cfg, registry, [deadline], folds)[0]
 
@@ -361,11 +361,11 @@ def mccv_score_group(
     dataset: Dataset,
     cfg: EvalConfig,
     registry: Registry,
-    deadlines: Sequence[Deadline | None] | None = None,
+    deadlines: Sequence[Deadline] | None = None,
     folds: Sequence[tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> list[Score]:
     """The ``mccv_score`` of each of ``candidates``, which share one
-    ``stack_signature``, candidate i under ``deadlines[i]``.
+    ``stack_signature``, candidate i under ``deadlines[i]`` (``NO_DEADLINE`` by default).
 
     Every candidate's folds are scaled and projected on their own, then
     the folds of all of them are fitted as one (candidates x folds) stack
@@ -379,9 +379,8 @@ def mccv_score_group(
     is the one scoring it alone gives.
     """
     n = len(candidates)
-    deadlines = list(deadlines) if deadlines is not None else [None] * n
-    if len(np.unique(dataset.labels)) < 2:
-        return [Score(mean=0.0, std=0.0, per_fold=(0.0,) * cfg.repeats, status=STATUS_OK)] * n
+    deadlines = list(deadlines) if deadlines is not None else [NO_DEADLINE] * n
+    one_class = len(np.unique(dataset.labels)) < 2
     stack = Deadline.earliest(*deadlines, Deadline(cfg.per_eval_timeout))
     scores: list[Score | None] = [None] * n
     X, y = dataset.instances, dataset.labels
@@ -391,6 +390,9 @@ def mccv_score_group(
             key = candidate_key(candidate)
             try:
                 scaler_spec, fit = _resolve_candidate(candidate, registry)  # reject before any fold
+                if one_class:  # a valid candidate scores 0 trivially
+                    scores[i] = Score(mean=0.0, std=0.0, per_fold=(0.0,) * cfg.repeats, status=STATUS_OK)
+                    continue
                 if folds is None:
                     folds = mccv_splits(dataset, cfg)
                 own_train, own_val = [], []
@@ -470,18 +472,18 @@ def _dispatches(
     for group in groups if groups is not None else ([i] for i in range(len(candidates))):
         if ready is not None:
             ready()
-        if deadline is not None and deadline.expired():
+        if deadline.expired():
             return
         members = []
         for i in group:
             own = budgets[i].start() if budgets is not None else deadline
-            if own is None or not own.expired():
+            if not own.expired():
                 members.append((i, candidates[i], own))
         yield members
 
 
 def evaluate_serially(
-    evaluator, candidates: Sequence[Candidate], stage: str, deadline=None, budgets: Sequence[Budget] | None = None
+    evaluator, candidates: Sequence[Candidate], stage: str, deadline=NO_DEADLINE, budgets: Sequence[Budget] | None = None
 ) -> list[Score | None]:
     """``evaluate_many`` as a loop over ``evaluator.evaluate`` in this
     process."""
@@ -529,7 +531,7 @@ class Evaluator:
         candidate: Candidate,
         stage: str,
         cfg: EvalConfig | None = None,
-        deadline: Deadline | None = None,
+        deadline: Deadline = NO_DEADLINE,
     ) -> Score:
         """The score of ``candidate``, cached or scored here. A ``cfg``
         other than the evaluator's own is journaled as auxiliary."""
@@ -549,7 +551,7 @@ class Evaluator:
         self,
         candidates: Sequence[Candidate],
         stage: str,
-        deadline: Deadline | None = None,
+        deadline: Deadline = NO_DEADLINE,
         budgets: Sequence[Budget] | None = None,
     ) -> list[Score | None]:
         """The scores of ``candidates`` under the evaluator's config, as
@@ -570,13 +572,15 @@ class Evaluator:
         at a time, as ``evaluate_serially``, when fewer than two keys are
         left to score, when their training cells (repeats x training rows
         x input width, summed) fall short of ``POOL_CELLS``, when one CPU
-        is usable, when the context cannot go to workers by value (a
-        registry that does not pickle), or when workers would be forked
-        from a process that runs other threads. Starting workers costs
-        11-15 ms on a 2-vCPU VM, more than a second CPU saves on the
-        500-5,000 cells of a probing, scaling or filtering batch of 40
-        rows; meta and tuning batches of such rows hold 30,000 or more,
-        and every batch of 1,500 rows and 6 columns 105,000 or more.
+        is usable, when the data hold fewer than two classes (every
+        candidate then scores trivially), when the context cannot go to
+        workers by value (a registry that does not pickle), or when
+        workers would be forked from a process that runs other threads.
+        Starting workers costs 11-15 ms on a 2-vCPU VM, more than a second
+        CPU saves on the 500-5,000 cells of a probing, scaling or
+        filtering batch of 40 rows; meta and tuning batches of such rows
+        hold 30,000 or more, and every batch of 1,500 rows and 6 columns
+        105,000 or more.
         """
         keys = [self._cache_key(c, self.cfg) for c in candidates]
         left = {key: c for key, c in zip(keys, candidates) if key not in self._cache}  # keys to score
@@ -667,8 +671,8 @@ class Evaluator:
         if len(left) < 2 or self._cells_per_column() * sum(widths) < POOL_CELLS:
             return None
         if self._workers is None:
-            if threading.active_count() > 1:
-                return None  # forking a process that runs other threads can deadlock the child
+            if threading.active_count() > 1 or len(np.unique(self.dataset.labels)) < 2:
+                return None  # a fork beside other threads can deadlock the child; one class scores 0 anyway
             try:
                 context = pickle.dumps((self.dataset, self.registry, self.cfg, self._folds(self.cfg)))
             except (pickle.PicklingError, AttributeError, TypeError):  # local functions, locks
@@ -684,9 +688,8 @@ class Evaluator:
         self._workers = self._stop_workers = None
 
     def _folds(self, cfg: EvalConfig) -> list[tuple[np.ndarray, np.ndarray]] | None:
-        """The folds of ``cfg``, drawn on first use. None when the labels
-        cannot be split; ``mccv_score`` then reports that for each
-        candidate."""
+        """The folds of ``cfg``, drawn on first use; None for an empty
+        dataset, the only one that cannot be split."""
         fold_key = (cfg.seed, cfg.repeats, cfg.train_fraction)
         if fold_key not in self._fold_cache:
             try:

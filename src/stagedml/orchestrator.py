@@ -20,8 +20,6 @@ import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Sequence
 
-import numpy as np
-
 from stagedml.data import Dataset, SplitSpec, split
 from stagedml.evaluation import STATUS_TIMEOUT, Candidate, EvalConfig, Evaluator, candidate_to_dict
 from stagedml.rng import derive_seed
@@ -120,16 +118,14 @@ class RunReport:
 
 def holdout_split(dataset: Dataset, cfg: SchemeConfig) -> tuple[Dataset, Dataset | None]:
     """Carve the holdout off first whenever validation is configured,
-    regardless of whether the validation stage is in the stage list.
-    Data of one class is split unstratified, which takes the rows a
-    stratified split of its one class would."""
+    regardless of whether the validation stage is in the stage list."""
     if cfg.validation is None:
         return dataset, None
     spec = SplitSpec(
         train_fraction=1.0 - cfg.validation.holdout_fraction,
         seed=derive_seed(cfg.seed, "holdout"),
     )
-    return split(dataset, spec, stratified=len(np.unique(dataset.labels)) > 1)
+    return split(dataset, spec)
 
 
 def run(dataset: Dataset, cfg: SchemeConfig) -> RunReport:

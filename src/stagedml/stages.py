@@ -35,7 +35,7 @@ from stagedml.components.registry import Registry
 from stagedml.data import Dataset, FeatureSet
 from stagedml.evaluation import Candidate, Evaluator, Score, candidate_key, holdout_error
 from stagedml.rng import Rng, derive_seed
-from stagedml.timing import Budget, Deadline
+from stagedml.timing import NO_DEADLINE, Budget, Deadline
 
 PILOT_LEARNERS = ("knn", "gaussian_nb")
 SCALING_EPSILON = 0.0  # a scaler expands when it beats some pilot's raw score by more
@@ -128,7 +128,7 @@ class StageContext:
     data: Dataset
     holdout: Dataset | None = None
     seed: int = 0
-    deadline: Deadline | None = None
+    deadline: Deadline = NO_DEADLINE
     validation: ValidationConfig | None = None
     trace: dict = field(default_factory=dict)
     # whether a deadline (the stage's, or a candidate's own budget) left
@@ -138,7 +138,7 @@ class StageContext:
     def expired(self) -> bool:
         """Whether the stage deadline has lapsed. A stage stops when this
         is true, so the trace records ``deadline_hit`` here."""
-        if self.deadline is None or not self.deadline.expired():
+        if not self.deadline.expired():
             return False
         self.trace["deadline_hit"] = True
         return True

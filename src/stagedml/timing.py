@@ -1,9 +1,10 @@
 """Cooperative wall-clock deadlines.
 
-Budgets are enforced cooperatively: long-running fits check a shared
-:class:`Deadline` between coarse work units (per tree, per epoch, per
-fold). Hard preemption is deliberately not attempted, so a budget can be
-overshot by at most one work unit.
+Budgets are enforced cooperatively: long-running work checks a shared
+:class:`Deadline` between coarse work units (a grower step, every 8th
+logistic-regression epoch, a prediction chunk, a fold, a bagging chunk,
+a boosting round). Hard preemption is deliberately not attempted, so a
+budget can be overshot by at most one work unit.
 """
 
 from __future__ import annotations
@@ -17,53 +18,34 @@ class DeadlineExceeded(RuntimeError):
 
 
 class Deadline:
-    """Absolute point on the monotonic clock; ``None`` means unlimited."""
+    """Absolute point on the monotonic clock; ``Deadline()`` lies at
+    infinity and never lapses. No method changes a deadline."""
 
     __slots__ = ("_at",)
 
-    def __init__(self, seconds: float | None = None, *, at: float | None = None) -> None:
-        if at is not None:
-            self._at = at
-        elif seconds is None:
-            self._at = None
-        else:
-            self._at = time.monotonic() + max(0.0, seconds)
-
-    @classmethod
-    def unlimited(cls) -> "Deadline":
-        return cls(None)
-
-    @property
-    def remaining(self) -> float:
-        if self._at is None:
-            return math.inf
-        return self._at - time.monotonic()
+    def __init__(self, seconds: float = math.inf, *, at: float | None = None) -> None:
+        self._at = at if at is not None else time.monotonic() + max(0.0, seconds)
 
     def expired(self) -> bool:
-        return self._at is not None and time.monotonic() >= self._at
+        return time.monotonic() >= self._at
 
     def check(self) -> None:
         if self.expired():
             raise DeadlineExceeded("wall-clock budget exhausted")
 
     def clipped(self, seconds: float | None) -> "Deadline":
-        """The earlier of this deadline and ``now + seconds``."""
+        """The earlier of this deadline and ``now + seconds``; ``None``
+        clips nothing."""
         if seconds is None:
             return self
-        other = time.monotonic() + max(0.0, seconds)
-        if self._at is None or other < self._at:
-            return Deadline(at=other)
-        return self
+        return Deadline(at=min(self._at, time.monotonic() + max(0.0, seconds)))
 
     @staticmethod
-    def earliest(*deadlines: "Deadline | None") -> "Deadline":
-        best: float | None = None
-        for d in deadlines:
-            if d is None or d._at is None:
-                continue
-            if best is None or d._at < best:
-                best = d._at
-        return Deadline(at=best) if best is not None else Deadline.unlimited()
+    def earliest(*deadlines: "Deadline") -> "Deadline":
+        return Deadline(at=min((d._at for d in deadlines), default=math.inf))
+
+
+NO_DEADLINE = Deadline()  # the default of every ``deadline=`` parameter
 
 
 class Budget:
@@ -73,8 +55,8 @@ class Budget:
 
     __slots__ = ("_within", "_seconds", "_started")
 
-    def __init__(self, deadline: Deadline | None, seconds: float | None) -> None:
-        self._within = deadline if deadline is not None else Deadline.unlimited()
+    def __init__(self, deadline: Deadline, seconds: float | None) -> None:
+        self._within = deadline
         self._seconds = seconds
         self._started: Deadline | None = None
 

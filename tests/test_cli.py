@@ -282,6 +282,23 @@ class TestBench:
         ])
         assert code == EXIT_OK
 
+    def test_single_class_data_benches_every_cell(self, tmp_path):
+        # the outer split, the holdout and the folds each take one class as one stratum
+        rows = [f"{i % 7}.5,{i % 3}.25,only" for i in range(30)]
+        path = tmp_path / "one.csv"
+        path.write_text("x0,x1,label\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        outdir = tmp_path / "bench"
+        code = main([
+            "bench", "--data", str(path), "--label", "label", "--preset", "primitive",
+            "--preset", "single-validation", "--splits", "2", "--seed", "3", "--out", str(outdir),
+        ])
+        assert code == EXIT_OK
+        rows = list(csv.DictReader(open(outdir / "results.csv", encoding="utf-8")))
+        cells = {(r["dataset_id"], r["approach_id"], r["split_index"]) for r in rows}
+        assert len(rows) == len(cells) == 4
+        assert {c[1] for c in cells} == {"primitive", "single-validation"}
+        assert all(float(r["error"]) == 0.0 for r in rows)
+
     def test_full_preset_solves_separable(self, synth_csv, tmp_path):
         outdir = tmp_path / "bench3"
         code = main([

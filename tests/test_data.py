@@ -12,6 +12,7 @@ from stagedml.data import (
     split,
     split_indices,
 )
+from stagedml.rng import Rng
 
 from conftest import make_numeric_dataset, random_dataset
 
@@ -150,7 +151,7 @@ class TestSplit:
         # counting oracle: 100 rows, 50/50, fraction 0.7 -> 35 per class
         y = np.array([0] * 50 + [1] * 50)
         d = make_numeric_dataset(np.arange(100.0), y)
-        train, _ = split(d, SplitSpec(0.7, seed=9), stratified=True)
+        train, _ = split(d, SplitSpec(0.7, seed=9))
         assert int((train.labels == 0).sum()) == 35
         assert int((train.labels == 1).sum()) == 35
 
@@ -167,10 +168,8 @@ class TestSplit:
 
     def test_singleton_class_goes_to_train(self):
         d = make_numeric_dataset(np.arange(5.0), [0, 0, 0, 0, 1])
-        train, test = split(d, SplitSpec(0.7, seed=1), stratified=True)
+        train, test = split(d, SplitSpec(0.7, seed=1))
         assert 4.0 in train.instances[:, 0] and train.n_rows + test.n_rows == 5
-        train, test = split(d, SplitSpec(0.7, seed=1), stratified=False)
-        assert train.n_rows + test.n_rows == 5
         # 20/20/1 rows over three classes: 14 + 14 + 1 train rows
         y = np.array([0] * 20 + [1] * 20 + [2])
         train_rows, test_rows = split_indices(y, SplitSpec(0.7, seed=3))
@@ -207,11 +206,19 @@ class TestSplit:
             assert abs(got - frac * size) <= 1.0
             assert size > 1 or got == 1
 
-    def test_single_class_stratified_rejected(self):
-        d = make_numeric_dataset(np.arange(6.0), [0] * 6, class_names=["only"])
-        with pytest.raises(ValueError):
-            split(d, SplitSpec(0.7, seed=1), stratified=True)
-        split(d, SplitSpec(0.7, seed=1), stratified=False)
+    @pytest.mark.parametrize("n, fraction, seed", [(2, 0.5, 0), (6, 0.7, 1), (30, 0.7, 5), (25, 0.33, 2**40)])
+    def test_single_class_split_is_a_shuffle_cut_at_train_size(self, n, fraction, seed):
+        # one class is one stratum: Rng(seed) shuffles all rows, and the
+        # first round-half-up(fraction * n) of them are the train rows
+        d = make_numeric_dataset(np.arange(float(n)), [0] * n, class_names=["only"])
+        rows = list(range(n))
+        Rng(seed).shuffle(rows)
+        cut = int(np.floor(fraction * n + 0.5))
+        train_rows, test_rows = split_indices(d.labels, SplitSpec(fraction, seed=seed))
+        assert train_rows.tolist() == sorted(rows[:cut])
+        assert test_rows.tolist() == sorted(rows[cut:])
+        train, test = split(d, SplitSpec(fraction, seed=seed))
+        assert train.instances[:, 0].tolist() == sorted(rows[:cut]) and test.n_rows == n - cut
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -218,6 +218,24 @@ class TestMccv:
         assert s.status == "ok" and s.mean == 0.0 and s.std == 0.0
         assert len(s.per_fold) == 5
 
+    @pytest.mark.parametrize(
+        "candidate",
+        [
+            Candidate(learner="nope"),
+            Candidate(learner="knn", params={"k": 2}),
+            Candidate(learner="bagging"),
+            Candidate(learner="knn", scaler="nope"),
+        ],
+        ids=["unknown-learner", "param-outside-space", "bare-meta", "unknown-scaler"],
+    )
+    def test_invalid_candidate_fails_on_any_labels(self, registry, candidate):
+        # rejected before the first fold, one class or two
+        one = make_numeric_dataset(np.arange(20.0), np.zeros(20, dtype=int), class_names=["only"])
+        two = make_numeric_dataset(np.arange(20.0), [0, 1] * 10)
+        for d in (one, two):
+            s = mccv_score(candidate, d, EvalConfig(seed=1), registry)
+            assert s.status == "failed_error" and s.mean is None and s.per_fold == ()
+
     def test_determinism_without_cache(self, registry):
         d = make_dataset("madelon_like", 80, 6, 2)
         cfg = EvalConfig(seed=4)
@@ -821,6 +839,20 @@ class TestEvaluateMany:
             waiter.join(timeout=60)
         assert not waiter.is_alive() and ev._workers is None
         assert scores == [mccv_score(c, data, cfg, registry) for c in pair]
+
+    def test_single_class_batch_forks_no_workers(self, registry, monkeypatch):
+        # its folds reach POOL_CELLS, but every candidate scores 0 trivially
+        monkeypatch.setattr(evaluation, "WORKERS", 2)
+        x = np.random.default_rng(0).normal(size=(600, 6))
+        data = make_numeric_dataset(x, np.zeros(600, dtype=int), class_names=["only"])
+        cfg = EvalConfig(seed=1)
+        ev = Evaluator(registry=registry, dataset=data, cfg=cfg)
+        batch = [Candidate(learner) for learner in ("knn", "gaussian_nb", "decision_tree")]
+        scores = ev.evaluate_many(batch, stage="probing")
+        forked = ev._workers is not None
+        ev.close()
+        assert not forked
+        assert scores == [mccv_score(c, data, cfg, registry) for c in batch] and all(s.mean == 0.0 for s in scores)
 
     def test_stack_past_its_timeout_scores_each_member_alone(self, registry, monkeypatch):
         monkeypatch.setattr(evaluation, "WORKERS", 2)

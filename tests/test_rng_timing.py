@@ -15,7 +15,7 @@ from stagedml.rng import (
     streams,
     tree_start,
 )
-from stagedml.timing import Deadline, DeadlineExceeded
+from stagedml.timing import NO_DEADLINE, Deadline, DeadlineExceeded
 
 
 # reference splitmix64 outputs for seed 1234567 (Vigna's public test vector)
@@ -146,10 +146,10 @@ def test_log_uniform_bounds():
 
 
 def test_deadline_unlimited_never_expires():
-    d = Deadline.unlimited()
-    assert not d.expired()
-    d.check()
-    assert d.remaining == float("inf")
+    for d in (Deadline(), NO_DEADLINE, Deadline(float("inf")), Deadline(at=float("inf"))):
+        assert not d.expired()
+        d.check()
+        assert not d.clipped(None).expired()
 
 
 def test_deadline_zero_expires_immediately():
@@ -168,9 +168,32 @@ def test_deadline_clipping_takes_earlier():
 
 
 def test_deadline_earliest():
-    assert Deadline.earliest(None, None).remaining == float("inf")
-    d = Deadline.earliest(Deadline(100.0), Deadline(0.0), None)
+    d = Deadline.earliest(Deadline(), Deadline())
+    assert not d.expired()
+    d.check()
+    d = Deadline.earliest(Deadline(100.0), Deadline(0.0), Deadline())
     assert d.expired()
+    with pytest.raises(DeadlineExceeded):
+        d.check()
+
+
+_AT = st.one_of(
+    st.floats(min_value=-1e6, max_value=-1.0),  # lapsed
+    st.floats(min_value=1e3, max_value=1e9),  # lapses long after the test
+    st.just(float("inf")),  # never lapses
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(offsets=st.lists(_AT, min_size=1, max_size=5), seconds=st.none() | st.floats(min_value=0.0, max_value=1e9))
+def test_earliest_lapses_with_any_and_clipping_never_extends(offsets, seconds):
+    now = time.monotonic()
+    ds = [Deadline(at=now + offset) for offset in offsets]
+    assert Deadline.earliest(*ds).expired() == any(d.expired() for d in ds)
+    for d in ds:
+        # a clipped deadline lapses no later than the one it clips
+        assert d.clipped(seconds).expired() or not d.expired()
+        assert d.clipped(seconds)._at <= d._at
 
 
 def test_deadline_counts_down():
