@@ -298,6 +298,12 @@ def _load_matrix(path: Path) -> stats.ResultMatrix:
 
 
 def cmd_report(args) -> int:
+    if not 0.0 < args.alpha < 1.0:
+        raise UsageError(f"--alpha {args.alpha!r} must lie in (0, 1)")
+    if not 0.0 <= args.delta < float("inf"):
+        raise UsageError(f"--delta {args.delta!r} must be a finite number >= 0")
+    if not 0.0 <= args.trim < 0.5:
+        raise UsageError(f"--trim {args.trim!r} must lie in [0, 0.5)")
     matrix = _load_matrix(Path(args.results))
     approaches = matrix.approaches()
     if not approaches:

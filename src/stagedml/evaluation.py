@@ -40,7 +40,7 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -351,7 +351,8 @@ def mccv_score(
     Failures are statuses, not exceptions: a lapsed deadline yields
     ``failed_timeout`` (partial folds discarded), an invalid candidate
     or a learner error yield ``failed_error``. A valid candidate scores
-    0 trivially on data of fewer than two classes.
+    0 trivially on data of one class; data with no rows cannot be split,
+    so every candidate fails on them.
     """
     return mccv_score_group([candidate], dataset, cfg, registry, [deadline], folds)[0]
 
@@ -380,7 +381,7 @@ def mccv_score_group(
     """
     n = len(candidates)
     deadlines = list(deadlines) if deadlines is not None else [NO_DEADLINE] * n
-    one_class = len(np.unique(dataset.labels)) < 2
+    one_class = len(np.unique(dataset.labels)) == 1
     stack = Deadline.earliest(*deadlines, Deadline(cfg.per_eval_timeout))
     scores: list[Score | None] = [None] * n
     X, y = dataset.instances, dataset.labels
@@ -460,40 +461,6 @@ class JournalRecord:
         return {f.name: getattr(self, f.name) for f in fields(self)} | {"per_fold": list(self.per_fold)}
 
 
-def _dispatches(
-    candidates: Sequence[Candidate], deadline, budgets: Sequence[Budget] | None, groups=None, ready=None
-):
-    """Each group of ``candidates`` to dispatch, as its (index, candidate,
-    deadline) list; ``groups`` are lists of indices (by default each
-    candidate alone, in submission order). A group is checked just before
-    it is dispatched (after ``ready()``, the caller's wait for a free
-    worker): nothing once ``deadline`` has lapsed, and no candidate whose
-    own budget (``budgets[i]``, started here) has lapsed."""
-    for group in groups if groups is not None else ([i] for i in range(len(candidates))):
-        if ready is not None:
-            ready()
-        if deadline.expired():
-            return
-        members = []
-        for i in group:
-            own = budgets[i].start() if budgets is not None else deadline
-            if not own.expired():
-                members.append((i, candidates[i], own))
-        yield members
-
-
-def evaluate_serially(
-    evaluator, candidates: Sequence[Candidate], stage: str, deadline=NO_DEADLINE, budgets: Sequence[Budget] | None = None
-) -> list[Score | None]:
-    """``evaluate_many`` as a loop over ``evaluator.evaluate`` in this
-    process."""
-    scores: list[Score | None] = [None] * len(candidates)
-    for group in _dispatches(candidates, deadline, budgets):
-        for i, candidate, own in group:
-            scores[i] = evaluator.evaluate(candidate, stage, deadline=own)
-    return scores
-
-
 @dataclass
 class Evaluator:
     """Scores candidates on one optimization dataset, with caching.
@@ -510,11 +477,15 @@ class Evaluator:
     ``evaluate_many`` forks its worker processes on the first batch that
     needs them; ``close`` stops them (``orchestrator.run`` does when it
     returns or raises), and so does dropping the evaluator.
+
+    ``cut_short`` records whether a deadline cut scoring short: a batch
+    left a candidate undispatched, or a scoring ended ``failed_timeout``.
     """
 
     registry: Registry
     dataset: Dataset
     cfg: EvalConfig
+    cut_short: bool = field(default=False, init=False)
     _cache: dict = field(default_factory=dict)
     _journal: list = field(default_factory=list)
     _by_key: dict = field(default_factory=dict)
@@ -556,57 +527,65 @@ class Evaluator:
     ) -> list[Score | None]:
         """The scores of ``candidates`` under the evaluator's config, as
         ``evaluate`` called on each in turn would give them; None for a
-        candidate left unscored because ``deadline``, or its own budget
-        ``budgets[i]`` (started when it is dispatched), lapsed first.
+        candidate left undispatched because ``deadline``, or its own budget
+        ``budgets[i]`` (started when it is dispatched), lapsed first, which
+        sets ``cut_short``.
 
-        Cached and repeated keys are not scored again. The others go to
-        ``WORKERS`` worker processes in groups of one ``stack_signature``
-        (``_stack_groups``), each group one task scored as one stack by
-        ``mccv_score_group``, one task in flight per worker. ``deadline``
-        is checked before each group's dispatch, and each member's budget
-        starts there; once ``deadline`` lapses, nothing more is dispatched
-        and the tasks in flight are waited for. Cache entries and journal
-        records are written in submission order, so the journal does not
-        depend on the worker count; a group's wall time is split evenly
-        among its members. The batch runs in this process, one candidate
-        at a time, as ``evaluate_serially``, when fewer than two keys are
-        left to score, when their training cells (repeats x training rows
-        x input width, summed) fall short of ``POOL_CELLS``, when one CPU
-        is usable, when the data hold fewer than two classes (every
-        candidate then scores trivially), when the context cannot go to
-        workers by value (a registry that does not pickle), or when
-        workers would be forked from a process that runs other threads.
-        Starting workers costs 11-15 ms on a 2-vCPU VM, more than a second
-        CPU saves on the 500-5,000 cells of a probing, scaling or
-        filtering batch of 40 rows; meta and tuning batches of such rows
-        hold 30,000 or more, and every batch of 1,500 rows and 6 columns
-        105,000 or more.
+        One loop checks, groups and hands out the batch. A group's task is
+        built just before the group is dispatched, and only there is
+        ``deadline`` checked (once it lapses, nothing more goes out) and a
+        member's budget started and checked. In this process each
+        candidate is its own group and every dispatched one goes through
+        ``evaluate``, cached and repeated keys included, so each journal
+        record comes from one ``evaluate`` call. On ``WORKERS`` worker
+        processes the groups are ``_stack_groups`` of one
+        ``stack_signature``; a task holds the members whose keys are left
+        to score and not yet sent, and ``_Workers.score`` scores it as one
+        stack by ``mccv_score_group``, one task in flight per worker.
+        Cache entries and journal records are written in submission order,
+        so the journal does not depend on the worker count; a group's wall
+        time is split evenly among its members. The batch runs in this
+        process when fewer than two keys are left to score, when their
+        training cells (repeats x training rows x input width, summed)
+        fall short of ``POOL_CELLS``, when one CPU is usable, when the data
+        hold one class (every candidate then scores trivially), when the
+        context cannot go to workers by value (a registry that does not
+        pickle), or when workers would be forked from a process that runs
+        other threads. Starting workers costs 11-15 ms on a 2-vCPU VM, more
+        than a second CPU saves on the 500-5,000 cells of a probing,
+        scaling or filtering batch of 40 rows; meta and tuning batches of
+        such rows hold 30,000 or more, and every batch of 1,500 rows and 6
+        columns 105,000 or more.
         """
         keys = [self._cache_key(c, self.cfg) for c in candidates]
         left = {key: c for key, c in zip(keys, candidates) if key not in self._cache}  # keys to score
         workers = self._workers_for(left)
-        if workers is None:
-            return evaluate_serially(self, candidates, stage, deadline, budgets)
-        return self._evaluate_on(workers, candidates, keys, left, stage, deadline, budgets)
+        groups = self._stack_groups(candidates, keys, left) if workers else [[i] for i in range(len(candidates))]
+        dispatched, sent = [], set()  # indices dispatched, scored or not; keys in a task
 
-    def _evaluate_on(self, workers: "_Workers", candidates, keys, left, stage, deadline, budgets) -> list[Score | None]:
-        """``evaluate_many`` on ``workers``, with its cache ``keys`` and keys ``left`` to score."""
-        dispatched = []  # indices of the members dispatched, scored or not
-        firsts: dict = {}  # cache key -> index of the member that scores it
-        results: dict = {}
-        groups = self._stack_groups(candidates, keys, left)
-        for group in _dispatches(candidates, deadline, budgets, groups, lambda: workers.ready(results)):
-            task = []
-            for i, candidate, own in group:
-                dispatched.append(i)
-                if keys[i] in left and keys[i] not in firsts:
-                    firsts[keys[i]] = i
-                    task.append((i, candidate, own))
-            if task:
-                workers.submit(task)
-        workers.drain(results)
-        for cache_key, i in sorted(firsts.items(), key=lambda item: item[1]):  # submission order
-            self._record(cache_key, candidates[i], stage, *results[i], self.cfg)
+        def tasks():
+            for group in groups:
+                if deadline.expired():
+                    return
+                task = []
+                for i in group:
+                    own = budgets[i].start() if budgets is not None else deadline
+                    if own.expired():
+                        continue
+                    dispatched.append(i)
+                    if workers is None or keys[i] in left and keys[i] not in sent:
+                        sent.add(keys[i])
+                        task.append((i, candidates[i], own))
+                yield task
+
+        if workers is None:
+            for task in tasks():
+                for i, candidate, own in task:
+                    self.evaluate(candidate, stage, deadline=own)
+        else:
+            for i, result in sorted(workers.score(tasks()).items()):  # submission order
+                self._record(keys[i], candidates[i], stage, *result, self.cfg)
+        self.cut_short |= len(dispatched) < len(candidates)
         scores: list[Score | None] = [None] * len(candidates)
         for i in dispatched:  # cached, repeated and just-scored keys alike
             scores[i] = self._cache[keys[i]]
@@ -639,7 +618,7 @@ class Evaluator:
         return groups
 
     def _record(self, cache_key, candidate: Candidate, stage: str, score: Score, wall_ms: float, cfg: EvalConfig) -> None:
-        """Cache and journal one scoring."""
+        """Cache and journal one scoring; one that timed out sets ``cut_short``."""
         record = JournalRecord(
             candidate_key=cache_key[0],
             stage=stage,
@@ -654,6 +633,7 @@ class Evaluator:
         self._cache[cache_key] = score
         self._journal.append(record)
         self._by_key[cache_key[0]] = candidate
+        self.cut_short |= score.status == STATUS_TIMEOUT
 
     def _cells_per_column(self) -> int:
         """Training cells of one key per column of its input: repeats x training rows."""
@@ -730,13 +710,13 @@ class _Workers:
     """Forked processes that score candidates against one evaluator context.
 
     The context (dataset, registry, config and folds), pickled by the
-    parent, reaches each worker once, by value. A task is a group of
-    candidates, each with its absolute deadline (the monotonic clock is
-    system-wide), scored by ``mccv_score_group``; each worker holds one
-    task at a time. A worker that dies in a task is replaced: the
-    candidate of a task of one ends ``failed_error``, and the members of
-    a larger task are sent again one by one, so that only the one that
-    kills a worker fails.
+    parent, reaches each worker once, by value. ``score`` pulls tasks, each
+    a group of candidates with their absolute deadlines (the monotonic
+    clock is system-wide) scored by ``mccv_score_group``, and keeps one
+    task in flight per worker. A worker that dies in a task is replaced:
+    the candidate of a task of one ends ``failed_error``, and the members
+    of a larger task are sent again one by one, ahead of new tasks, so
+    that only the one that kills a worker fails.
     """
 
     def __init__(self, n: int, context: bytes) -> None:
@@ -745,8 +725,6 @@ class _Workers:
         self._mp = multiprocessing.get_context("fork")
         self._context = context
         self._procs: dict = {}  # parent end of a worker's pipe -> the worker
-        self._busy: dict = {}  # parent end -> the task in flight
-        self._resend: list = []  # tasks to send again, one member each
         self._idle = [self._fork() for _ in range(n)]
 
     def _fork(self):
@@ -757,49 +735,43 @@ class _Workers:
         self._procs[ours] = proc
         return ours
 
-    def ready(self, results: dict) -> None:
-        """Wait until some worker is idle and no task waits to be sent again."""
-        self._wait(results, lambda: self._idle and not self._resend)
-
-    def submit(self, task: list) -> None:
-        """Send ``task``, a list of (index, candidate, deadline) to score as
-        one group, to an idle worker (``ready`` waits for one)."""
-        conn = self._idle.pop()
-        conn.send([(candidate, deadline) for _, candidate, deadline in task])
-        self._busy[conn] = task
-
-    def drain(self, results: dict) -> None:
-        """Wait for every task in flight or waiting to be sent again."""
-        self._wait(results, lambda: not self._busy and not self._resend)
-
-    def _wait(self, results: dict, done) -> None:
-        while not done():
-            if self._resend and self._idle:
-                self.submit(self._resend.pop(0))
-            else:
-                self._collect(results)
-
-    def _collect(self, results: dict) -> None:
-        """Wait for at least one task to end; ``results[index]`` becomes
-        the (score, wall_ms) of each of its members."""
+    def score(self, tasks: Iterable[list]) -> dict:
+        """The (score, wall_ms) of each member of ``tasks``, lists of
+        (index, candidate, deadline) each scored as one group, by index.
+        The next task is drawn only when a worker is idle and no task waits
+        to be sent again, and an empty one is skipped; this returns once
+        ``tasks`` is exhausted and every task sent has ended."""
         from multiprocessing.connection import wait
 
-        for conn in wait(list(self._busy)):
-            task = self._busy.pop(conn)
-            try:
-                outcomes = conn.recv()
-            except (EOFError, OSError):  # the worker died in this task
-                conn.close()
-                self._procs.pop(conn).join()
-                conn = self._fork()
-                if len(task) > 1:
-                    self._resend += [[member] for member in task]
-                    outcomes = []
-                else:
-                    outcomes = [(Score(mean=None, std=None, per_fold=(), status=STATUS_ERROR), 0.0)]
-            for (index, _, _), outcome in zip(task, outcomes):
-                results[index] = outcome
-            self._idle.append(conn)
+        pending = iter(tasks)
+        results, busy, resend = {}, {}, []  # busy: parent end -> the task in flight
+        while True:
+            if self._idle and (resend or pending is not None):
+                task = resend.pop(0) if resend else next(pending, None)
+                if task is None:
+                    pending = None
+                elif task:
+                    conn = self._idle.pop()
+                    conn.send([(candidate, deadline) for _, candidate, deadline in task])
+                    busy[conn] = task
+                continue
+            if not busy:
+                return results
+            for conn in wait(list(busy)):
+                task = busy.pop(conn)
+                try:
+                    outcomes = conn.recv()
+                except (EOFError, OSError):  # the worker died in this task
+                    conn.close()
+                    self._procs.pop(conn).join()
+                    conn = self._fork()
+                    if len(task) > 1:
+                        resend += [[member] for member in task]
+                        outcomes = []
+                    else:
+                        outcomes = [(Score(mean=None, std=None, per_fold=(), status=STATUS_ERROR), 0.0)]
+                results.update((index, outcome) for (index, _, _), outcome in zip(task, outcomes))
+                self._idle.append(conn)
 
     def close(self) -> None:
         """Terminate every worker and wait for it to exit."""

@@ -9,8 +9,9 @@ gracefully, and the whole run is a deterministic function of
 and evaluation seeds from (run seed, candidate key, repeat index).
 A deadline breaks that: which work finishes before it depends on the
 machine, so ``RunReport.reproducible`` is false when a stage deadline
-lapsed, a tuning budget left a candidate unscored or an evaluation
-timed out.
+lapsed or when the evaluator records that a deadline cut scoring short
+(``Evaluator.cut_short``: a tuning budget left a candidate unscored, or
+an evaluation timed out).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Sequence
 
 from stagedml.data import Dataset, SplitSpec, split
-from stagedml.evaluation import STATUS_TIMEOUT, Candidate, EvalConfig, Evaluator, candidate_to_dict
+from stagedml.evaluation import Candidate, EvalConfig, Evaluator, candidate_to_dict
 from stagedml.rng import derive_seed
 from stagedml.stages import (
     CandidatePool,
@@ -150,7 +151,7 @@ def run(dataset: Dataset, cfg: SchemeConfig) -> RunReport:
         pool = CandidatePool()
         stage_traces: list[dict] = []
         pool_snapshots: list[dict] = []
-        validation_ran = cut_short = False
+        validation_ran = False
         for stage in cfg.stages:
             if global_deadline.expired():
                 stage_traces.append(
@@ -174,7 +175,6 @@ def run(dataset: Dataset, cfg: SchemeConfig) -> RunReport:
             t0 = time.time()
             pool = stage.run(pool, ctx)
             t1 = time.time()
-            cut_short |= ctx.cut_short
             keys_after = set(pool.keys())
             if stage.stage_id == "validation" and "skipped" not in ctx.trace:
                 validation_ran = True
@@ -245,9 +245,7 @@ def run(dataset: Dataset, cfg: SchemeConfig) -> RunReport:
         config=cfg.describe(),
         total_wall_s=total_wall,
         holdout_rows=holdout.n_rows if holdout is not None else 0,
-        reproducible=not cut_short
-        and not any(t["deadline_hit"] for t in stage_traces)
-        and all(r["status"] != STATUS_TIMEOUT for r in journal),
+        reproducible=not evaluator.cut_short and not any(t["deadline_hit"] for t in stage_traces),
     )
 
 

@@ -381,6 +381,21 @@ class TestReport:
         err = capsys.readouterr().err
         assert f"{path}, line {line}: cell (d0, a, split " in err and problem in err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--alpha", "nan"), ("--alpha", "-1"), ("--alpha", "0"), ("--alpha", "1"),
+            ("--delta", "-5"), ("--delta", "nan"), ("--delta", "inf"),
+            ("--trim", "0.6"), ("--trim", "0.5"), ("--trim", "-0.1"),
+        ],
+    )
+    def test_statistics_flag_out_of_range_writes_nothing(self, tmp_path, capsys, flag, value):
+        path = self._results_csv(tmp_path)
+        outdir = tmp_path / "t"
+        code = main(["report", "--results", str(path), flag, value, "--out", str(outdir)])
+        assert code == EXIT_USAGE and f"{flag} " in capsys.readouterr().err
+        assert not outdir.exists()
+
     def test_empty_directory_is_usage_error(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()

@@ -218,6 +218,15 @@ class TestMccv:
         assert s.status == "ok" and s.mean == 0.0 and s.std == 0.0
         assert len(s.per_fold) == 5
 
+    def test_data_without_rows_fail_every_candidate(self, registry):
+        # no class at all is not one class: the folds cannot be drawn
+        d = make_numeric_dataset(np.zeros((0, 3)), np.zeros(0, dtype=int), class_names=["a", "b"])
+        cfg = EvalConfig(seed=1)
+        ev = Evaluator(registry=registry, dataset=d, cfg=cfg)
+        scores = [mccv_score(Candidate("knn"), d, cfg, registry), ev.evaluate(Candidate("knn"), stage="probing")]
+        scores += ev.evaluate_many([Candidate("knn"), Candidate("gaussian_nb")], stage="probing")
+        assert [s.status for s in scores] == ["failed_error"] * 4
+
     @pytest.mark.parametrize(
         "candidate",
         [

@@ -127,6 +127,12 @@ class TestRun:
         assert report.best_key is None
         assert not report.reproducible  # the deadline cut every stage
 
+    def test_data_without_rows_find_no_model(self):
+        data = make_numeric_dataset(np.zeros((0, 3)), np.zeros(0, dtype=int), class_names=["a", "b"])
+        report = run(data, presets_for_tests(1)["primitive"])
+        assert report.failure == "no_model_found"
+        assert [r["status"] for r in report.journal] == ["failed_error"] * 5
+
     def test_evaluation_timeouts_make_a_run_not_reproducible(self):
         data = make_dataset("separable", 40, 3, 0)
         cfg = presets_for_tests(1)["primitive"]
@@ -135,10 +141,13 @@ class TestRun:
         assert {r["status"] for r in report.journal} == {"failed_timeout"}
         assert not report.reproducible and report.to_json_dict()["reproducible"] is False
 
-    def test_lapsed_tuning_budget_makes_a_run_not_reproducible(self, registry, monkeypatch):
-        # in process: the entry's budget starts at its first sample, which
-        # outlasts it without timing out; the later samples go unscored
-        monkeypatch.setattr(evaluation, "WORKERS", 1)
+    @pytest.mark.parametrize("workers", [1, 2], ids=["in-process", "workers"])
+    def test_lapsed_tuning_budget_makes_a_run_not_reproducible(self, registry, monkeypatch, workers):
+        # the entry's budget starts at its first sample, which outlasts it
+        # without timing out. In process, the later samples go unscored; on
+        # two workers, the first two go out at once and the third never does
+        monkeypatch.setattr(evaluation, "WORKERS", workers)
+        monkeypatch.setattr(evaluation, "POOL_CELLS", 1)
         spec = replace(registry.learners["decision_tree"], id="slow", fit=_slow_tuned_fit)
         monkeypatch.setattr(orchestrator, "_registry", lambda: replace(registry, learners={"slow": spec}))
         cfg = replace(
@@ -146,7 +155,8 @@ class TestRun:
             stages=[ProbingStage(), TuningStage(max_evals=3, per_candidate_seconds=SLOW_SECONDS / 2)],
         )
         report = run(make_dataset("separable", 40, 3, 0), cfg)
-        assert [(r["stage"], r["status"]) for r in report.journal] == [("probing", "ok"), ("tuning", "ok")]
+        # fewer tuning records than its three samples
+        assert [(r["stage"], r["status"]) for r in report.journal] == [("probing", "ok")] + [("tuning", "ok")] * workers
         assert not any(t["deadline_hit"] for t in report.stage_traces)
         assert not report.reproducible
 
@@ -332,15 +342,20 @@ def _positive_madelon():
 
 
 def _spy_on_tasks(monkeypatch) -> list:
-    """The tasks ``_Workers.submit`` sends, from now on."""
+    """The keys of each non-empty task ``_Workers.score`` draws, from now on."""
     tasks = []
-    submit = evaluation._Workers.submit
+    score = evaluation._Workers.score
 
-    def spy(self, task):
-        tasks.append([candidate_key(candidate) for _, candidate, _ in task])
-        submit(self, task)
+    def spy(self, stream):
+        def recorded():
+            for task in stream:
+                if task:
+                    tasks.append([candidate_key(candidate) for _, candidate, _ in task])
+                yield task
 
-    monkeypatch.setattr(evaluation._Workers, "submit", spy)
+        return score(self, recorded())
+
+    monkeypatch.setattr(evaluation._Workers, "score", spy)
     return tasks
 
 

@@ -10,7 +10,7 @@ from stagedml.components.learners import fit_gaussian_nb
 from stagedml.components.registry import LearnerSpec, Registry
 from stagedml.data import FeatureSet
 from stagedml import evaluation
-from stagedml.evaluation import Candidate, EvalConfig, Evaluator, Score, candidate_key, evaluate_serially
+from stagedml.evaluation import Candidate, EvalConfig, Evaluator, Score, candidate_key
 from stagedml.stages import (
     CandidatePool,
     FilteringStage,
@@ -60,8 +60,15 @@ class StubEvaluator:
         self.calls.append((key, stage))
         return ok_score(self.table.get(key, 0.5) + self.offset)
 
-    def evaluate_many(self, candidates, stage, deadline=None, budgets=None):
-        return evaluate_serially(self, candidates, stage, deadline, budgets)
+    def evaluate_many(self, candidates, stage, deadline=Deadline(), budgets=None):
+        """None once ``deadline`` or the candidate's own budget has lapsed,
+        else ``evaluate``."""
+        scores = []
+        for i, candidate in enumerate(candidates):
+            own = budgets[i].start() if budgets is not None else deadline
+            lapsed = deadline.expired() or own.expired()
+            scores.append(None if lapsed else self.evaluate(candidate, stage, deadline=own))
+        return scores
 
 
 def ctx_for(evaluator, data, registry, **kw):

@@ -11,14 +11,26 @@ from pathlib import Path
 
 import pytest
 
-from stagedml import orchestrator
+from stagedml import evaluation, orchestrator
 from stagedml.evaluation import EvalConfig
 from stagedml.synth import make_dataset
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
 
 
-def test_traced_search_books_every_span(monkeypatch):
+def _no_fork(*args):
+    raise AssertionError("a worker was forked")
+
+
+@pytest.mark.parametrize("pool_cells", [None, 1], ids=["default", "pool-cells-1"])
+def test_traced_search_books_every_span(monkeypatch, pool_cells):
+    if pool_cells is not None:
+        # the traced registry does not pickle, so even a batch that reaches
+        # POOL_CELLS is scored in process, through ``Evaluator.evaluate``,
+        # which the tracer counts evaluations by
+        monkeypatch.setattr(evaluation, "WORKERS", 2)
+        monkeypatch.setattr(evaluation, "POOL_CELLS", pool_cells)
+        monkeypatch.setattr(evaluation, "_Workers", _no_fork)
     monkeypatch.syspath_prepend(str(BENCHMARK))
     tracing = importlib.import_module("tracing")
     tracer = tracing.Tracer()
