@@ -167,9 +167,10 @@ def _spec_from_args(args, require_data: bool = True) -> RunSpec:
     limits = dict(merged.get("stage_time_limits") or {})
     for item in args.stage_time_limit or []:
         name, _, seconds = item.partition("=")
-        if not seconds:
-            raise UsageError("--stage-time-limit expects STAGE=SECONDS")
-        limits[name] = float(seconds)
+        try:
+            limits[name] = float(seconds)
+        except ValueError:
+            raise UsageError(f"--stage-time-limit {item!r} is not STAGE=SECONDS") from None
     # full runs every stage; bench shares one spec across presets, so any stage may be named
     stage_ids = [stage.stage_id for stage in orchestrator.scheme_presets()["full"].stages]
     misspelled = sorted(set(limits) - set(stage_ids))

@@ -18,7 +18,8 @@ class Categorical:
         object.__setattr__(self, "values", tuple(values))
 
     def contains(self, v: Any) -> bool:
-        return v in self.values
+        # a value of another type (True for 1, 1.0 for 1) would be a second key for one model
+        return any(type(v) is type(d) and v == d for d in self.values)
 
     def sample(self, rng: Rng) -> Any:
         return rng.choice(self.values)

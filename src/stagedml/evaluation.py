@@ -19,9 +19,10 @@ candidate in a run is scored on the *same* folds (paired comparisons);
 fit seeds additionally mix in the candidate key, so stochastic learners
 stay decorrelated without depending on evaluation order. A fold is a
 pair of row-index arrays over the one optimization matrix; an
-``Evaluator`` draws the folds once per (seed, repeats, train_fraction)
-and shares them across all its candidates. Scores are cached by
-(candidate key, config); lower is better.
+``Evaluator`` draws its folds once and shares them across all its
+candidates; a score on fewer repeats uses the first of them, as
+``mccv_splits`` draws them. Scores are cached by (candidate key,
+repeats); lower is better.
 
 ``Evaluator.evaluate_many`` scores a batch of at least ``POOL_CELLS``
 training cells on ``WORKERS`` forked processes and journals it as
@@ -91,7 +92,7 @@ def _format_value(v) -> str:
 
 
 def _format_params(params: Mapping | None) -> str:
-    if params is None:
+    if not params:  # None or empty: the registry defaults
         return "default"
     return ",".join(f"{k}={_format_value(params[k])}" for k in sorted(params))
 
@@ -145,12 +146,6 @@ class EvalConfig:
             raise ValueError("train_fraction must lie strictly between 0 and 1")
         if self.metric != "error_rate":
             raise ValueError(f"unsupported metric {self.metric!r}; only error_rate ships")
-
-    def key(self) -> str:
-        return (
-            f"r={self.repeats};f={self.train_fraction!r};m={self.metric};"
-            f"s={self.seed};t={self.per_eval_timeout!r}"
-        )
 
 
 @dataclass(frozen=True)
@@ -465,14 +460,14 @@ class JournalRecord:
 class Evaluator:
     """Scores candidates on one optimization dataset, with caching.
 
-    The folds of each (seed, repeats, train_fraction), row-index pairs
-    into ``dataset``, are drawn once, on first use, and shared by every
-    later candidate; ``dataset`` is write-protected and never changes, so
-    sharing them cannot leak state between candidates.
+    Its one fold list, row-index pairs into ``dataset``, is drawn when it
+    is built (None for a dataset with no rows, which cannot be split) and
+    shared by every candidate; ``dataset`` is write-protected and never
+    changes, so sharing it cannot leak state between candidates.
 
-    It serves one caller at a time: the cache, fold cache and journal
-    hold no locks. Seeds derive from candidate keys, never from arrival
-    order, and a key is scored and journaled once.
+    It serves one caller at a time: the cache and journal hold no locks.
+    Seeds derive from candidate keys, never from arrival order, and a key
+    is scored and journaled once.
 
     ``evaluate_many`` forks its worker processes on the first batch that
     needs them; ``close`` stops them (``orchestrator.run`` does when it
@@ -489,33 +484,36 @@ class Evaluator:
     _cache: dict = field(default_factory=dict)
     _journal: list = field(default_factory=list)
     _by_key: dict = field(default_factory=dict)
-    _fold_cache: dict = field(default_factory=dict)
     _workers: "_Workers | None" = None
     _stop_workers: weakref.finalize | None = None
+    _folds: list | None = field(init=False)
 
-    def _cache_key(self, candidate: Candidate, cfg: EvalConfig) -> tuple[str, str]:
-        # ``dataset`` never changes (its arrays are write-protected), so the key need not name it
-        return candidate_key(candidate), cfg.key()
+    def __post_init__(self) -> None:
+        try:
+            self._folds = mccv_splits(self.dataset, self.cfg)
+        except ValueError:
+            self._folds = None
 
     def evaluate(
         self,
         candidate: Candidate,
         stage: str,
-        cfg: EvalConfig | None = None,
+        repeats: int | None = None,
         deadline: Deadline = NO_DEADLINE,
     ) -> Score:
-        """The score of ``candidate``, cached or scored here. A ``cfg``
-        other than the evaluator's own is journaled as auxiliary."""
-        cfg = cfg if cfg is not None else self.cfg
-        cache_key = self._cache_key(candidate, cfg)
+        """The score of ``candidate`` on the first ``repeats`` folds (all of
+        them for None), cached by (candidate key, repeats) or scored here.
+        A score on fewer folds than the config's is journaled as auxiliary."""
+        repeats = self.cfg.repeats if repeats is None else min(repeats, self.cfg.repeats)
+        cache_key = candidate_key(candidate), repeats
         if cache_key in self._cache:
             return self._cache[cache_key]
         started = time.monotonic()
         score = mccv_score(
-            candidate, self.dataset, cfg, self.registry, deadline=deadline,
-            folds=self._folds(cfg),
+            candidate, self.dataset, replace(self.cfg, repeats=repeats), self.registry, deadline=deadline,
+            folds=None if self._folds is None else self._folds[:repeats],
         )
-        self._record(cache_key, candidate, stage, score, (time.monotonic() - started) * 1000.0, cfg)
+        self._record(cache_key, candidate, stage, score, (time.monotonic() - started) * 1000.0)
         return score
 
     def evaluate_many(
@@ -557,7 +555,7 @@ class Evaluator:
         such rows hold 30,000 or more, and every batch of 1,500 rows and 6
         columns 105,000 or more.
         """
-        keys = [self._cache_key(c, self.cfg) for c in candidates]
+        keys = [(candidate_key(c), self.cfg.repeats) for c in candidates]
         left = {key: c for key, c in zip(keys, candidates) if key not in self._cache}  # keys to score
         workers = self._workers_for(left)
         groups = self._stack_groups(candidates, keys, left) if workers else [[i] for i in range(len(candidates))]
@@ -584,7 +582,7 @@ class Evaluator:
                     self.evaluate(candidate, stage, deadline=own)
         else:
             for i, result in sorted(workers.score(tasks()).items()):  # submission order
-                self._record(keys[i], candidates[i], stage, *result, self.cfg)
+                self._record(keys[i], candidates[i], stage, *result)
         self.cut_short |= len(dispatched) < len(candidates)
         scores: list[Score | None] = [None] * len(candidates)
         for i in dispatched:  # cached, repeated and just-scored keys alike
@@ -617,7 +615,7 @@ class Evaluator:
                 group[2] += cells
         return groups
 
-    def _record(self, cache_key, candidate: Candidate, stage: str, score: Score, wall_ms: float, cfg: EvalConfig) -> None:
+    def _record(self, cache_key, candidate: Candidate, stage: str, score: Score, wall_ms: float) -> None:
         """Cache and journal one scoring; one that timed out sets ``cut_short``."""
         record = JournalRecord(
             candidate_key=cache_key[0],
@@ -627,8 +625,8 @@ class Evaluator:
             per_fold=score.per_fold,
             status=score.status,
             wall_ms=wall_ms,
-            seed=cfg.seed,
-            auxiliary=cfg.key() != self.cfg.key(),
+            seed=self.cfg.seed,
+            auxiliary=cache_key[1] < self.cfg.repeats,
         )
         self._cache[cache_key] = score
         self._journal.append(record)
@@ -637,14 +635,12 @@ class Evaluator:
 
     def _cells_per_column(self) -> int:
         """Training cells of one key per column of its input: repeats x training rows."""
-        folds = self._folds(self.cfg)
-        return self.cfg.repeats * len(folds[0][0]) if folds else 0
+        return self.cfg.repeats * len(self._folds[0][0]) if self._folds else 0
 
     def _workers_for(self, left: dict) -> "_Workers | None":
         """The worker processes for a batch whose keys left to score map
         to their candidates in ``left``, forked on the first batch that
-        needs them, after the fold cache is built; None when the batch
-        runs in this process."""
+        needs them; None when the batch runs in this process."""
         if WORKERS < 2:
             return None
         widths = (stack_signature(c, self.dataset.n_columns)[1] for c in left.values())
@@ -654,7 +650,7 @@ class Evaluator:
             if threading.active_count() > 1 or len(np.unique(self.dataset.labels)) < 2:
                 return None  # a fork beside other threads can deadlock the child; one class scores 0 anyway
             try:
-                context = pickle.dumps((self.dataset, self.registry, self.cfg, self._folds(self.cfg)))
+                context = pickle.dumps((self.dataset, self.registry, self.cfg, self._folds))
             except (pickle.PicklingError, AttributeError, TypeError):  # local functions, locks
                 return None
             self._workers = _Workers(WORKERS, context)
@@ -666,17 +662,6 @@ class Evaluator:
         if self._stop_workers is not None:
             self._stop_workers()
         self._workers = self._stop_workers = None
-
-    def _folds(self, cfg: EvalConfig) -> list[tuple[np.ndarray, np.ndarray]] | None:
-        """The folds of ``cfg``, drawn on first use; None for an empty
-        dataset, the only one that cannot be split."""
-        fold_key = (cfg.seed, cfg.repeats, cfg.train_fraction)
-        if fold_key not in self._fold_cache:
-            try:
-                self._fold_cache[fold_key] = mccv_splits(self.dataset, cfg)
-            except ValueError:
-                self._fold_cache[fold_key] = None
-        return self._fold_cache[fold_key]
 
     # -- journal and bookkeeping ---------------------------------------
 

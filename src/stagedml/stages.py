@@ -21,7 +21,7 @@ its training cells reach ``evaluation.POOL_CELLS``.
 Settings no caller varies are module constants: ``scalers_to_expand``
 reads ``SCALING_EPSILON``, ``feature_curve`` reads ``CURVE_TOL`` and
 ``CURVE_PATIENCE``, and the filtering stage scores its feature curves
-with ``FILTER_PILOT`` on ``CHEAP_REPEATS`` repeats.
+with ``FILTER_PILOT`` on the run's first ``CHEAP_REPEATS`` folds.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from stagedml.timing import NO_DEADLINE, Budget, Deadline
 PILOT_LEARNERS = ("knn", "gaussian_nb")
 SCALING_EPSILON = 0.0  # a scaler expands when it beats some pilot's raw score by more
 FILTER_PILOT = "knn"  # the learner scored along every feature curve
-CHEAP_REPEATS = 3  # MCCV repeats of one feature-curve point
+CHEAP_REPEATS = 3  # MCCV repeats of one feature-curve point, at most the run's
 CURVE_TOL = 0.005  # a curve point within this of the best so far is not worse
 CURVE_PATIENCE = 2  # consecutive worse points that end a curve
 
@@ -324,17 +324,17 @@ def select_best_prefix(curves: list[tuple[str, list[int], list[tuple[int, float]
 def compute_feature_set(ctx: StageContext) -> tuple[FeatureSet, list[dict]]:
     """Choose a feature prefix from per-filter performance curves.
 
-    For each filter ranking, the ``FILTER_PILOT`` learner is scored under
-    a cheap MCCV (``CHEAP_REPEATS`` repeats) on growing prefixes; the
-    best-scoring (filter, length) wins. Independent of the candidate
-    pool. Falls back to all features when nothing could be evaluated.
+    For each filter ranking, the ``FILTER_PILOT`` learner is scored on
+    growing prefixes under a cheap MCCV, the first ``CHEAP_REPEATS`` of the
+    folds drawn once per evaluator; the best-scoring (filter, length) wins.
+    Independent of the candidate pool. Falls back to all features when
+    nothing could be evaluated.
     """
     data = ctx.data
     filter_ids = ctx.registry.filter_ids()
     if not filter_ids:
         raise ValueError("compute_feature_set needs at least one filter")
     pilot = Candidate(learner=FILTER_PILOT)
-    cheap_cfg = replace(ctx.evaluator.cfg, repeats=CHEAP_REPEATS)
     schedule = prefix_schedule(data.n_columns)
 
     curves = []
@@ -346,7 +346,7 @@ def compute_feature_set(ctx: StageContext) -> tuple[FeatureSet, list[dict]]:
 
         def score_at(l: int, _ranking=ranking) -> float:
             c = replace(pilot, features=FeatureSet(_ranking[:l]))
-            s = ctx.evaluator.evaluate(c, stage="filtering", cfg=cheap_cfg, deadline=ctx.deadline)
+            s = ctx.evaluator.evaluate(c, stage="filtering", repeats=CHEAP_REPEATS, deadline=ctx.deadline)
             return s.mean if s.ok else float("inf")
 
         points = feature_curve(score_at, schedule, expired=ctx.expired)

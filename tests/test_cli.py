@@ -97,6 +97,14 @@ class TestRun:
         # a stage id the preset does not run stays allowed
         assert main(run_args(synth_csv, tmp_path / "o", "--stage-time-limit", "tuning=5")) == EXIT_OK
 
+    @pytest.mark.parametrize("item", ["meta=abc", "meta", "meta="])
+    def test_unparsable_stage_time_limit_is_usage_error(self, synth_csv, tmp_path, capsys, item):
+        out = tmp_path / "o"
+        assert main(run_args(synth_csv, out, "--stage-time-limit", item)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--stage-time-limit" in err and repr(item) in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("seconds", ["nan", "-1"])
     def test_nan_or_negative_stage_time_limit_is_usage_error(self, synth_csv, tmp_path, capsys, seconds):
         out = tmp_path / "o"

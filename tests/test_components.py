@@ -62,6 +62,25 @@ class TestRegistry:
         with pytest.raises(ValueError):
             fit_pipeline(Candidate("knn", {"q": 1}), d, reg)
 
+    @pytest.mark.parametrize(
+        "learner, params", [("knn", {"k": True}), ("knn", {"k": 1.0}), ("bagging", {"replace": 0}),
+                            ("random_forest", {"feature_subsample": 1})],
+    )
+    def test_categorical_value_of_another_type_rejected(self, reg, learner, params):
+        # equal to a declared value but of another type: a second key for one model
+        with pytest.raises(ValueError, match="outside its declared domain"):
+            reg.effective_params(learner, params)
+
+    def test_grids_and_samples_stay_valid(self, reg):
+        rng = Rng(5)
+        for lid in [*reg.base_learner_ids(), *reg.meta_learner_ids()]:
+            space = reg.learner(lid).param_space
+            for _ in range(20):
+                reg.effective_params(lid, reg.sample_params(lid, rng))
+            if space_is_enumerable(space):
+                for params in enumerate_grid(space):
+                    reg.effective_params(lid, params)
+
 
 class TestSampling:
     def test_knn_sample_in_grid(self, reg):

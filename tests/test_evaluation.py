@@ -26,6 +26,7 @@ from stagedml.evaluation import (
     mccv_splits,
 )
 from stagedml.rng import derive_seed
+from stagedml.stages import CHEAP_REPEATS
 from stagedml.synth import make_dataset
 from stagedml.timing import Deadline, DeadlineExceeded
 
@@ -68,6 +69,11 @@ def _lopsided_huge_first_column():
 class TestCandidateKey:
     def test_blank_candidate(self):
         assert candidate_key(Candidate(learner="knn")) == "-|-|knn|default"
+
+    def test_empty_params_are_the_defaults(self):
+        # an empty mapping merges no params, so it is the default model and keys as one
+        assert candidate_key(Candidate("knn", params={})) == "-|-|knn|default"
+        assert candidate_key(Candidate("knn", meta="bagging", meta_params={})) == "-|-|bagging{default}(knn)|default"
 
     def test_full_candidate(self):
         c = Candidate(
@@ -353,8 +359,7 @@ class TestEvaluator:
     def test_auxiliary_config_not_in_best(self, registry):
         d = make_dataset("separable", 40, 3, 5)
         ev = Evaluator(registry=registry, dataset=d, cfg=EvalConfig(seed=11))
-        cheap = EvalConfig(seed=11, repeats=3)
-        ev.evaluate(Candidate(learner="knn"), stage="filtering", cfg=cheap)
+        ev.evaluate(Candidate(learner="knn"), stage="filtering", repeats=3)
         assert ev.best_ok() is None
         ev.evaluate(Candidate(learner="knn"), stage="probing")
         best = ev.best_ok()
@@ -375,6 +380,13 @@ class TestEvaluator:
         assert ev.best_ok() is None
         assert ev.journal_records()[0].status == "failed_error"
 
+    def test_param_of_another_type_fails(self, registry):
+        d = make_dataset("separable", 40, 3, 5)
+        ev = Evaluator(registry=registry, dataset=d, cfg=EvalConfig(seed=11))
+        for params in ({"k": True}, {"k": 1.0}):
+            assert ev.evaluate(Candidate("knn", params=params), stage="probing").status == "failed_error"
+        assert ev.evaluate(Candidate("knn", params={"k": 1}), stage="probing").ok
+
 
 class TestFoldCache:
     CANDIDATES = [
@@ -386,30 +398,39 @@ class TestFoldCache:
 
     @pytest.fixture
     def built(self, monkeypatch):
-        """The config keys of every ``mccv_splits`` call, in order."""
-        keys = []
+        """The repeats of every ``mccv_splits`` call, in order."""
+        repeats = []
         real = evaluation.mccv_splits
 
         def counting(dataset, cfg):
-            keys.append(cfg.key())
+            repeats.append(cfg.repeats)
             return real(dataset, cfg)
 
         monkeypatch.setattr(evaluation, "mccv_splits", counting)
-        return keys
+        return repeats
 
     def _journal(self, ev):
         return [{k: v for k, v in r.to_dict().items() if k != "wall_ms"} for r in ev.journal_records()]
 
-    def test_splits_built_once_per_config(self, registry, built):
+    def test_splits_built_once_per_evaluator(self, registry, built):
         d = make_dataset("separable", 60, 3, 5)
-        cfg = EvalConfig(seed=11)
-        cheap = replace(cfg, repeats=3)
-        ev = Evaluator(registry=registry, dataset=d, cfg=cfg)
+        ev = Evaluator(registry=registry, dataset=d, cfg=EvalConfig(seed=11))
         for c in self.CANDIDATES:
             ev.evaluate(c, stage="probing")
-            ev.evaluate(c, stage="filtering", cfg=cheap)
-        assert built == [cfg.key(), cheap.key()]
+            ev.evaluate(c, stage="filtering", repeats=3)
+            ev.evaluate(c, stage="filtering", repeats=7)  # more than the run's: the full score, cached
+        assert built == [5]
         assert ev.evaluation_count == 2 * len(self.CANDIDATES)
+
+    def test_fewer_repeats_score_on_the_first_folds(self, registry):
+        d = make_dataset("madelon_like", 60, 4, 3)
+        ev = Evaluator(registry=registry, dataset=d, cfg=EvalConfig(seed=4))
+        for c in [*self.CANDIDATES[:3], Candidate("random_forest", features=FeatureSet([1, 3]))]:
+            point = ev.evaluate(c, stage="filtering", repeats=CHEAP_REPEATS)
+            full = ev.evaluate(c, stage="probing")
+            assert len(full.per_fold) == 5 and point.per_fold == full.per_fold[:CHEAP_REPEATS]
+        assert [r.auxiliary for r in ev.journal_records()] == [True, False] * 4
+        assert {r.seed for r in ev.journal_records()} == {4}
 
     def test_cached_folds_score_like_fresh_folds(self, registry):
         d = make_dataset("madelon_like", 60, 4, 3)
@@ -456,7 +477,7 @@ class TestFoldCache:
         for c in self.CANDIDATES[:-1]:
             assert ev.evaluate(c, stage="probing").status == "ok"
         assert ev.evaluate(self.CANDIDATES[-1], stage="probing").status == "failed_error"
-        assert ev.evaluate(Candidate(learner="knn"), stage="filtering", cfg=EvalConfig(seed=1, repeats=3)).ok
+        assert ev.evaluate(Candidate(learner="knn"), stage="filtering", repeats=3).ok
         assert ev.best_ok() is not None
 
 

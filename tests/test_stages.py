@@ -12,6 +12,7 @@ from stagedml.data import FeatureSet
 from stagedml import evaluation
 from stagedml.evaluation import Candidate, EvalConfig, Evaluator, Score, candidate_key
 from stagedml.stages import (
+    CHEAP_REPEATS,
     CandidatePool,
     FilteringStage,
     MetaStage,
@@ -55,7 +56,7 @@ class StubEvaluator:
         self.calls = []
         self.cfg = EvalConfig(seed=0)
 
-    def evaluate(self, candidate, stage, cfg=None, deadline=None):
+    def evaluate(self, candidate, stage, repeats=None, deadline=None):
         key = candidate_key(candidate)
         self.calls.append((key, stage))
         return ok_score(self.table.get(key, 0.5) + self.offset)
@@ -168,11 +169,11 @@ class TestProbing:
         data = make_dataset("separable", 40, 3, 0)
 
         class Failing(StubEvaluator):
-            def evaluate(self, candidate, stage, cfg=None, deadline=None):
+            def evaluate(self, candidate, stage, repeats=None, deadline=None):
                 if candidate.learner == "decision_tree":
                     self.calls.append((candidate_key(candidate), stage))
                     return Score(None, None, (), "failed_timeout")
-                return super().evaluate(candidate, stage, cfg, deadline)
+                return super().evaluate(candidate, stage, repeats, deadline)
 
         stub = Failing()
         pool = ProbingStage().run(CandidatePool(), ctx_for(stub, data, registry))
@@ -184,13 +185,13 @@ class TestProbing:
 
         class WaitsOut(StubEvaluator):
             # the last base learner's scoring runs past the stage deadline
-            def evaluate(self, candidate, stage, cfg=None, deadline=None):
+            def evaluate(self, candidate, stage, repeats=None, deadline=None):
                 if candidate.learner == "random_forest":
                     while not deadline.expired():
                         time.sleep(0.005)
                     self.calls.append((candidate_key(candidate), stage))
                     return Score(None, None, (), "failed_timeout")
-                return super().evaluate(candidate, stage, cfg, deadline)
+                return super().evaluate(candidate, stage, repeats, deadline)
 
         ctx = ctx_for(WaitsOut(), data, registry, deadline=Deadline(0.3))
         pool = ProbingStage().run(CandidatePool(), ctx)
@@ -334,7 +335,7 @@ class TestFilteringStage:
         class FullWidth(StubEvaluator):
             # longer prefixes score strictly better, so the curve walks
             # out to the full column count
-            def evaluate(self, candidate, stage, cfg=None, deadline=None):
+            def evaluate(self, candidate, stage, repeats=None, deadline=None):
                 self.calls.append((candidate_key(candidate), stage))
                 if candidate.features is None:
                     return ok_score(0.5)
@@ -356,10 +357,10 @@ class TestFilteringStage:
                 self.allowed = allowed
                 self.full_evals = 0
 
-            def evaluate(self, candidate, stage, cfg=None, deadline=None):
+            def evaluate(self, candidate, stage, repeats=None, deadline=None):
                 key = candidate_key(candidate)
                 self.calls.append((key, stage))
-                if cfg is None and candidate.features is not None:
+                if repeats is None and candidate.features is not None:
                     self.full_evals += 1
                     if self.full_evals > self.allowed:
                         return Score(None, None, (), "failed_timeout")
@@ -375,6 +376,31 @@ class TestFilteringStage:
         FilteringStage().run(pool, ctx)
         twins = [e for e in pool if e.candidate.features is not None]
         assert {t.candidate.learner for t in twins} == {"gaussian_nb", "decision_tree"}
+
+    def test_folds_drawn_once_per_evaluator(self, registry, monkeypatch):
+        calls = []
+        real = evaluation.mccv_splits
+        monkeypatch.setattr(evaluation, "mccv_splits", lambda *args: calls.append(1) or real(*args))
+        data = make_dataset("madelon_like", 60, 6, 2)
+        ev = Evaluator(registry=registry, dataset=data, cfg=EvalConfig(seed=2))
+        pool = ProbingStage().run(CandidatePool(), ctx_for(ev, data, registry))
+        FilteringStage().run(pool, ctx_for(ev, data, registry))
+        ev.close()
+        records = ev.journal_records()
+        assert {len(r.per_fold) for r in records if r.auxiliary} == {CHEAP_REPEATS}
+        assert any(r.stage == "filtering" and not r.auxiliary for r in records)  # the twins
+        assert calls == [1]
+
+    def test_curve_points_of_a_short_run_use_all_its_folds(self, registry):
+        # a run of fewer repeats than CHEAP_REPEATS scores its curve points on
+        # all of its folds: full-protocol records, not auxiliary ones
+        data = make_dataset("madelon_like", 60, 6, 2)
+        ev = Evaluator(registry=registry, dataset=data, cfg=EvalConfig(seed=2, repeats=2))
+        compute_feature_set(ctx_for(ev, data, registry))
+        points = ev.journal_records()
+        assert points and all(r.stage == "filtering" for r in points)
+        assert all(len(r.per_fold) == 2 and not r.auxiliary for r in points)
+        assert ev.best_ok() is not None
 
     def test_curve_cut_off_with_empty_pool_sets_deadline_hit(self, registry):
         # one filter, and a deadline that lapses after the curve's first
